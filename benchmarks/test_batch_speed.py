@@ -27,9 +27,10 @@ from pathlib import Path
 import pytest
 
 from repro.bench import BENCHMARK_NAMES
-from repro.fi import FaultInjector, ModuleSpec
+from repro.fi import FaultInjector
 from repro.interp import TIER_BATCH, TIER_CODEGEN
 from repro.interp.batch import HAVE_NUMPY
+from repro.sched import ModuleSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.fi import FaultInjector, ModuleSpec, run_parallel_campaign
+from repro.fi import FaultInjector
+from repro.sched import CampaignExecutor, CampaignSettings, ModuleSpec
 
 CPUS = os.cpu_count() or 1
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -35,9 +36,9 @@ def test_parallel_beats_serial_wall_clock():
     serial = injector.campaign(runs, seed=1)
     serial_wall = time.perf_counter() - started
 
-    parallel = run_parallel_campaign(
-        runs, seed=1, spec=spec, workers=workers,
-    )
+    parallel = CampaignExecutor(
+        spec, settings=CampaignSettings(workers=workers)
+    ).run(runs, seed=1)
 
     assert parallel.counts == serial.counts
     assert not parallel.degraded

@@ -20,8 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.bench import BENCHMARK_NAMES
-from repro.fi import FaultInjector, ModuleSpec
+from repro.fi import FaultInjector
 from repro.interp import TIER_CLOSURE, TIER_CODEGEN, ExecutionEngine
+from repro.sched import ModuleSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

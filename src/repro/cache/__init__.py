@@ -1,4 +1,4 @@
-"""Content-addressed artifact cache (in-memory analyses + disk layer).
+"""Content-addressed artifact cache.
 
 The cache never recomputes an artifact whose inputs haven't changed:
 everything is keyed on the SHA-256 of the module's canonical printed IR
@@ -45,26 +45,15 @@ from .fingerprint import (
     function_fingerprints,
     module_fingerprint,
 )
-from .manager import (
-    CFG_SHAPE_ANALYSES,
-    AnalysisManager,
-    analysis_manager_for,
-    analysis_stats_line,
-    notify_transform,
-    reset_analysis_stats,
-)
 
 __all__ = [
-    "AnalysisManager", "ArtifactCache", "CACHE_DIR_ENV", "CFG_SHAPE_ANALYSES",
-    "CacheStats", "DEFAULT_CACHE_DIR", "FileLock", "GoldenSummary",
-    "STORE_COUNTERS", "analysis_manager_for", "analysis_stats_line",
-    "bind_model_results", "campaign_key", "combine_key", "config_digest",
-    "configure_cache", "function_fingerprint", "function_fingerprints",
-    "function_results_key", "get_cache", "golden_key", "load_cached_profile",
-    "load_function_results", "load_golden_summary", "load_model_results",
-    "model_key", "model_results_key", "module_fingerprint",
-    "notify_transform", "profile_digest", "profile_key",
-    "reset_analysis_stats", "resolve_cache_dir", "shard_key",
-    "store_cached_profile", "store_function_results", "store_golden_summary",
-    "store_model_results",
+    "ArtifactCache", "CACHE_DIR_ENV", "CacheStats", "DEFAULT_CACHE_DIR",
+    "FileLock", "GoldenSummary", "STORE_COUNTERS", "bind_model_results",
+    "campaign_key", "combine_key", "config_digest", "configure_cache",
+    "function_fingerprint", "function_fingerprints", "function_results_key",
+    "get_cache", "golden_key", "load_cached_profile", "load_function_results",
+    "load_golden_summary", "load_model_results", "model_key",
+    "model_results_key", "module_fingerprint", "profile_digest",
+    "profile_key", "resolve_cache_dir", "shard_key", "store_cached_profile",
+    "store_function_results", "store_golden_summary", "store_model_results",
 ]

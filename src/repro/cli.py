@@ -14,7 +14,6 @@ import sys
 
 from .bench.registry import BENCHMARK_NAMES, all_benchmarks, build_module
 from .cache import (
-    analysis_stats_line,
     configure_cache,
     get_cache,
     load_cached_profile,
@@ -24,12 +23,6 @@ from .cache import (
 )
 from .core.simple_models import MODEL_NAMES, create_model
 from .fi.campaign import OUTCOMES, CampaignResult
-from .fi.parallel import (
-    CampaignInterrupted,
-    CampaignSettings,
-    ModuleSpec,
-    run_cached_campaign,
-)
 from .harness.context import ExperimentConfig, Workspace
 from .harness.runner import EXPERIMENTS, run_experiment
 from .interp.codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN
@@ -40,6 +33,8 @@ from .profiling.profile import ProgramProfile
 from .profiling.profiler import ProfilingInterpreter
 from .protection.evaluate import evaluate_protection
 from .report.resilience import generate_report
+from .sched.executor import CampaignInterrupted, run_store_campaign
+from .sched.spec import CampaignSettings, ModuleSpec
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -291,9 +286,6 @@ def _print_cache_summary(out) -> None:
     cache = get_cache()
     if cache.enabled:
         print(cache.stats.summary(), file=out)
-    analyses = analysis_stats_line()
-    if analyses:
-        print(analyses, file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +399,7 @@ def _run_campaign(args, runs: int) -> CampaignResult:
     spec = ModuleSpec.from_benchmark(
         args.benchmark, args.scale, args.input_seed
     )
-    return run_cached_campaign(
+    return run_store_campaign(
         runs, seed=args.seed, spec=spec,
         settings=CampaignSettings(
             workers=max(1, args.workers), ci_halfwidth=args.ci_halfwidth,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from ..analysis.controldep import ControlDependence
 from ..analysis.loops import LoopInfo
-from ..cache.manager import analysis_manager_for
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Branch, Store
@@ -37,10 +36,6 @@ class ControlFlowSubModel:
         self.profile = profile
         self.config = config
         self.engine = engine
-        # Control dependence and loop info come from the module's shared
-        # AnalysisManager, so every model built over this module (the
-        # fig5 ablations, the fig9 baselines) reuses one computation.
-        self._analyses = analysis_manager_for(module)
         self._cache: dict[int, list[tuple[Store, float]]] = {}
 
     # ------------------------------------------------------------------
@@ -87,14 +82,11 @@ class ControlFlowSubModel:
     # ------------------------------------------------------------------
 
     def _info(self, function: Function) -> tuple[ControlDependence, LoopInfo]:
-        if self.engine is not None:
-            return (
-                self.engine.cfg("control_dependence", function),
-                self.engine.cfg("loop_info", function),
-            )
+        if self.engine is None:
+            return ControlDependence(function), LoopInfo(function)
         return (
-            self._analyses.control_dependence(function),
-            self._analyses.loop_info(function),
+            self.engine.cfg("cfg.control_dependence", function),
+            self.engine.cfg("cfg.loop_info", function),
         )
 
     def _compute(self, branch: Branch) -> list[tuple[Store, float]]:

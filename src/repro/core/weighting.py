@@ -19,14 +19,14 @@ the profiled count ratio applies.
 
 from __future__ import annotations
 
-from ..cache.manager import analysis_manager_for
+from ..analysis.dominators import compute_postdominators
 from ..ir.instructions import Instruction
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
 
 
 class ExecutionWeigher:
-    """Divergence weighting over the module's shared post-dominator sets.
+    """Divergence weighting over per-function post-dominator sets.
 
     With a query engine, weights live in the per-function
     ``model.weighting`` store keyed on (origin local, symbolized
@@ -40,7 +40,6 @@ class ExecutionWeigher:
         self.module = module
         self.profile = profile
         self.engine = engine
-        self._analyses = analysis_manager_for(module)
 
     def weight(self, origin: Instruction, terminal: Instruction) -> float:
         """P(terminal executes | origin executed), in [0, 1]."""
@@ -71,6 +70,6 @@ class ExecutionWeigher:
         return self.profile.execution_probability(terminal.iid, origin.iid)
 
     def _postdoms_of(self, function) -> dict:
-        if self.engine is not None:
-            return self.engine.cfg("postdominators", function)
-        return self._analyses.postdominators(function)
+        if self.engine is None:
+            return compute_postdominators(function)
+        return self.engine.cfg("cfg.postdominators", function)

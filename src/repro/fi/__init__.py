@@ -10,21 +10,9 @@ from .campaign import (
     CampaignResult,
     FaultInjector,
 )
-from .parallel import (
-    CampaignInterrupted,
-    CampaignSettings,
-    ModuleSpec,
-    ParallelCampaign,
-    materialize_injector,
-    run_cached_campaign,
-    run_parallel_campaign,
-    run_shard,
-)
 from .seeds import rng_for, seed_for
 
 __all__ = [
-    "BENIGN", "CAUGHT", "CRASHED", "CampaignInterrupted", "CampaignResult",
-    "CampaignSettings", "FaultInjector", "HUNG", "ModuleSpec", "OUTCOMES",
-    "ParallelCampaign", "SDC", "materialize_injector", "rng_for",
-    "run_cached_campaign", "run_parallel_campaign", "run_shard", "seed_for",
+    "BENIGN", "CAUGHT", "CRASHED", "CampaignResult", "FaultInjector", "HUNG",
+    "OUTCOMES", "SDC", "rng_for", "seed_for",
 ]

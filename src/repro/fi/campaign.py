@@ -276,7 +276,7 @@ class FaultInjector:
     only wall-clock changes.  Any unexpected failure in the checkpoint
     path permanently falls back to cold runs for this injector
     (``checkpoint_degraded``), mirroring the worker-pool degradation
-    policy in :mod:`repro.fi.parallel`: correctness never depends on
+    policy in :mod:`repro.sched.executor`: correctness never depends on
     the optimization.
     """
 

@@ -26,11 +26,12 @@ from ..cache import (
 from ..core.simple_models import create_model
 from ..core.trident import Trident
 from ..fi.campaign import CampaignResult, FaultInjector
-from ..fi.parallel import CampaignSettings, ModuleSpec, run_cached_campaign
 from ..interp.engine import ExecutionEngine
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
 from ..profiling.profiler import ProfilingInterpreter
+from ..sched.executor import run_store_campaign
+from ..sched.spec import CampaignSettings, ModuleSpec
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class BenchmarkContext:
             runs = config.fi_samples
         if seed is None:
             seed = config.seed
-        return run_cached_campaign(
+        return run_store_campaign(
             runs, seed,
             spec=ModuleSpec.from_benchmark(self.name, config.scale),
             injector=lambda: self.injector,  # only built on a cache miss

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from ..bench.registry import build_module
 from ..core.simple_models import create_model
 from ..fi.campaign import FaultInjector
-from ..fi.parallel import ModuleSpec, run_parallel_campaign
 from ..profiling.profiler import ProfilingInterpreter
+from ..sched.executor import CampaignExecutor
+from ..sched.spec import CampaignSettings, ModuleSpec
 from ..stats import mean_absolute_error
 from .context import Workspace
 from .report import format_table, percent
@@ -83,16 +84,16 @@ def run_input_sensitivity(workspace: Workspace,
         for input_seed in range(inputs):
             module = build_module(name, config.scale, input_seed=input_seed)
             profile, _ = ProfilingInterpreter(module).run()
-            injector = FaultInjector(module)
-            campaign = run_parallel_campaign(
-                config.fi_samples, seed=config.seed,
-                spec=ModuleSpec.from_benchmark(
+            campaign = CampaignExecutor(
+                ModuleSpec.from_benchmark(
                     name, config.scale, input_seed=input_seed
                 ),
-                injector=injector,
-                workers=config.fi_workers,
-                ci_halfwidth=config.fi_ci_halfwidth,
-            )
+                injector=FaultInjector(module),
+                settings=CampaignSettings(
+                    workers=config.fi_workers,
+                    ci_halfwidth=config.fi_ci_halfwidth,
+                ),
+            ).run(config.fi_samples, seed=config.seed)
             fi_values.append(campaign.sdc_probability)
             model = create_model("trident", module, profile)
             model_values.append(model.overall_sdc(

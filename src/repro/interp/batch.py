@@ -59,7 +59,7 @@ is coerced back to a plain Python ``int``/``float`` first.
 
 from __future__ import annotations
 
-from ..analysis.dominators import VIRTUAL_EXIT
+from ..analysis.dominators import VIRTUAL_EXIT, postdominators
 from ..core.env import env_flag
 from ..ir.bitutils import flip_bit_typed, mask, to_signed
 from ..ir.instructions import (
@@ -507,6 +507,8 @@ class BatchRunner:
         self.reconverge = env_flag("REPRO_BATCH_RECONVERGE", True)
         #: id(branch cblock) -> reconvergence target cblock | None.
         self._reconv: dict[int, object] = {}
+        #: function name -> immediate post-dominator per block.
+        self._ipdoms: dict[str, dict] = {}
         #: function name -> is its whole call tree alloca-free?
         self._allocfree_memo: dict[str, bool] = {}
 
@@ -518,8 +520,7 @@ class BatchRunner:
         """The branch's reconvergence cblock, or None to force a drain.
 
         Memoized per branch block; the underlying immediate
-        post-dominator map is cached per function in the module's
-        shared :class:`AnalysisManager` (``ipostdominators``).
+        post-dominator map is memoized per function.
         """
         key = id(cblock)
         info = self._reconv.get(key, _UNSET)
@@ -529,9 +530,11 @@ class BatchRunner:
         return info
 
     def _compute_reconv(self, compiled, cblock):
-        target = self.engine.analyses.ipostdominators(
-            compiled.function
-        ).get(cblock.block)
+        function = compiled.function
+        ipdoms = self._ipdoms.get(function.name)
+        if ipdoms is None:
+            ipdoms = self._ipdoms[function.name] = postdominators(function)
+        target = ipdoms.get(cblock.block)
         if target is None or target is VIRTUAL_EXIT:
             # Function-boundary divergence: an arm returns (or never
             # reaches an exit), so there is no in-function park point.

@@ -286,7 +286,6 @@ class ExecutionEngine:
         self.codegen_fallbacks = 0
         self._codegen_built = False
         self._batch_runner = None
-        self._analyses = None
         # The batch tier drains diverged lanes on generated block
         # functions, so it implies the codegen representation.
         self._codegen_on = self.tier in (TIER_CODEGEN, TIER_BATCH)
@@ -714,20 +713,6 @@ class ExecutionEngine:
         finally:
             state.call_depth -= 1
             state.memory.free(frame.owned)
-
-    @property
-    def analyses(self):
-        """The module's shared :class:`AnalysisManager`.
-
-        The batch tier resolves reconvergence targets through it
-        (``ipostdominators``), so the per-function results are cached
-        once per module and shared with the modeling stack's query
-        engine rather than recomputed per engine build.
-        """
-        if self._analyses is None:
-            from ..cache.manager import analysis_manager_for
-            self._analyses = analysis_manager_for(self.module)
-        return self._analyses
 
     def batch_runner(self):
         """The lazily-built lockstep batch runner for this engine.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.manager import CFG_SHAPE_ANALYSES, notify_transform
 from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import print_module
@@ -48,33 +47,23 @@ class OptimizationReport:
         return 1.0 - self.after_instructions / self.before_instructions
 
 
-#: Each pass with the analyses it preserves on the functions it touches
-#: and the report counter it feeds.  Constant folding, DCE and mem2reg
-#: rewrite straight-line instructions only (mem2reg's phis included), so
-#: block shape — and every CFG-shape analysis — survives; simplifycfg
-#: rewrites the graph itself and preserves nothing.
+#: Each pass with the report counter it feeds.
 _PASSES = (
-    (fold_constants, CFG_SHAPE_ANALYSES, "constants_folded"),
-    (simplify_cfg, (), "cfg_rewrites"),
-    (eliminate_dead_code, CFG_SHAPE_ANALYSES, "instructions_removed"),
+    (fold_constants, "constants_folded"),
+    (simplify_cfg, "cfg_rewrites"),
+    (eliminate_dead_code, "instructions_removed"),
 )
-_LEVEL2_PASSES = (
-    (promote_to_registers, CFG_SHAPE_ANALYSES, "slots_promoted"),
-) + _PASSES
+_LEVEL2_PASSES = ((promote_to_registers, "slots_promoted"),) + _PASSES
 
 
 def _run_passes(clone: Module, report: OptimizationReport, passes) -> None:
-    """One pass sequence over every function, declaring each transform."""
-    for pass_fn, preserved, counter in passes:
-        touched = set()
+    """One pass sequence over every function, recording what changed."""
+    for pass_fn, counter in passes:
         for function in clone.functions.values():
             changed = pass_fn(function)
             if changed:
-                touched.add(function.name)
+                report.touched_functions.add(function.name)
             setattr(report, counter, getattr(report, counter) + changed)
-        if touched:
-            notify_transform(clone, touched, preserved)
-            report.touched_functions |= touched
 
 
 def optimize(module: Module, level: int = 2) -> tuple[Module, OptimizationReport]:

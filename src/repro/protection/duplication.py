@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.manager import CFG_SHAPE_ANALYSES, notify_transform
 from ..ir.instructions import (
     BinOp,
     Cast,
@@ -58,9 +57,6 @@ class DuplicationReport:
     #: Functions that received clones/checks; all other functions keep
     #: their fingerprints, so their model queries survive the pass.
     touched_functions: set[str] = field(default_factory=set)
-    #: Clones and checks are straight-line insertions — block shape is
-    #: untouched, so every CFG-shape analysis stays valid.
-    preserved_analyses: tuple[str, ...] = CFG_SHAPE_ANALYSES
 
 
 def duplicate_instructions(module: Module,
@@ -105,16 +101,13 @@ def duplicate_instructions(module: Module,
         inst.parent.insert_after(clone, check)
         checks += 1
 
-    touched = {inst.parent.parent.name for inst in targets}
-    if touched:
-        notify_transform(protected_module, touched, CFG_SHAPE_ANALYSES)
     protected_module.finalize()
     report = DuplicationReport(
         protected_iids=protected_iids,
         duplicated=duplicated,
         checks_inserted=checks,
         checks_merged=merged,
-        touched_functions=touched,
+        touched_functions={inst.parent.parent.name for inst in targets},
     )
     return protected_module, report
 

@@ -4,8 +4,9 @@ Every analysis the models consume — CFG analyses, tuple derivation, fs
 terminal sequences, fc branch results, the fm store fixed point,
 execution weighting, per-instruction SDC and the PVF/ePVF masks — is a
 registered *query* (:mod:`repro.query.registry`) computed lazily and
-memoized at **function granularity** in content-addressed stores
-(:mod:`repro.query.engine`).  Store keys combine the function's
+memoized at **function granularity** (:mod:`repro.query.engine`): CFG
+analyses per engine, model results in content-addressed stores shared
+across engines.  Store keys combine the function's
 canonical fingerprint, its profile-slice digest and the projection of
 the config fields the query reads; interprocedural entries additionally
 record per-entry dependency key maps, revalidated on every read.  After

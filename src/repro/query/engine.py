@@ -1,13 +1,14 @@
 """Lazy, memoized, dependency-validated query evaluation.
 
-The engine does not compute anything itself — the sub-models still own
-their algorithms.  It gives each (query, function) pair a
-:class:`StoreView`: a content-addressed entry dict the sub-model reads
-before computing and writes after.  Because the store key is the
-function's *content* (canonical fingerprint + profile-slice digest +
-config projection), views are shared process-wide across module clones:
-the warm model after a transform picks up the untouched functions'
-entries that the cold model wrote, with zero invalidation bookkeeping.
+The sub-models own their algorithms; the engine builds only the CFG
+analyses they read (:meth:`QueryEngine.cfg`, memoized per engine).  It
+gives each model (query, function) pair a :class:`StoreView`: a
+content-addressed entry dict the sub-model reads before computing and
+writes after.  Because the store key is the function's *content*
+(canonical fingerprint + profile-slice digest + config projection),
+views are shared process-wide across module clones: the warm model
+after a transform picks up the untouched functions' entries that the
+cold model wrote, with zero invalidation bookkeeping.
 
 Interprocedural entries carry a dependency map
 ``{function name -> input key at derivation time, "~callgraph" ->
@@ -26,9 +27,13 @@ from ..cache.artifacts import (
 )
 from ..cache.disk import get_cache
 from ..cache.fingerprint import config_digest
-from ..cache.manager import analysis_manager_for, analysis_stats_line
 from .keys import LocalIndex, callgraph_digest, function_input_keys
-from .registry import CFG_QUERY_OF, QUERIES, config_projection, query_dag_lines
+from .registry import (
+    CFG_BUILDERS,
+    QUERIES,
+    config_projection,
+    query_dag_lines,
+)
 
 
 class _Miss:
@@ -71,9 +76,8 @@ class QueryStats:
     def __init__(self):
         self.counts: dict[str, list[int]] = {}
 
-    def bump(self, name: str, slot: int, amount: int = 1) -> None:
-        if amount:
-            self.counts.setdefault(name, [0, 0, 0])[slot] += amount
+    def bump(self, name: str, slot: int) -> None:
+        self.counts.setdefault(name, [0, 0, 0])[slot] += 1
 
     def hits(self, name: str) -> int:
         return self.counts.get(name, (0, 0, 0))[0]
@@ -154,12 +158,13 @@ class QueryEngine:
         self.config = config
         self.shared = shared
         self.index = LocalIndex.of(module)
-        self.manager = analysis_manager_for(module)
         self.stats = QueryStats()
         self._input_keys = function_input_keys(module, profile)
         self._callgraph = callgraph_digest(module)
         self._views: dict[tuple, StoreView] = {}
         self._projections: dict[str, str] = {}
+        #: (CFG query name, function name) -> analysis object
+        self._cfg: dict[tuple[str, str], object] = {}
 
     # -- inputs ------------------------------------------------------------
 
@@ -240,15 +245,27 @@ class QueryEngine:
 
     # -- CFG analyses ------------------------------------------------------
 
-    def cfg(self, kind: str, function):
-        """A CFG analysis via the AnalysisManager, counted as a query."""
-        before = self.manager.counts(kind)
-        result = self.manager.get(kind, function)
-        after = self.manager.counts(kind)
-        name = CFG_QUERY_OF[kind]
-        self.stats.bump(name, 0, after[0] - before[0])
-        self.stats.bump(name, 1, after[1] - before[1])
-        self.stats.bump(name, 2, after[2] - before[2])
+    def cfg(self, name: str, function):
+        """The CFG analysis ``name`` of ``function``, memoized per engine.
+
+        The engine's module never changes under it (transforms run on
+        clones, which get engines of their own), so entries need no
+        invalidation.
+        """
+        try:
+            build = CFG_BUILDERS[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown CFG query {name!r}; available: "
+                f"{tuple(CFG_BUILDERS)}"
+            ) from None
+        slot = (name, function.name)
+        result = self._cfg.get(slot)
+        if result is None:
+            result = self._cfg[slot] = build(function)
+            self.stats.bump(name, 1)
+        else:
+            self.stats.bump(name, 0)
         return result
 
     # -- reporting ---------------------------------------------------------
@@ -270,7 +287,4 @@ class QueryEngine:
                 )
         else:
             lines.append("query counters: no queries evaluated yet")
-        analyses = analysis_stats_line()
-        if analyses:
-            lines.append(analyses)
         return lines

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.controldep import ControlDependence
+from ..analysis.dominators import compute_postdominators
+from ..analysis.loops import LoopInfo
 from ..cache.fingerprint import config_digest
 
 
@@ -54,34 +57,24 @@ def register_query(spec: QuerySpec) -> QuerySpec:
     return spec
 
 
-#: AnalysisManager kind -> query name (CFG analyses are object-valued
-#: and module-object-bound, so they stay in the AnalysisManager; the
-#: registry entries give them a place in the DAG and the counters).
-CFG_QUERY_OF = {
-    "predecessors": "cfg.predecessors",
-    "reverse_postorder": "cfg.reverse_postorder",
-    "dominators": "cfg.dominators",
-    "postdominators": "cfg.postdominators",
-    "ipostdominators": "cfg.ipostdominators",
-    "control_dependence": "cfg.control_dependence",
-    "loop_info": "cfg.loop_info",
+#: CFG query name -> builder(function).  CFG results are objects bound
+#: to one module's blocks, so each engine memoizes them itself
+#: (:meth:`~repro.query.engine.QueryEngine.cfg`) instead of sharing them
+#: through the content-addressed stores.
+CFG_BUILDERS = {
+    "cfg.postdominators": compute_postdominators,
+    "cfg.control_dependence": ControlDependence,
+    "cfg.loop_info": LoopInfo,
 }
 
-for _kind, _deps, _desc in (
-    ("predecessors", (), "block predecessor map"),
-    ("reverse_postorder", (), "reverse postorder block ordering"),
-    ("dominators", (), "dominator sets per block"),
-    ("postdominators", (), "post-dominator sets per block"),
-    ("ipostdominators", ("cfg.postdominators",),
-     "immediate post-dominator per block (batch-tier reconvergence)"),
-    ("control_dependence", ("cfg.postdominators",),
+for _name, _deps, _desc in (
+    ("cfg.postdominators", (), "post-dominator sets per block"),
+    ("cfg.control_dependence", ("cfg.postdominators",),
      "branch -> governed blocks (per direction)"),
-    ("loop_info", ("cfg.dominators", "cfg.predecessors"),
+    ("cfg.loop_info", (),
      "natural loops, back edges, LT branch classification"),
 ):
-    register_query(QuerySpec(
-        CFG_QUERY_OF[_kind], "cfg", deps=_deps, description=_desc,
-    ))
+    register_query(QuerySpec(_name, "cfg", deps=_deps, description=_desc))
 
 register_query(QuerySpec(
     "model.tuples", "model",

@@ -40,8 +40,10 @@ from ..cache import (
     store_golden_summary,
 )
 from ..cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
+from ..fi.campaign import CampaignResult, FaultInjector
 from ..stats.confidence import wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
+from .shard import materialize_injector, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
 
 
@@ -85,7 +87,6 @@ class CampaignExecutor:
     def injector(self):
         """The in-process injector (serial path and fallback)."""
         if self._injector is None:
-            from .shard import materialize_injector
             self._injector = materialize_injector(
                 self._spec, interp_tier=self.settings.interp_tier
             )
@@ -207,7 +208,6 @@ class CampaignExecutor:
 
     def run(self, max_runs: int, seed: int = 0):
         """Execute up to ``max_runs`` injections of campaign ``seed``."""
-        from ..fi.campaign import CampaignResult
         settings = self.settings
         workers = max(1, settings.workers)
         started = time.perf_counter()
@@ -292,7 +292,6 @@ class CampaignExecutor:
         shard spec is never materialized — an empty placeholder avoids
         re-printing the module's IR per shard when no spec was given.
         """
-        from .shard import run_shard
         shard_spec = self._shard_spec(self._spec or ModuleSpec(), rng, seed)
         shard = run_shard(shard_spec, injector=self.injector)
         self._store_shard(rng, shard)
@@ -313,7 +312,6 @@ class CampaignExecutor:
         merged before the interrupt propagates — their counts and store
         checkpoints are never lost.
         """
-        from .shard import run_shard
         module_spec = self.spec()
         pending = [
             (rng, pool.apply_async(
@@ -385,7 +383,6 @@ def run_store_campaign(
     now-redundant shard entries.  This is the single execution path
     behind ``repro inject``, the harness, and the service daemon.
     """
-    from ..fi.campaign import CampaignResult, FaultInjector
     settings = settings or CampaignSettings()
     if module is None:
         if isinstance(injector, FaultInjector):

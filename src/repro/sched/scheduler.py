@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ..cache import get_cache
 from ..cache.artifacts import CAMPAIGN_KIND
+from ..fi.campaign import CampaignResult
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
 from .spec import CampaignSettings, ModuleSpec
@@ -208,7 +209,6 @@ class Scheduler:
             payload = cache.load(CAMPAIGN_KIND, key)
             if payload is not None:
                 try:
-                    from ..fi.campaign import CampaignResult
                     result = CampaignResult.from_dict(payload)
                 except (KeyError, TypeError, ValueError):
                     result = None

@@ -25,6 +25,7 @@ from ..cache import (
     module_fingerprint,
     store_golden_summary,
 )
+from ..fi.campaign import FaultInjector
 from .spec import ModuleSpec, ShardResult, ShardSpec
 
 #: Per-process injector cache: one compiled engine per module spec.
@@ -41,9 +42,6 @@ def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None):
     — skips the fault-free reference execution; a cache miss computes
     and publishes it for every subsequent process.
     """
-    # Imported lazily: repro.fi.parallel is sched's thin client, so a
-    # top-level import here would be circular through fi.__init__.
-    from ..fi.campaign import FaultInjector
     module = spec.materialize()
     cache = get_cache()
     key = golden_key(module_fingerprint(module))

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..fi.campaign import SDC
 from ..ir.module import Module
 from ..stats.confidence import Z_95
 
-#: Outcome the stopping rule watches by default (mirrors fi.campaign.SDC
-#: without importing it — sched must stay importable from fi).
-DEFAULT_CI_OUTCOME = "sdc"
+#: Outcome the stopping rule watches by default.
+DEFAULT_CI_OUTCOME = SDC
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .protocol import (
     API_PREFIX,
     MAX_BODY_BYTES,
     PROTOCOL_VERSION,
+    content_length,
     encode_response,
     error_body,
     is_true,
@@ -121,14 +122,22 @@ class ServiceDaemon:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return 400, error_body("truncated request head")
-        method, target, headers = parse_request_head(head[:-4])
+        try:
+            method, target, headers = parse_request_head(head[:-4])
+            length = content_length(headers)
+        except ValueError as exc:
+            return 400, error_body(str(exc))
         path, query = split_target(target)
-        length = int(headers.get("content-length", 0))
         if length > MAX_BODY_BYTES:
             return 413, error_body(f"body exceeds {MAX_BODY_BYTES} bytes")
         body: dict = {}
         if length:
-            raw = await reader.readexactly(length)
+            try:
+                raw = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                return 400, error_body(
+                    f"request body shorter than Content-Length {length}"
+                )
             try:
                 body = json.loads(raw)
             except ValueError:

@@ -75,6 +75,18 @@ def parse_request_head(head: bytes) -> tuple[str, str, dict[str, str]]:
     return method.upper(), target, headers
 
 
+def content_length(headers: dict[str, str]) -> int:
+    """The request's ``Content-Length`` (0 when absent).
+
+    Raises ValueError unless the header is a non-negative decimal
+    integer.
+    """
+    raw = headers.get("content-length", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"malformed Content-Length: {raw!r}")
+    return int(raw)
+
+
 def split_target(target: str) -> tuple[str, dict[str, str]]:
     """Split a request target into (path, query dict)."""
     path, _sep, raw_query = target.partition("?")

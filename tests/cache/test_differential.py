@@ -12,13 +12,9 @@ import time
 import pytest
 
 from repro.cache import get_cache
-from repro.fi.parallel import (
-    CampaignSettings,
-    ModuleSpec,
-    run_cached_campaign,
-)
 from repro.harness.context import ExperimentConfig, Workspace
 from repro.harness.fig5 import run_fig5
+from repro.sched import CampaignSettings, ModuleSpec, run_store_campaign
 
 SMALL = ExperimentConfig(
     scale="test", fi_samples=120, model_samples=120,
@@ -59,45 +55,45 @@ class TestCachedCampaign:
     SPEC = ModuleSpec.from_benchmark("pathfinder", "test")
 
     def test_miss_then_hit_bit_identical(self):
-        first = run_cached_campaign(60, seed=3, spec=self.SPEC)
+        first = run_store_campaign(60, seed=3, spec=self.SPEC)
         assert not first.from_cache
-        second = run_cached_campaign(60, seed=3, spec=self.SPEC)
+        second = run_store_campaign(60, seed=3, spec=self.SPEC)
         assert second.from_cache
         assert second.counts == first.counts
         assert second.cpu_seconds == first.cpu_seconds
 
     def test_different_seed_misses(self):
-        run_cached_campaign(60, seed=3, spec=self.SPEC)
-        other = run_cached_campaign(60, seed=4, spec=self.SPEC)
+        run_store_campaign(60, seed=3, spec=self.SPEC)
+        other = run_store_campaign(60, seed=4, spec=self.SPEC)
         assert not other.from_cache
 
     def test_corrupt_entry_recomputes(self):
         from repro.cache import campaign_key, module_fingerprint
         from repro.cache.artifacts import CAMPAIGN_KIND
 
-        first = run_cached_campaign(60, seed=3, spec=self.SPEC)
+        first = run_store_campaign(60, seed=3, spec=self.SPEC)
         cache = get_cache()
         key = campaign_key(
             module_fingerprint(self.SPEC.materialize()), 60, 3,
         )
         cache.store(CAMPAIGN_KIND, key, {"counts": {"sdc": "NaN?"},
                                          "malformed": True})
-        again = run_cached_campaign(60, seed=3, spec=self.SPEC)
+        again = run_store_campaign(60, seed=3, spec=self.SPEC)
         assert not again.from_cache
         assert again.counts == first.counts
         # ... and the recomputation repaired the entry.
-        repaired = run_cached_campaign(60, seed=3, spec=self.SPEC)
+        repaired = run_store_campaign(60, seed=3, spec=self.SPEC)
         assert repaired.from_cache
 
     def test_lazy_injector_factory_not_built_on_hit(self):
-        run_cached_campaign(60, seed=3, spec=self.SPEC)
+        run_store_campaign(60, seed=3, spec=self.SPEC)
         built = []
 
         def factory():
             built.append(True)
             raise AssertionError("factory must not run on a cache hit")
 
-        result = run_cached_campaign(
+        result = run_store_campaign(
             60, seed=3, module=self.SPEC.materialize(), injector=factory,
             settings=CampaignSettings(),
         )

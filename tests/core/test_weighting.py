@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import trident_config
 from repro.core.weighting import ExecutionWeigher
 from repro.ir import I32, FunctionBuilder, Module
 from repro.ir.instructions import BinOp, Output
 from repro.profiling import ProfilingInterpreter
+from repro.query import QueryEngine
 
 
 def build_module_with_loop_and_guard():
@@ -84,13 +86,22 @@ class TestExecutionWeigher:
         assert weight == profile.execution_probability(output.iid, add.iid)
 
     def test_postdominator_cache(self):
+        """Post-dominators are built once per function per engine, however
+        many weights read them."""
         module, profile = build_module_with_loop_and_guard()
-        weigher = ExecutionWeigher(module, profile)
-        add = next(
+        engine = QueryEngine(module, profile, trident_config(), shared=False)
+        weigher = ExecutionWeigher(module, profile, engine)
+        adds = [
             i for i in module.instructions() if isinstance(i, BinOp)
-        )
-        output = next(
+        ]
+        outputs = [
             i for i in module.instructions() if isinstance(i, Output)
+        ]
+        for add in adds:
+            for output in outputs:
+                weigher.weight(add, output)
+        assert len(adds) * len(outputs) > 1
+        assert engine.stats.misses("cfg.postdominators") == 1
+        assert engine.stats.hits("cfg.postdominators") == (
+            len(adds) * len(outputs) - 1
         )
-        weigher.weight(add, output)
-        assert ("postdominators", "main") in weigher._analyses._results

@@ -11,9 +11,9 @@ from repro.fi import (
     SDC,
     CampaignResult,
     FaultInjector,
-    run_parallel_campaign,
 )
 from repro.ir import I32, FunctionBuilder, Module
+from repro.sched import CampaignExecutor, CampaignSettings
 from repro.stats import wilson_confidence
 from tests.conftest import build_straightline_module, cached_module
 
@@ -141,10 +141,12 @@ class TestRunSpan:
 class TestEarlyStopping:
     def test_zero_sdc_program_stops_before_max_runs(self):
         injector = FaultInjector(build_constant_output_module())
-        result = run_parallel_campaign(
-            4000, seed=1, injector=injector,
-            ci_halfwidth=0.02, round_size=100, min_runs=100,
-        )
+        result = CampaignExecutor(
+            injector=injector,
+            settings=CampaignSettings(
+                ci_halfwidth=0.02, round_size=100, min_runs=100
+            ),
+        ).run(4000, seed=1)
         assert result.stopped_early
         assert result.total < 4000
         assert result.sdc_probability == 0.0
@@ -153,10 +155,12 @@ class TestEarlyStopping:
         module = build_straightline_module()
         injector = FaultInjector(module)
         full = injector.campaign(800, seed=1)
-        stopped = run_parallel_campaign(
-            800, seed=1, injector=injector,
-            ci_halfwidth=0.10, round_size=50, min_runs=100,
-        )
+        stopped = CampaignExecutor(
+            injector=injector,
+            settings=CampaignSettings(
+                ci_halfwidth=0.10, round_size=50, min_runs=100
+            ),
+        ).run(800, seed=1)
         assert stopped.stopped_early
         assert stopped.total < full.total
         interval = wilson_confidence(stopped.counts[SDC], stopped.total)
@@ -164,34 +168,38 @@ class TestEarlyStopping:
 
     def test_stopped_prefix_matches_serial_prefix(self, injector):
         """The early-stopped runs are exactly the serial prefix [0, n)."""
-        stopped = run_parallel_campaign(
-            2000, seed=1, injector=injector,
-            ci_halfwidth=0.05, round_size=100, min_runs=100,
-        )
+        stopped = CampaignExecutor(
+            injector=injector,
+            settings=CampaignSettings(
+                ci_halfwidth=0.05, round_size=100, min_runs=100
+            ),
+        ).run(2000, seed=1)
         prefix = injector.run_span(0, stopped.total, 1)
         assert stopped.counts == prefix.counts
 
     def test_no_stopping_without_halfwidth(self, injector):
-        result = run_parallel_campaign(120, seed=2, injector=injector)
+        result = CampaignExecutor(injector=injector).run(120, seed=2)
         assert result.total == 120
         assert not result.stopped_early
         assert result.rounds == 1
 
     def test_workers1_uses_serial_path(self, injector):
         """workers=1 must not spawn a pool and must match campaign()."""
-        result = run_parallel_campaign(
-            100, seed=11, injector=injector, workers=1,
-        )
+        result = CampaignExecutor(
+            injector=injector, settings=CampaignSettings(workers=1)
+        ).run(100, seed=11)
         assert result.counts == injector.campaign(100, seed=11).counts
         assert result.workers == 1
         assert not result.degraded
 
     def test_min_runs_respected(self):
         injector = FaultInjector(build_constant_output_module())
-        result = run_parallel_campaign(
-            1000, seed=1, injector=injector,
-            ci_halfwidth=0.5, round_size=50, min_runs=300,
-        )
+        result = CampaignExecutor(
+            injector=injector,
+            settings=CampaignSettings(
+                ci_halfwidth=0.5, round_size=50, min_runs=300
+            ),
+        ).run(1000, seed=1)
         # Interval is tight immediately, but the floor holds it open.
         assert result.total >= 300
 

@@ -15,13 +15,9 @@ import time
 import pytest
 
 from repro.bench import BENCHMARK_NAMES
-from repro.fi import (
-    CampaignResult,
-    FaultInjector,
-    ModuleSpec,
-    run_parallel_campaign,
-)
+from repro.fi import CampaignResult, FaultInjector
 from repro.fi.seeds import rng_for
+from repro.sched import CampaignExecutor, CampaignSettings, ModuleSpec
 from tests.conftest import cached_module
 
 RUNS = 120
@@ -93,9 +89,9 @@ class TestCampaignDifferential:
     def test_parallel_workers_with_checkpointing(self):
         spec = ModuleSpec.from_benchmark("pathfinder", "test")
         serial = cold_injector("pathfinder").run_span(0, RUNS, SEED)
-        parallel = run_parallel_campaign(
-            RUNS, seed=SEED, spec=spec, workers=2, checkpoint=True,
-        )
+        parallel = CampaignExecutor(
+            spec, settings=CampaignSettings(workers=2, checkpoint=True)
+        ).run(RUNS, seed=SEED)
         assert parallel.counts == serial.counts
         assert parallel.checkpointed and not parallel.checkpoint_degraded
         assert parallel.skipped_instructions > 0

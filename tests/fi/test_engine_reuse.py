@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fi import FaultInjector, ModuleSpec
-from repro.sched import ShardSpec, run_shard
+from repro.fi import FaultInjector
+from repro.sched import ModuleSpec, ShardSpec, run_shard
 from repro.sched import shard as sched_shard
 from repro.interp import engine_build_count
 from tests.conftest import cached_module

@@ -14,14 +14,14 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import get_cache
-from repro.fi import (
+from repro.fi import FaultInjector
+from repro.sched import (
+    CampaignExecutor,
     CampaignInterrupted,
     CampaignSettings,
-    FaultInjector,
     ModuleSpec,
-    ParallelCampaign,
+    run_store_campaign,
 )
-from repro.fi.parallel import run_cached_campaign
 from tests.conftest import cached_module
 
 BENCH = "pathfinder"
@@ -42,7 +42,7 @@ class InterruptingInjector:
         return getattr(self._injector, name)
 
     def __call__(self):
-        # run_cached_campaign treats non-FaultInjector injectors as
+        # run_store_campaign treats non-FaultInjector injectors as
         # lazy factories, invoked only on a store miss.
         return self
 
@@ -58,7 +58,7 @@ class TestSerialInterrupt:
         injector = InterruptingInjector(
             FaultInjector(cached_module(BENCH)), allow
         )
-        campaign = ParallelCampaign(
+        campaign = CampaignExecutor(
             injector=injector,
             settings=CampaignSettings(chunk_size=CHUNK),
         )
@@ -96,12 +96,12 @@ class TestCheckpointResume:
             FaultInjector(cached_module(BENCH)), allow=2
         )
         with pytest.raises(CampaignInterrupted):
-            run_cached_campaign(
+            run_store_campaign(
                 RUNS, seed=SEED, spec=spec, injector=flaky,
                 settings=settings,
             )
         before = get_cache().read_counters()["partial_shards_resumed"]
-        resumed = run_cached_campaign(
+        resumed = run_store_campaign(
             RUNS, seed=SEED, spec=spec, settings=settings,
         )
         # The two interrupted shards replayed from the store...
@@ -120,7 +120,7 @@ class TestCheckpointResume:
         # pure campaign-cache hit with no shard replay.
         spec = ModuleSpec.from_benchmark(BENCH, "test")
         settings = CampaignSettings(chunk_size=CHUNK)
-        replay = run_cached_campaign(
+        replay = run_store_campaign(
             RUNS, seed=SEED, spec=spec, settings=settings,
         )
         assert replay.from_cache

@@ -1,4 +1,4 @@
-"""Differential tests: the parallel campaign engine vs the serial path.
+"""Differential tests: the parallel campaign executor vs the serial path.
 
 The seed protocol makes a campaign a pure function of
 ``(module, seed, run index set)``, so the parallel engine must produce
@@ -8,14 +8,8 @@ chunking — these tests are the lock on that contract.
 
 import pytest
 
-from repro.fi import (
-    OUTCOMES,
-    SDC,
-    FaultInjector,
-    ModuleSpec,
-    ParallelCampaign,
-    run_parallel_campaign,
-)
+from repro.fi import OUTCOMES, SDC, FaultInjector
+from repro.sched import CampaignExecutor, CampaignSettings, ModuleSpec
 from repro.stats import wilson_confidence
 from tests.conftest import build_straightline_module, cached_module
 
@@ -39,22 +33,20 @@ def serial_result(name, runs=RUNS, seed=SEED):
 class TestDifferential:
     def test_workers4_unchunked_identical_to_serial(self, bench):
         serial = serial_result(bench)
-        parallel = run_parallel_campaign(
-            RUNS, seed=SEED,
-            spec=ModuleSpec.from_benchmark(bench, "test"),
-            workers=4,
-        )
+        parallel = CampaignExecutor(
+            ModuleSpec.from_benchmark(bench, "test"),
+            settings=CampaignSettings(workers=4),
+        ).run(RUNS, seed=SEED)
         assert parallel.counts == serial.counts
         assert parallel.workers == 4
         assert not parallel.degraded
 
     def test_chunked_identical_and_cis_overlap(self, bench):
         serial = serial_result(bench)
-        chunked = run_parallel_campaign(
-            RUNS, seed=SEED,
-            spec=ModuleSpec.from_benchmark(bench, "test"),
-            workers=4, chunk_size=17,
-        )
+        chunked = CampaignExecutor(
+            ModuleSpec.from_benchmark(bench, "test"),
+            settings=CampaignSettings(workers=4, chunk_size=17),
+        ).run(RUNS, seed=SEED)
         # The seed protocol makes chunking invisible: counts are not
         # merely statistically compatible but identical...
         assert chunked.counts == serial.counts
@@ -66,24 +58,28 @@ class TestDifferential:
     def test_worker_count_invariance(self, bench):
         spec = ModuleSpec.from_benchmark(bench, "test")
         results = [
-            run_parallel_campaign(100, seed=SEED, spec=spec, workers=w)
+            CampaignExecutor(
+                spec, settings=CampaignSettings(workers=w)
+            ).run(100, seed=SEED)
             for w in (1, 2, 4)
         ]
         assert results[0].counts == results[1].counts == results[2].counts
 
     def test_seed_sensitivity_preserved(self, bench):
         spec = ModuleSpec.from_benchmark(bench, "test")
-        a = run_parallel_campaign(RUNS, seed=1, spec=spec, workers=2)
-        b = run_parallel_campaign(RUNS, seed=2, spec=spec, workers=2)
+        settings = CampaignSettings(workers=2)
+        a = CampaignExecutor(spec, settings=settings).run(RUNS, seed=1)
+        b = CampaignExecutor(spec, settings=settings).run(RUNS, seed=2)
         assert a.counts != b.counts  # overwhelmingly likely
 
     def test_ir_text_spec_roundtrip(self):
         # Arbitrary (non-registry) modules ship to workers as printed IR.
         module = build_straightline_module()
         serial = FaultInjector(module).campaign(80, seed=SEED)
-        parallel = run_parallel_campaign(
-            80, seed=SEED, spec=ModuleSpec.from_module(module), workers=2,
-        )
+        parallel = CampaignExecutor(
+            ModuleSpec.from_module(module),
+            settings=CampaignSettings(workers=2),
+        ).run(80, seed=SEED)
         assert parallel.counts == serial.counts
 
     @pytest.mark.slow
@@ -91,11 +87,10 @@ class TestDifferential:
         serial = FaultInjector(cached_module("blackscholes")).campaign(
             1000, seed=SEED
         )
-        parallel = run_parallel_campaign(
-            1000, seed=SEED,
-            spec=ModuleSpec.from_benchmark("blackscholes", "test"),
-            workers=4, chunk_size=83,
-        )
+        parallel = CampaignExecutor(
+            ModuleSpec.from_benchmark("blackscholes", "test"),
+            settings=CampaignSettings(workers=4, chunk_size=83),
+        ).run(1000, seed=SEED)
         assert parallel.counts == serial.counts
 
 
@@ -103,9 +98,10 @@ class TestFallback:
     def test_bad_spec_degrades_to_serial_without_losing_counts(self):
         injector = FaultInjector(cached_module("pathfinder"))
         bad_spec = ModuleSpec(benchmark="no-such-benchmark")
-        result = run_parallel_campaign(
-            80, seed=3, spec=bad_spec, injector=injector, workers=2,
-        )
+        result = CampaignExecutor(
+            bad_spec, injector=injector,
+            settings=CampaignSettings(workers=2),
+        ).run(80, seed=3)
         assert result.counts == injector.campaign(80, seed=3).counts
         assert result.degraded
         assert result.workers == 1
@@ -113,7 +109,7 @@ class TestFallback:
     def test_spec_derived_from_injector_module(self):
         # No spec given: the engine ships the module's printed IR.
         injector = FaultInjector(cached_module("pathfinder"))
-        campaign = ParallelCampaign(injector=injector)
+        campaign = CampaignExecutor(injector=injector)
         spec = campaign.spec()
         assert spec.ir_text is not None
         rebuilt = FaultInjector(spec.materialize())
@@ -122,7 +118,7 @@ class TestFallback:
 
     def test_requires_spec_or_injector(self):
         with pytest.raises(ValueError):
-            ParallelCampaign()
+            CampaignExecutor()
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -131,10 +127,10 @@ class TestFallback:
 
 class TestBookkeeping:
     def test_result_metadata(self, bench):
-        result = run_parallel_campaign(
-            120, seed=SEED,
-            spec=ModuleSpec.from_benchmark(bench, "test"), workers=2,
-        )
+        result = CampaignExecutor(
+            ModuleSpec.from_benchmark(bench, "test"),
+            settings=CampaignSettings(workers=2),
+        ).run(120, seed=SEED)
         assert result.total == 120
         assert result.runs_requested == 120
         assert result.rounds == 1

@@ -1,10 +1,13 @@
 """The command line interface."""
 
 import io
+import re
 
 import pytest
 
+from repro.cache import configure_cache
 from repro.cli import main
+from repro.query import reset_query_stores
 
 
 def run_cli(*argv) -> str:
@@ -32,6 +35,21 @@ class TestCli:
         assert "overall SDC probability" in text
         assert "overall crash probability" in text
         assert text.count("%") > 5
+
+    def test_analyze_explain_prints_cfg_counters(self, tmp_path):
+        # Cold stores, so the model evaluates its CFG queries.
+        reset_query_stores()
+        try:
+            text = run_cli("--cache-dir", str(tmp_path), "analyze",
+                           "pathfinder", "--scale", "test", "--samples",
+                           "200", "--explain")
+        finally:
+            configure_cache(None)
+        assert "query counters (hit/miss/invalidated):" in text
+        for name in ("cfg.control_dependence", "cfg.loop_info",
+                     "cfg.postdominators"):
+            assert re.search(rf"^  {re.escape(name)} +\d+h +[1-9]\d*m ",
+                             text, re.MULTILINE), name
 
     def test_analyze_simpler_model(self):
         text = run_cli("analyze", "pathfinder", "--scale", "test",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.fi import FaultInjector
-from repro.fi.parallel import run_cached_campaign
 from repro.sched import (
     INTERACTIVE,
     NIGHTLY,
@@ -23,6 +22,7 @@ from repro.sched import (
     QueueFull,
     Scheduler,
     resolve_priority,
+    run_store_campaign,
 )
 from tests.conftest import cached_module
 
@@ -111,7 +111,7 @@ class TestBackpressure:
 class TestCacheHit:
     def test_precomputed_campaign_completes_instantly(self, scheduler):
         spec = ModuleSpec.from_benchmark(BENCH, "test")
-        computed = run_cached_campaign(50, seed=51, spec=spec)
+        computed = run_store_campaign(50, seed=51, spec=spec)
         job = scheduler.submit(request(runs=50, seed=51))
         assert job.status == "done"
         assert job.cached

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 
 from repro.fi import FaultInjector
-from repro.fi.parallel import run_parallel_campaign
 from repro.sched import (
+    CampaignExecutor,
+    CampaignSettings,
     ModuleSpec,
     ShardPlan,
     ShardResult,
@@ -80,10 +81,10 @@ class TestCrossMachineMerge:
         assert merged == serial.counts
 
     def test_three_machines_match_local_pool(self, monkeypatch):
-        pooled = run_parallel_campaign(
-            RUNS, seed=SEED,
-            spec=ModuleSpec.from_benchmark(BENCH, "test"), workers=4,
-        )
+        pooled = CampaignExecutor(
+            ModuleSpec.from_benchmark(BENCH, "test"),
+            settings=CampaignSettings(workers=4),
+        ).run(RUNS, seed=SEED)
         merged = run_on_machines(monkeypatch, machines=3)
         assert merged == pooled.counts
 
@@ -121,12 +122,13 @@ class TestWilsonConsistency:
         # A pinned round size makes the stopping rule check the same
         # merged prefixes regardless of worker count, so the stopped
         # total — not just the decision — must agree bit-for-bit.
-        return run_parallel_campaign(
-            400, seed=SEED,
-            spec=ModuleSpec.from_benchmark(BENCH, "test"),
-            workers=workers, ci_halfwidth=self.HALFWIDTH,
-            round_size=50, min_runs=50,
-        )
+        return CampaignExecutor(
+            ModuleSpec.from_benchmark(BENCH, "test"),
+            settings=CampaignSettings(
+                workers=workers, ci_halfwidth=self.HALFWIDTH,
+                round_size=50, min_runs=50,
+            ),
+        ).run(400, seed=SEED)
 
     def test_early_stop_campaigns_agree(self):
         serial = self.early_stop_campaign(workers=1)

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import asyncio
 import io
+import json
+import socket
 import threading
 
 import pytest
 
 from repro.fi import FaultInjector
-from repro.fi.parallel import run_cached_campaign
 from repro.ir.printer import print_module
+from repro.sched import ModuleSpec, run_store_campaign
 from repro.serve import ServiceClient, ServiceDaemon, ServiceError
 from tests.conftest import build_straightline_module, cached_module
 
@@ -75,6 +77,31 @@ def client(harness) -> ServiceClient:
     return harness.client
 
 
+#: Requests whose HTTP framing is broken, each answered with a 400.
+MALFORMED_REQUESTS = {
+    "non-numeric-length":
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+    "negative-length":
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+    "body-shorter-than-length":
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+    "garbage-request-line": b"GARBAGE\r\n\r\n",
+}
+
+
+def raw_exchange(daemon: ServiceDaemon, request: bytes) -> tuple[int, dict]:
+    """Send raw bytes, close the write side, parse the whole response."""
+    with socket.create_connection((daemon.host, daemon.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _sep, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
 def campaign_payload(runs=RUNS, seed=SEED, **extra) -> dict:
     payload = {"benchmark": BENCH, "scale": "test",
                "runs": runs, "seed": seed}
@@ -106,6 +133,14 @@ class TestProtocol:
             client.submit(campaign_payload(runs="many"))
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
+                             ids=MALFORMED_REQUESTS.keys())
+    def test_malformed_framing_is_400(self, harness, client, request_bytes):
+        status, body = raw_exchange(harness.daemon, request_bytes)
+        assert status == 400
+        assert body["error"]
+        assert client.health()["status"] == "ok"
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
             client.job("job-999999")
@@ -131,8 +166,7 @@ class TestCampaigns:
         # The reverse direction: repro inject writes the store entry,
         # the daemon replays it.
         spec_runs, spec_seed = 44, 94
-        from repro.sched import ModuleSpec
-        computed = run_cached_campaign(
+        computed = run_store_campaign(
             spec_runs, seed=spec_seed,
             spec=ModuleSpec.from_benchmark(BENCH, "test"),
         )
