@@ -102,6 +102,8 @@ class VulnerabilityModel:
         self.queries.flush()
 
     def overall(self, samples: int = 3000, seed: int = 0) -> float:
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if not self.eligible:
             return 0.0
         rng = random.Random(seed)

@@ -74,13 +74,17 @@ def profile_digest(profile: ProgramProfile) -> str:
     Model results depend on the profile as much as on the module, and a
     profile may arrive from anywhere (a fresh run, the disk cache, a
     file a user edited); hashing its canonical serialization keys model
-    artifacts on what the model actually consumed.  ProgramProfile is a
+    artifacts on what the model actually consumed.  That excludes
+    ``profiling_seconds``: it is wall time, so two fresh profiles of one
+    module would never share a model-result key.  ProgramProfile is a
     mutable (unhashable) dataclass, so the memo rides on the instance
     itself rather than in a WeakKeyDictionary.
     """
     digest = getattr(profile, "_cache_digest", None)
     if digest is None:
-        canonical = json.dumps(profile_to_dict(profile), sort_keys=True)
+        data = profile_to_dict(profile)
+        del data["profiling_seconds"]
+        canonical = json.dumps(data, sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()
         try:
             profile._cache_digest = digest

@@ -73,7 +73,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     _add_benchmark_args(analyze)
     analyze.add_argument("--model", choices=MODEL_NAMES, default="trident")
-    analyze.add_argument("--samples", type=int, default=3000,
+    analyze.add_argument("--samples", type=_positive_int, default=3000,
                          help="dynamic instances to sample (paper: 3000)")
     analyze.add_argument("--top", type=int, default=10,
                          help="how many SDC-prone instructions to list")
@@ -133,7 +133,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("id", choices=list(EXPERIMENTS) + ["all"])
     experiment.add_argument("--scale", default="test")
-    experiment.add_argument("--fi-samples", type=int, default=400)
+    experiment.add_argument("--fi-samples", type=_positive_int, default=400,
+                            help="FI runs and model samples per program")
     experiment.add_argument("--workers", type=int, default=1,
                             help="worker processes for FI campaigns")
     experiment.add_argument("--ci-halfwidth", type=float, default=None,
@@ -191,6 +192,13 @@ def build_argument_parser() -> argparse.ArgumentParser:
     status.add_argument("--json", action="store_true",
                         help="print the raw JSON response")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:

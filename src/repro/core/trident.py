@@ -238,6 +238,8 @@ class Trident:
         are sampled (weighted by execution count); the per-instruction
         predictions of the sampled static instructions are averaged.
         """
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if not self.eligible:
             return 0.0
         rng = random.Random(seed)
@@ -287,6 +289,8 @@ class Trident:
 
     def overall_crash(self, samples: int = 3000, seed: int = 0) -> float:
         """Overall crash probability via sampled dynamic instances."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if not self.eligible:
             return 0.0
         rng = random.Random(seed)

@@ -11,13 +11,17 @@ compares, direct float arithmetic), and rare or trap-raising operations
 call the exact helpers of :mod:`repro.interp.ops`, so results stay
 bit-identical with the closure tier by construction.
 
-Two specializations are generated per block function:
+Three specializations are generated from the same block templates:
 
-* the **fast** variant carries *zero* injection checks — golden runs,
-  profiling passes, and every trial executing outside the armed
-  instruction's blocks use it;
+* the **fast** variant carries *zero* injection checks — golden runs
+  and every trial executing outside the armed instruction's blocks
+  use it;
 * the **inject** variant guards every destination register (steps and
-  phi edge copies) with the closure tier's ``state.inject_iid`` check.
+  phi edge copies) with the closure tier's ``state.inject_iid`` check;
+* the **profile** variant adds the profiler's bookkeeping into the
+  run's state (:meth:`repro.interp.engine.ExecutionEngine.profile`).
+  Only profiling builds it, without fallback: a function it cannot
+  translate raises :class:`InterpreterBug`.
 
 A generated function's *covered* iid set records exactly which
 instructions the inject variant guards; the engine dispatches through a
@@ -28,8 +32,10 @@ identical to the closure tier while the common path stays clean.
 Block functions have the signature ``(state, frame) -> int``: they
 execute one (super)block iteration — successor phi moves included —
 and return the local index of the next block, or ``-1`` after ``ret``
-(the return value parks in ``state.ret_value``).  The driver loop lives
-in :meth:`repro.interp.engine.ExecutionEngine._cg_run`.
+(the return value parks in ``state.ret_value``).  Each is compiled on
+its own, which peaks at a fraction of the memory of one ``compile()``
+over a whole function.  The driver loop lives in
+:meth:`repro.interp.engine.ExecutionEngine._cg_run`.
 """
 
 from __future__ import annotations
@@ -112,24 +118,138 @@ _INT_BITWISE = {"and": "&", "or": "|", "xor": "^"}
 _FLOAT_DIRECT = {"fadd": "+", "fsub": "-", "fmul": "*"}
 
 
-def generate_function(engine, compiled):
-    """Generate, compile and exec both specializations of one function.
+#: Block-function specializations, all emitted from the same templates.
+FAST, INJECT, PROFILE = "fast", "inject", "profile"
 
-    Returns ``(fast, inject, covered, source)`` where ``fast`` and
-    ``inject`` are block-function lists indexed by the blocks' local
-    indices, ``covered`` holds the per-function frozensets of iids the
-    inject variant guards, and ``source`` is the generated module (kept
-    for debugging).  Raises on any instruction the generator cannot
-    translate — the engine treats that as a per-function fallback to
-    the closure tier.
+#: Steps whose operand tuples the profile variant samples, and memory
+#: accesses whose P(crash | address bit flip) it samples.
+SAMPLED_OPERANDS = (BinOp, ICmp, FCmp, Cast, Select)
+MEMORY_ACCESSES = (Load, Store)
+
+#: Per-run state every profile block function binds to locals.
+_PROFILE_HEADER = ("    _bc = state.block_counts", "    _nk = state.next_kept",
+                   "    _evt = state.events")
+_ADDRESS_FLIPS = tuple(1 << bit for bit in range(64))
+
+
+def next_kept(draw, n: int, cap: int) -> tuple[int, int]:
+    """The first instance after the ``n``-th that reservoir sampling
+    keeps, and the slot it replaces.
+
+    Instance ``m > cap`` draws ``randrange(m)`` from the site's stream
+    (``draw`` is its ``getrandbits``) and replaces that slot when it is
+    below ``cap``.  The draw is CPython's ``_randbelow_with_getrandbits``
+    (3.10 to 3.13) bit for bit, and which instances are kept does not
+    depend on the sampled values, so the schedule is drawn ahead here
+    and the generated code only compares a counter against it.
     """
-    return _FunctionCodegen(engine, compiled).build()
+    while True:
+        n += 1
+        k = n.bit_length()
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        if r < cap:
+            return n, r
+
+
+def _keep(state, iid: int, value) -> None:
+    """Store the sample of a kept instance, then schedule the site's
+    next one: the first ``cap`` instances fill the reservoir, and the
+    site's stream is created when they have."""
+    n = state.next_kept[iid]
+    cap = state.sample_cap
+    if n <= cap:
+        state.samples[iid].append(value)
+        if n < cap:
+            state.next_kept[iid] = n + 1
+            return
+        state.draws[iid] = state.site_rng(iid).getrandbits
+    else:
+        state.samples[iid][state.kept_slot[iid]] = value
+    state.next_kept[iid], state.kept_slot[iid] = next_kept(
+        state.draws[iid], n, cap
+    )
+
+
+def _crash_prob(state, address: int) -> float:
+    """P(crash) over the 64 single-bit flips of an access address,
+    against the live validity set (the paper approximates this from the
+    program's allocated memory).  Memoized per address until the set
+    next changes (a stack allocation or a frame's release)."""
+    prob = state.crash_probs.get(address)
+    if prob is None:
+        valid = state.memory.valid
+        prob = state.crash_probs[address] = sum(
+            (address ^ flip) not in valid for flip in _ADDRESS_FLIPS
+        ) / 64
+    return prob
+
+
+def _read(state, address: int, iid: int) -> None:
+    """A load of a stored address adds one dynamic dependency to the
+    (last writer, load) edge and joins that store instance's readers."""
+    entry = state.writers.get(address)
+    if entry is not None:
+        key = (entry[0], iid)
+        state.edges[key] = state.edges.get(key, 0) + 1
+        if entry[1] is None:
+            entry[1] = {iid}
+        else:
+            entry[1].add(iid)
+
+
+def _wrote(state, address: int, iid: int, value) -> None:
+    """A store closes the address's previous instance and becomes its
+    last writer; rewriting the value already there is silent."""
+    if value == state.memory.cells.get(address):
+        state.events[iid] += 1
+    entry = state.writers.get(address)
+    if entry is None:
+        state.writers[address] = [iid, None]
+    else:
+        finish_store(state, entry)
+        entry[:] = iid, None
+
+
+def finish_store(state, entry) -> None:
+    """Close one store instance ``[store iid, reader iids or None]``:
+    record which loads observed it."""
+    store_iid, readers = entry
+    if readers:
+        read = state.read_instances
+        read[store_iid] = read.get(store_iid, 0) + 1
+    key = (store_iid, frozenset(readers or ()))
+    state.reader_sets[key] = state.reader_sets.get(key, 0) + 1
+
+
+def generate_function(engine, compiled):
+    """Generate, compile and exec the fast and inject variants of one
+    function.
+
+    Returns ``(fast, inject, covered)``: block-function lists indexed by
+    the blocks' local indices, and the per-block-function frozensets of
+    iids the inject variant guards.  Raises on any instruction the
+    generator cannot translate — the engine treats that as a
+    per-function fallback to the closure tier.
+    """
+    codegen = _FunctionCodegen(engine, compiled)
+    fast, _ = codegen.build(FAST)
+    inject, covered = codegen.build(INJECT)
+    return fast, inject, covered
+
+
+def generate_profile_function(engine, compiled):
+    """Generate, compile and exec only the profile variant of one
+    function; returns its block functions by local index."""
+    return _FunctionCodegen(engine, compiled).build(PROFILE)[0]
 
 
 class _FunctionCodegen:
     def __init__(self, engine, compiled):
         self.engine = engine
         self.compiled = compiled
+        self.variant = FAST
         self.lines: list[str] = []
         self._bound: dict[int, str] = {}
         self.namespace = {
@@ -146,6 +266,10 @@ class _FunctionCodegen:
             "_inj": engine._maybe_inject,
             "_Hang": HangFault,
             "_Det": DetectionTrap,
+            "_keep": _keep,
+            "_cp": _crash_prob,
+            "_read": _read,
+            "_wrote": _wrote,
         }
 
     # -- namespace ----------------------------------------------------
@@ -185,33 +309,33 @@ class _FunctionCodegen:
 
     # -- whole-function assembly --------------------------------------
 
-    def build(self):
-        cblocks = list(self.compiled.blocks.values())
-        for cblock in cblocks:
-            self.emit_block_fn(cblock, inject=False)
-        covered = [self.emit_block_fn(cblock, inject=True)
-                   for cblock in cblocks]
-        source = "\n".join(self.lines) + "\n"
-        code = compile(
-            source, f"<codegen:{self.compiled.function.name}>", "exec"
-        )
-        namespace = self.namespace
-        exec(code, namespace)
-        fast = [namespace[f"_fast{i}"] for i in range(len(cblocks))]
-        inject = [namespace[f"_inj{i}"] for i in range(len(cblocks))]
-        return fast, inject, [frozenset(c) for c in covered], source
+    def build(self, variant: str):
+        """One specialization of every block function, each compiled
+        separately and exec'd into the shared namespace.  Returns the
+        functions by local index and the iid sets each one guards."""
+        self.variant = variant
+        functions, covered = [], []
+        for cblock in self.compiled.blocks.values():
+            name = f"_{variant}{cblock.local_index}"
+            guarded = self.emit_block_fn(cblock, name)
+            code = compile("\n".join(self.lines) + "\n",
+                           f"<codegen:{self.compiled.function.name}>", "exec")
+            exec(code, self.namespace)
+            functions.append(self.namespace[name])
+            covered.append(frozenset(guarded))
+        return functions, covered
 
-    def emit_block_fn(self, cblock, inject: bool) -> set:
+    def emit_block_fn(self, cblock, name: str) -> set:
         """One block function: superblock body + phi moves + dispatch."""
-        prefix = "_inj" if inject else "_fast"
+        self.lines = [f"def {name}(state, frame):", "    slots = frame.slots"]
+        if self.variant == PROFILE:
+            self.lines += _PROFILE_HEADER
         w = self.lines.append
-        w(f"def {prefix}{cblock.local_index}(state, frame):")
-        w("    slots = frame.slots")
         covered: set[int] = set()
         current = cblock
         seen = {id(cblock)}
         while True:
-            self.emit_block_core(current, inject, covered)
+            self.emit_block_core(current, covered)
             term = current.block.terminator
             if isinstance(term, Ret):
                 value = ("None" if term.value is None
@@ -226,23 +350,25 @@ class _FunctionCodegen:
                 if id(succ) not in seen and len(seen) < CHAIN_LIMIT:
                     # Straight-line superblock: inline the successor's
                     # entire iteration (phi moves first, then its body).
-                    self.emit_phi_moves(current, succ, inject, covered, 1)
+                    self.emit_phi_moves(current, succ, covered, 1)
                     seen.add(id(succ))
                     current = succ
                     continue
-                self.emit_phi_moves(current, succ, inject, covered, 1)
+                self.emit_phi_moves(current, succ, covered, 1)
                 w(f"    return {succ.local_index}")
                 return covered
             true_succ = self.compiled.blocks[term.true_block]
             false_succ = self.compiled.blocks[term.false_block]
             w(f"    if {self.expr(term.cond)}:")
-            self.emit_phi_moves(current, true_succ, inject, covered, 2)
+            if self.variant == PROFILE:
+                w(f"        _evt[{term.iid}] += 1")  # taken instances
+            self.emit_phi_moves(current, true_succ, covered, 2)
             w(f"        return {true_succ.local_index}")
-            self.emit_phi_moves(current, false_succ, inject, covered, 1)
+            self.emit_phi_moves(current, false_succ, covered, 1)
             w(f"    return {false_succ.local_index}")
             return covered
 
-    def emit_block_core(self, cblock, inject: bool, covered: set) -> None:
+    def emit_block_core(self, cblock, covered: set) -> None:
         """Cost, budget check, block count, and steps of one block —
         the same order as one iteration of the closure tier's loop."""
         w = self.lines.append
@@ -250,11 +376,19 @@ class _FunctionCodegen:
         w("    if state.dynamic_count > state.budget:")
         w("        raise _Hang(state.dynamic_count)")
         w(f"    state.block_counts[{cblock.ordinal}] += 1")
+        # A sampling site's instance count is its block's counter, which
+        # already counts this entry — unless a call earlier in the block
+        # may have re-entered it: such sites keep their own counter.
+        instances = f"_bc[{cblock.ordinal}]"
         for step_index, inst in enumerate(cblock.step_insts):
-            self.emit_step(inst, step_index, inject, covered)
+            if self.variant == PROFILE:
+                self.emit_profile(inst, instances)
+                if (isinstance(inst, Call)
+                        and inst.callee in self.engine.module.functions):
+                    instances = None
+            self.emit_step(inst, step_index, covered)
 
-    def emit_phi_moves(self, pred, succ, inject: bool, covered: set,
-                       depth: int) -> None:
+    def emit_phi_moves(self, pred, succ, covered: set, depth: int) -> None:
         """Parallel phi copy for the edge ``pred -> succ``: evaluate
         every source first, then assign (with per-phi injection checks
         in the inject variant) — exactly the closure tier's order."""
@@ -263,6 +397,7 @@ class _FunctionCodegen:
             return
         w = self.lines.append
         ind = "    " * depth
+        inject = self.variant == INJECT
         moves = [
             (self.compiled.slot_of[id(phi)],
              self.expr(phi.value_for(pred.block)), phi.iid, phi.type)
@@ -282,10 +417,42 @@ class _FunctionCodegen:
                   f"_inj(state, _p{index}, {self.bind(value_type)})")
             w(f"{ind}slots[{dest}] = _p{index}")
 
+    # -- profile bookkeeping ------------------------------------------
+
+    def emit_profile(self, inst, instances: str | None) -> None:
+        """The profiler's bookkeeping for one step, ahead of it: its
+        operands are already defined, and a store sees the old cell."""
+        w = self.lines.append
+        iid = inst.iid
+        if isinstance(inst, Select):
+            w(f"    if {self.expr(inst.cond)}:")
+            w(f"        _evt[{iid}] += 1")
+            sample = (f"((1 if {self.expr(inst.cond)} else 0), "
+                      f"{self.expr(inst.true_value)}, "
+                      f"{self.expr(inst.false_value)})")
+        elif isinstance(inst, Cast):
+            sample = f"({self.expr(inst.value)},)"
+        elif isinstance(inst, SAMPLED_OPERANDS):
+            sample = f"({self.expr(inst.lhs)}, {self.expr(inst.rhs)})"
+        elif isinstance(inst, MEMORY_ACCESSES):
+            sample = f"_cp(state, {self.expr(inst.pointer)})"
+        else:
+            return
+        if instances is None:
+            w(f"    state.seen[{iid}] += 1")
+            instances = f"state.seen[{iid}]"
+        # Evaluate the sample only for the instances next_kept scheduled.
+        w(f"    if {instances} == _nk[{iid}]:")
+        w(f"        _keep(state, {iid}, {sample})")
+        if isinstance(inst, Load):
+            w(f"    _read(state, {self.expr(inst.pointer)}, {iid})")
+        elif isinstance(inst, Store):
+            w(f"    _wrote(state, {self.expr(inst.pointer)}, {iid}, "
+              f"{self.expr(inst.value)})")
+
     # -- steps --------------------------------------------------------
 
-    def emit_step(self, inst, step_index: int, inject: bool,
-                  covered: set) -> None:
+    def emit_step(self, inst, step_index: int, covered: set) -> None:
         w = self.lines.append
         if isinstance(inst, Store):
             w(f"    state.memory.store({self.expr(inst.pointer)}, "
@@ -305,7 +472,7 @@ class _FunctionCodegen:
             w(f"    {value}")
             return
         dest = self.compiled.slot_of[id(inst)]
-        if not inject:
+        if self.variant != INJECT:
             w(f"    slots[{dest}] = {value}")
             return
         covered.add(inst.iid)
@@ -405,7 +572,7 @@ class _FunctionCodegen:
                 f" * {inst.elem_size}) & {_MASK64})")
 
     def alloca_lines(self, inst: Alloca) -> list[str]:
-        return [
+        lines = [
             f"_v = frame.allocas.get({inst.iid})",
             "if _v is None:",
             f"    _v, _owned = state.memory.allocate_stack("
@@ -413,6 +580,9 @@ class _FunctionCodegen:
             f"    frame.allocas[{inst.iid}] = _v",
             "    frame.owned.extend(_owned)",
         ]
+        if self.variant == PROFILE:
+            lines.append("    state.crash_probs.clear()")
+        return lines
 
     def load_lines(self, inst: Load) -> list[str]:
         value_type = inst.type
@@ -436,7 +606,10 @@ class _FunctionCodegen:
         if (is_intrinsic(callee)
                 and callee not in self.engine.module.functions):
             return f'_intr("{callee}", [{args}], {self.bind(inst.type)})'
-        target = self.bind(self.engine._compiled[callee])
+        compiled = self.engine._compiled.get(callee)
+        if compiled is None:
+            raise InterpreterBug(f"unknown callee {callee}")
+        target = self.bind(compiled)
         return f"state.call({target}, [{args}], state, {step_index})"
 
     def output_expr(self, inst: Output) -> str:

@@ -38,13 +38,21 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .checkpoint import FrameSnap, GoldenCapture, Snapshot
-from .codegen import TIER_BATCH, TIER_CODEGEN, generate_function, resolve_tier
+from .codegen import (
+    TIER_BATCH,
+    TIER_CODEGEN,
+    finish_store,
+    generate_function,
+    generate_profile_function,
+    resolve_tier,
+)
 from .errors import (
     ArithmeticTrap,
     DetectionTrap,
     HangFault,
     InterpreterBug,
     MemoryFault,
+    RuntimeFault,
     StackOverflow,
 )
 from .intrinsics import call_intrinsic, is_intrinsic
@@ -176,6 +184,42 @@ class _CaptureState(_State):
         self.max_snapshots = max_snapshots
 
 
+class _ProfileState(_State):
+    """Per-run bookkeeping of the profile specialization (the lists are
+    indexed by iid)."""
+
+    __slots__ = ("sample_cap", "site_rng", "samples", "next_kept",
+                 "kept_slot", "draws", "events", "seen", "crash_probs",
+                 "writers", "edges", "reader_sets", "read_instances")
+
+    def __init__(self, memory: MemoryState, budget: int, n_blocks: int,
+                 n_insts: int, sample_cap: int, site_rng):
+        super().__init__(memory, budget, n_blocks)
+        self.sample_cap = sample_cap
+        #: iid -> the site's ``random.Random``, once its reservoir is full.
+        self.site_rng = site_rng
+        #: Reservoirs, the next instance each keeps (0 = none) and the
+        #: slot it replaces, and each site stream's ``getrandbits``.
+        self.samples: list[list] = [[] for _ in range(n_insts)]
+        self.next_kept: list[int] = [1 if sample_cap > 0 else 0] * n_insts
+        self.kept_slot: list[int] = [0] * n_insts
+        self.draws: list = [None] * n_insts
+        #: Taken conditional branches, true selects, silent stores.
+        self.events: list[int] = [0] * n_insts
+        #: Instances of the sites that cannot read their block counter.
+        self.seen: list[int] = [0] * n_insts
+        #: address -> P(crash), valid until ``memory.valid`` changes.
+        self.crash_probs: dict[int, float] = {}
+        #: address -> [last store iid, set of reader iids or None];
+        #: (store, load) -> dependencies, in first-seen order;
+        #: (store, frozenset of readers) -> instances; store -> instances
+        #: read at least once.
+        self.writers: dict[int, list] = {}
+        self.edges: dict[tuple[int, int], int] = {}
+        self.reader_sets: dict[tuple[int, frozenset], int] = {}
+        self.read_instances: dict[int, int] = {}
+
+
 # Terminator kinds.
 _T_JUMP, _T_CBR, _T_RET = 0, 1, 2
 
@@ -205,7 +249,7 @@ class _CompiledBlock:
 class _CompiledFunction:
     __slots__ = ("function", "n_args", "n_slots", "slot_of", "blocks",
                  "entry", "cg_fast", "cg_inject", "cg_covered", "cg_iids",
-                 "cg_tables")
+                 "cg_tables", "cg_profile")
 
     def __init__(self, function):
         self.function = function
@@ -228,6 +272,8 @@ class _CompiledFunction:
         self.cg_covered = None
         self.cg_iids = frozenset()
         self.cg_tables: dict = {}
+        #: Profile-variant block functions (profiling engines only).
+        self.cg_profile = None
 
     def cg_table(self, inject_iid: int):
         """Dispatch table for one armed iid: the inject variant is
@@ -306,9 +352,7 @@ class ExecutionEngine:
         self._codegen_built = True
         for compiled in self._compiled.values():
             try:
-                fast, inject, covered, _source = generate_function(
-                    self, compiled
-                )
+                fast, inject, covered = generate_function(self, compiled)
             except Exception:
                 self.codegen_fallbacks += 1
             else:
@@ -351,29 +395,40 @@ class ExecutionEngine:
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
         if injection is not None:
-            target = self.module.instruction(injection.iid)
-            if not target.has_result:
-                raise ValueError(
-                    f"instruction #{injection.iid} has no destination register"
-                )
-            if not 0 <= injection.bit < target.type.bits:
-                raise ValueError(
-                    f"bit {injection.bit} out of range for {target.type}"
-                )
-            state.inject_iid = injection.iid
-            state.inject_occurrence = injection.occurrence
-            state.inject_bit = injection.bit
+            self._arm(state, injection)
+        return self._classified(
+            state, lambda: self._call(self._compiled["main"], [], state)
+        )
 
+    def _arm(self, state: _State, injection: Injection) -> None:
+        target = self.module.instruction(injection.iid)
+        if not target.has_result:
+            raise ValueError(
+                f"instruction #{injection.iid} has no destination register"
+            )
+        if not 0 <= injection.bit < target.type.bits:
+            raise ValueError(
+                f"bit {injection.bit} out of range for {target.type}"
+            )
+        state.inject_iid = injection.iid
+        state.inject_occurrence = injection.occurrence
+        state.inject_bit = injection.bit
+
+    def _classified(self, state: _State, execute) -> RunResult:
+        """Run ``execute()``; a crash, hang or detection is its outcome."""
         outcome, crash_reason = OK, ""
         try:
-            self._call(self._compiled["main"], [], state)
+            execute()
         except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
             outcome, crash_reason = CRASH, str(fault)
         except HangFault as fault:
             outcome, crash_reason = HANG, str(fault)
         except DetectionTrap as fault:
             outcome, crash_reason = DETECTED, str(fault)
+        return self._result(state, outcome, crash_reason)
 
+    def _result(self, state: _State, outcome: str = OK,
+                crash_reason: str = "") -> RunResult:
         return RunResult(
             outcome=outcome,
             outputs=state.outputs,
@@ -393,6 +448,33 @@ class ExecutionEngine:
                 f"{result.outcome} ({result.crash_reason})"
             )
         return result
+
+    def profile(self, sample_cap: int,
+                site_rng) -> tuple[RunResult, _ProfileState]:
+        """One fault-free run on the profile specialization, generated
+        on first use (an engine on the closure tier compiles no other
+        variant).  Returns the run's result and its bookkeeping, with
+        the store instances live at exit closed out.  ``site_rng(iid)``
+        creates a site's sampling stream.
+        """
+        for compiled in self._compiled.values():
+            if compiled.cg_profile is None:
+                compiled.cg_profile = generate_profile_function(
+                    self, compiled
+                )
+        state = _ProfileState(MemoryState(self.layout), self.max_dynamic,
+                              self._n_blocks, self.module.num_instructions,
+                              sample_cap, site_rng)
+        state.call = self._profile_call
+        try:
+            self._profile_call(self._compiled["main"], [], state)
+        except RuntimeFault as fault:
+            raise InterpreterBug(
+                f"profiling run of {self.module.name} failed: {fault}"
+            ) from fault
+        for entry in state.writers.values():
+            finish_store(state, entry)
+        return self._result(state), state
 
     # ------------------------------------------------------------------
     # Interpretation loop
@@ -414,6 +496,26 @@ class ExecutionEngine:
         finally:
             state.call_depth -= 1
             state.memory.free(frame.owned)
+
+    def _profile_call(self, compiled: _CompiledFunction, args: list,
+                      state: _ProfileState, caller_step: int = -1):
+        """:meth:`_call` on the profile variant's block functions."""
+        if state.call_depth >= self.stack_limit:
+            raise StackOverflow(f"call depth exceeded {self.stack_limit}")
+        state.call_depth += 1
+        frame = _Frame(compiled.n_slots)
+        frame.slots[: compiled.n_args] = args
+        table = compiled.cg_profile
+        index = compiled.entry.local_index
+        try:
+            while index >= 0:
+                index = table[index](state, frame)
+            return state.ret_value
+        finally:
+            state.call_depth -= 1
+            if frame.owned:
+                state.memory.free(frame.owned)
+                state.crash_probs.clear()
 
     def _cg_run(self, compiled, frame, index: int, state: _State):
         """The codegen tier's driver: each generated block function
@@ -485,14 +587,8 @@ class ExecutionEngine:
             raise InterpreterBug(
                 f"golden capture of {self.module.name} failed: {fault}"
             ) from fault
-        result = RunResult(
-            outcome=OK,
-            outputs=state.outputs,
-            dynamic_count=state.dynamic_count,
-            block_counts=self._block_counts_map(state.block_counts),
-            footprint_bytes=state.memory.footprint_bytes,
-        )
-        return GoldenCapture(self, result, state.snapshots, stride)
+        return GoldenCapture(self, self._result(state), state.snapshots,
+                             stride)
 
     def _capture_call(self, compiled: _CompiledFunction, args: list,
                       state: _CaptureState, caller_step: int = -1):
@@ -646,38 +742,10 @@ class ExecutionEngine:
         state.block_counts = list(snapshot.block_counts)
         state.activated = activated
         if injection is not None:
-            target = self.module.instruction(injection.iid)
-            if not target.has_result:
-                raise ValueError(
-                    f"instruction #{injection.iid} has no destination register"
-                )
-            if not 0 <= injection.bit < target.type.bits:
-                raise ValueError(
-                    f"bit {injection.bit} out of range for {target.type}"
-                )
-            state.inject_iid = injection.iid
-            state.inject_occurrence = injection.occurrence
-            state.inject_bit = injection.bit
+            self._arm(state, injection)
             state.occurrence = occurrence
-
-        outcome, crash_reason = OK, ""
-        try:
-            self._resume_frame(snapshot, 0, state)
-        except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
-            outcome, crash_reason = CRASH, str(fault)
-        except HangFault as fault:
-            outcome, crash_reason = HANG, str(fault)
-        except DetectionTrap as fault:
-            outcome, crash_reason = DETECTED, str(fault)
-
-        return RunResult(
-            outcome=outcome,
-            outputs=state.outputs,
-            dynamic_count=state.dynamic_count,
-            crash_reason=crash_reason,
-            activated=state.activated,
-            block_counts=self._block_counts_map(state.block_counts),
-            footprint_bytes=state.memory.footprint_bytes,
+        return self._classified(
+            state, lambda: self._resume_frame(snapshot, 0, state)
         )
 
     def _resume_frame(self, snapshot: Snapshot, depth: int, state: _State):

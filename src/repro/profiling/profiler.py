@@ -1,13 +1,15 @@
-"""Profiling interpreter: one instrumented fault-free execution.
+"""Profiling: one instrumented fault-free execution.
 
-A deliberately simple tree-walking interpreter (the fast closure engine
-in :mod:`repro.interp.engine` stays lean for injection campaigns; this
-one pays for hooks).  Both share the value semantics in
-:mod:`repro.interp.ops`, so a program behaves identically under either.
+The profile runs on the codegen tier's *profile* specialization
+(:mod:`repro.interp.codegen`): the same generated block functions as
+golden runs and campaigns, plus the profiler's bookkeeping, so IR
+semantics live only in :mod:`repro.interp.ops` and the codegen
+templates.
 
 Collected facts (Sec. IV-A "profiling phase"):
 
-* execution counts of every static instruction,
+* execution counts of every static instruction (from the dense block
+  counters, as :meth:`RunResult.instruction_counts` derives them),
 * direction counts of every conditional branch and select,
 * a reservoir of operand values per instruction (for the fs tuples),
 * P(crash | address-bit flip) samples at loads/stores, computed against
@@ -23,41 +25,11 @@ import random
 import time
 from hashlib import blake2b
 
-from ..interp.errors import InterpreterBug, RuntimeFault
-from ..interp.intrinsics import call_intrinsic, is_intrinsic
-from ..interp.memory import GlobalLayout, MemoryState
-from ..interp.ops import (
-    default_value,
-    eval_cast,
-    eval_fcmp,
-    eval_float_binop,
-    eval_icmp,
-    eval_int_binop,
-    format_output,
-)
-from ..ir.bitutils import mask, to_signed
-from ..ir.instructions import (
-    Alloca,
-    BinOp,
-    Branch,
-    Call,
-    Cast,
-    Detect,
-    FCmp,
-    GetElementPtr,
-    ICmp,
-    Load,
-    Output,
-    Ret,
-    Select,
-    Store,
-)
+from ..interp.codegen import MEMORY_ACCESSES, SAMPLED_OPERANDS, TIER_CLOSURE
+from ..interp.engine import ExecutionEngine
+from ..ir.instructions import Branch, Select, Store
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .profile import ProgramProfile
-
-_MASK64 = mask(64)
-_ADDRESS_BITS = 64
+from .profile import MemDepStats, ProgramProfile
 
 #: Domain separation for per-site sampling substreams (<=16 bytes).
 _SITE_PERSON = b"repro-prof-site"
@@ -92,7 +64,6 @@ class ProfilingInterpreter:
         self.sample_cap = sample_cap
         self.max_dynamic = max_dynamic
         self.seed = seed
-        self.layout = GlobalLayout(module)
         #: iid -> (function name, function-local index): the stable site
         #: identity each sampling substream is keyed on.
         self.sites: dict[int, tuple[str, int]] = {}
@@ -100,291 +71,50 @@ class ProfilingInterpreter:
             for local, inst in enumerate(function.instructions()):
                 self.sites[inst.iid] = (function.name, local)
 
-    # ------------------------------------------------------------------
+    def site_rng(self, iid: int) -> random.Random:
+        """This instruction site's private sampling substream."""
+        return random.Random(_site_seed(self.seed, *self.sites[iid]))
 
     def run(self) -> tuple[ProgramProfile, list[str]]:
-        """Profile one fault-free execution; returns (profile, outputs)."""
+        """Profile one fault-free execution; returns (profile, outputs).
+
+        ``profiling_seconds`` covers building the engine as well as the
+        run: both are the fixed cost Fig. 6/7 weigh against FI.
+        """
         started = time.perf_counter()
-        profile = ProgramProfile()
-        memory = MemoryState(self.layout)
-        outputs: list[str] = []
-        # addr -> [store_iid, set-of-reader-load-iids]
-        last_writer: dict[int, list] = {}
-        state = _ProfState(profile, memory, outputs, last_writer,
-                           self.seed, self.sites, self.sample_cap,
-                           self.max_dynamic)
-        try:
-            self._call(self.module.main, [], state)
-        except RuntimeFault as fault:
-            raise InterpreterBug(
-                f"profiling run of {self.module.name} faulted: {fault}"
-            ) from fault
-
-        # Flush pending store instances for read-fraction accounting.
-        for store_iid, readers in last_writer.values():
-            state.finish_instance(store_iid, readers)
-        profile.dynamic_count = state.dynamic_count
-        profile.footprint_bytes = memory.footprint_bytes
-        profile.memdep_stats.dynamic_dependencies = state.dynamic_deps
-        profile.memdep_stats.static_edges = len(profile.mem_edges)
+        # The closure tier generates no code up front, so this engine
+        # compiles only the profile variant, whatever REPRO_INTERP_TIER
+        # says.
+        engine = ExecutionEngine(self.module, max_dynamic=self.max_dynamic,
+                                 tier=TIER_CLOSURE)
+        result, run = engine.profile(self.sample_cap, self.site_rng)
+        counts = result.instruction_counts()
+        profile = ProgramProfile(
+            inst_counts=counts,
+            mem_edges=run.edges,
+            store_instances_read=run.read_instances,
+            store_reader_sets=run.reader_sets,
+            dynamic_count=result.dynamic_count,
+            footprint_bytes=result.footprint_bytes,
+            memdep_stats=MemDepStats(
+                dynamic_dependencies=sum(run.edges.values()),
+                static_edges=len(run.edges),
+            ),
+        )
+        for iid, count in counts.items():
+            inst = self.module.instruction(iid)
+            if isinstance(inst, SAMPLED_OPERANDS):
+                profile.operand_samples[iid] = run.samples[iid]
+            elif isinstance(inst, MEMORY_ACCESSES):
+                profile.crash_prob_samples[iid] = run.samples[iid]
+            events = run.events[iid]
+            if isinstance(inst, Branch) and inst.is_conditional:
+                profile.branch_counts[iid] = [count - events, events]
+            elif isinstance(inst, Select):
+                profile.select_counts[iid] = [count - events, events]
+            elif isinstance(inst, Store):
+                profile.store_instances[iid] = count
+                if events:
+                    profile.silent_stores[iid] = events
         profile.profiling_seconds = time.perf_counter() - started
-        return profile, outputs
-
-    # ------------------------------------------------------------------
-
-    def _call(self, function, args: list, state: "_ProfState"):
-        env: dict[int, object] = {}
-        for formal, actual in zip(function.args, args):
-            env[id(formal)] = actual
-        allocas: dict[int, int] = {}
-        owned: list[int] = []
-        block = function.entry
-        previous = None
-        try:
-            while True:
-                phis = block.phis()
-                if phis:
-                    # Parallel copy semantics: read all, then bind.
-                    values = [
-                        self._value(phi.value_for(previous), env, state)
-                        for phi in phis
-                    ]
-                    for phi, value in zip(phis, values):
-                        state.tick(phi.iid)
-                        env[id(phi)] = value
-                next_block = None
-                for inst in block.instructions[len(phis):]:
-                    state.tick(inst.iid)
-                    if isinstance(inst, Branch):
-                        next_block = self._exec_branch(inst, env, state)
-                        break
-                    if isinstance(inst, Ret):
-                        if inst.value is None:
-                            return None
-                        return self._value(inst.value, env, state)
-                    self._exec(inst, env, state, allocas, owned)
-                if next_block is None:
-                    raise InterpreterBug(
-                        f"block {block.name} fell through without terminator"
-                    )
-                previous = block
-                block = next_block
-        finally:
-            state.memory.free(owned)
-
-    def _value(self, value: Value, env: dict, state: "_ProfState"):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, GlobalVariable):
-            return self.layout.addresses[value.name]
-        if isinstance(value, (Argument,)) or True:
-            try:
-                return env[id(value)]
-            except KeyError:
-                raise InterpreterBug(f"unbound value {value!r}") from None
-
-    def _exec_branch(self, inst: Branch, env, state):
-        if not inst.is_conditional:
-            return inst.true_block
-        taken = bool(self._value(inst.cond, env, state))
-        counts = state.profile.branch_counts.setdefault(inst.iid, [0, 0])
-        counts[1 if taken else 0] += 1
-        return inst.true_block if taken else inst.false_block
-
-    # ------------------------------------------------------------------
-
-    def _exec(self, inst, env, state: "_ProfState", allocas, owned) -> None:
-        value_of = self._value
-        if isinstance(inst, BinOp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            if inst.type.is_float:
-                env[id(inst)] = eval_float_binop(inst.op, a, b, inst.type.bits)
-            else:
-                env[id(inst)] = eval_int_binop(inst.op, a, b, inst.type.bits)
-        elif isinstance(inst, ICmp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            env[id(inst)] = eval_icmp(inst.predicate, a, b, inst.lhs.type.bits)
-        elif isinstance(inst, FCmp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            env[id(inst)] = eval_fcmp(inst.predicate, a, b)
-        elif isinstance(inst, Cast):
-            value = value_of(inst.value, env, state)
-            state.sample_operands(inst.iid, (value,))
-            env[id(inst)] = eval_cast(
-                inst.op, value, inst.value.type, inst.type
-            )
-        elif isinstance(inst, Alloca):
-            address = allocas.get(inst.iid)
-            if address is None:
-                address, elements = state.memory.allocate_stack(
-                    inst.count, inst.elem_type.size_bytes
-                )
-                allocas[inst.iid] = address
-                owned.extend(elements)
-            env[id(inst)] = address
-        elif isinstance(inst, Load):
-            address = value_of(inst.pointer, env, state)
-            state.sample_memory_access(inst.iid, address)
-            env[id(inst)] = state.memory.load(
-                address, default_value(inst.type)
-            )
-            state.record_load(inst.iid, address)
-        elif isinstance(inst, Store):
-            address = value_of(inst.pointer, env, state)
-            state.sample_memory_access(inst.iid, address)
-            value = value_of(inst.value, env, state)
-            previous = state.memory.cells.get(address)
-            state.memory.store(address, value)
-            state.record_store(inst.iid, address, value == previous)
-        elif isinstance(inst, GetElementPtr):
-            base = value_of(inst.base, env, state)
-            index = to_signed(
-                value_of(inst.index, env, state), inst.index.type.bits
-            )
-            env[id(inst)] = (base + index * inst.elem_size) & _MASK64
-        elif isinstance(inst, Call):
-            args = [value_of(arg, env, state) for arg in inst.args]
-            if inst.callee in self.module.functions:
-                result = self._call(
-                    self.module.functions[inst.callee], args, state
-                )
-            elif is_intrinsic(inst.callee):
-                result = call_intrinsic(inst.callee, args, inst.type)
-            else:
-                raise InterpreterBug(f"unknown callee {inst.callee}")
-            if inst.has_result:
-                env[id(inst)] = result
-        elif isinstance(inst, Output):
-            value = value_of(inst.value, env, state)
-            state.outputs.append(
-                format_output(value, inst.value.type, inst.precision)
-            )
-        elif isinstance(inst, Select):
-            cond = bool(value_of(inst.cond, env, state))
-            counts = state.profile.select_counts.setdefault(inst.iid, [0, 0])
-            counts[1 if cond else 0] += 1
-            true_value = value_of(inst.true_value, env, state)
-            false_value = value_of(inst.false_value, env, state)
-            state.sample_operands(
-                inst.iid, (int(cond), true_value, false_value)
-            )
-            env[id(inst)] = true_value if cond else false_value
-        elif isinstance(inst, Detect):
-            pass  # never fires on a fault-free run
-        else:
-            raise InterpreterBug(f"cannot profile {inst!r}")
-
-
-class _ProfState:
-    """Mutable state threaded through the profiling walk."""
-
-    __slots__ = (
-        "profile", "memory", "outputs", "last_writer", "seed", "sites",
-        "sample_cap", "max_dynamic", "dynamic_count", "dynamic_deps",
-        "_rngs",
-    )
-
-    def __init__(self, profile, memory, outputs, last_writer, seed,
-                 sites, sample_cap, max_dynamic):
-        self.profile = profile
-        self.memory = memory
-        self.outputs = outputs
-        self.last_writer = last_writer
-        self.seed = seed
-        self.sites = sites
-        self.sample_cap = sample_cap
-        self.max_dynamic = max_dynamic
-        self.dynamic_count = 0
-        self.dynamic_deps = 0
-        self._rngs: dict[int, random.Random] = {}
-
-    def rng_for(self, iid: int) -> random.Random:
-        """This instruction site's private sampling substream."""
-        rng = self._rngs.get(iid)
-        if rng is None:
-            name, local = self.sites[iid]
-            rng = random.Random(_site_seed(self.seed, name, local))
-            self._rngs[iid] = rng
-        return rng
-
-    def tick(self, iid: int) -> None:
-        self.dynamic_count += 1
-        if self.dynamic_count > self.max_dynamic:
-            raise InterpreterBug("profiling run exceeded dynamic budget")
-        counts = self.profile.inst_counts
-        counts[iid] = counts.get(iid, 0) + 1
-
-    def sample_operands(self, iid: int, operands: tuple) -> None:
-        """Reservoir-sample the operand tuple of one dynamic instance."""
-        reservoir = self.profile.operand_samples.setdefault(iid, [])
-        seen = self.profile.inst_counts[iid]  # includes this instance
-        if len(reservoir) < self.sample_cap:
-            reservoir.append(operands)
-            return
-        slot = self.rng_for(iid).randrange(seen)
-        if slot < self.sample_cap:
-            reservoir[slot] = operands
-
-    def sample_memory_access(self, iid: int, address: int) -> None:
-        """Sample P(crash) over single-bit flips of this access address."""
-        reservoir = self.profile.crash_prob_samples.setdefault(iid, [])
-        seen = self.profile.inst_counts[iid]
-        if len(reservoir) >= self.sample_cap:
-            slot = self.rng_for(iid).randrange(seen)
-            if slot >= self.sample_cap:
-                return
-        else:
-            slot = len(reservoir)
-        invalid = 0
-        valid = self.memory.valid
-        for bit in range(_ADDRESS_BITS):
-            if (address ^ (1 << bit)) not in valid:
-                invalid += 1
-        crash_prob = invalid / _ADDRESS_BITS
-        if slot < len(reservoir):
-            reservoir[slot] = crash_prob
-        else:
-            reservoir.append(crash_prob)
-
-    def record_store(self, iid: int, address: int,
-                     silent: bool = False) -> None:
-        profile = self.profile
-        previous = self.last_writer.get(address)
-        if previous is not None:
-            self.finish_instance(previous[0], previous[1])
-        self.last_writer[address] = [iid, None]
-        profile.store_instances[iid] = profile.store_instances.get(iid, 0) + 1
-        if silent:
-            profile.silent_stores[iid] = profile.silent_stores.get(iid, 0) + 1
-
-    def finish_instance(self, store_iid: int, readers) -> None:
-        """Close out one store instance: record who read it."""
-        profile = self.profile
-        if readers:
-            profile.store_instances_read[store_iid] = (
-                profile.store_instances_read.get(store_iid, 0) + 1
-            )
-            key = (store_iid, frozenset(readers))
-        else:
-            key = (store_iid, frozenset())
-        sets = profile.store_reader_sets
-        sets[key] = sets.get(key, 0) + 1
-
-    def record_load(self, iid: int, address: int) -> None:
-        entry = self.last_writer.get(address)
-        if entry is None:
-            return
-        self.dynamic_deps += 1
-        key = (entry[0], iid)
-        edges = self.profile.mem_edges
-        edges[key] = edges.get(key, 0) + 1
-        if entry[1] is None:
-            entry[1] = {iid}
-        else:
-            entry[1].add(iid)
+        return profile, result.outputs

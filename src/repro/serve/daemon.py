@@ -251,6 +251,8 @@ def analyze_request(body: dict) -> dict:
     if model_name not in MODEL_NAMES:
         raise ValueError(f"unknown model {model_name!r}")
     samples = int(body.get("samples", 3000))
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     module = spec.materialize()
     cache = get_cache()
     key = profile_key(module_fingerprint(module))

@@ -17,6 +17,12 @@ def pathfinder_setup():
 
 
 class TestPvf:
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, pathfinder_setup,
+                                             samples):
+        with pytest.raises(ValueError, match="samples"):
+            PvfModel(*pathfinder_setup).overall(samples=samples)
+
     def test_massively_over_predicts(self, pathfinder_setup):
         module, profile = pathfinder_setup
         pvf = PvfModel(module, profile)

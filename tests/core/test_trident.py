@@ -90,6 +90,14 @@ class TestOverallSdc:
         exact = pathfinder_model.overall_sdc_exact()
         assert sampled == pytest.approx(exact, abs=0.05)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, pathfinder_model,
+                                             samples):
+        with pytest.raises(ValueError, match="samples"):
+            pathfinder_model.overall_sdc(samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            pathfinder_model.overall_crash(samples=samples)
+
     def test_deterministic_per_seed(self, pathfinder_model):
         assert pathfinder_model.overall_sdc(
             samples=500, seed=9

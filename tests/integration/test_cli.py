@@ -85,6 +85,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             run_cli("analyze", "doom", "--scale", "test")
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_rejected(self, samples, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("analyze", "pathfinder", "--scale", "test",
+                    "--samples", samples)
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")

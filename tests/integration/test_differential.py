@@ -1,9 +1,11 @@
-"""Differential testing: the fast closure engine and the tree-walking
-profiler implement the same semantics.
+"""Differential testing: golden runs and profiling runs implement the
+same semantics.
 
 Hypothesis generates random programs through the eDSL (arithmetic on
-locals, array traffic, branches, loops); both interpreters must produce
-identical outputs and dynamic instruction counts on every one of them.
+locals, array traffic, branches, loops); a golden run (the codegen
+tier's fast variant) and a profiling run (its profile variant) must
+produce identical outputs and dynamic instruction counts on every one
+of them.
 """
 
 from __future__ import annotations

@@ -1,11 +1,18 @@
 """The profiling interpreter and the profile it produces."""
 
+import hashlib
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.interp import ExecutionEngine
+from repro.interp import engine as engine_mod
+from repro.interp.errors import InterpreterBug
 from repro.ir import I32, FunctionBuilder, Module
 from repro.ir.instructions import Branch, Store
-from repro.profiling import ProfilingInterpreter
+from repro.profiling import ProfilingInterpreter, profile_to_dict
 from tests.conftest import cached_module, cached_profile
 
 
@@ -146,3 +153,57 @@ class TestSamplesAndCrashProbabilities:
         cold = min(iids, key=pathfinder_profile.count)
         assert pathfinder_profile.execution_probability(hot, cold) == 1.0
         assert 0.0 <= pathfinder_profile.execution_probability(cold, hot) <= 1.0
+
+
+def stable_digest(profile, outputs) -> str:
+    data = profile_to_dict(profile)
+    del data["profiling_seconds"]
+    text = json.dumps({"outputs": outputs, "profile": data}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestProfileContracts:
+    """The profile variant's run contracts (DESIGN.md §9)."""
+
+    def test_generation_failure_raises_without_fallback(self, monkeypatch):
+        def untranslatable(engine, compiled):
+            raise InterpreterBug("synthetic: cannot generate")
+
+        monkeypatch.setattr(engine_mod, "generate_profile_function",
+                            untranslatable)
+        with pytest.raises(InterpreterBug, match="synthetic"):
+            ProfilingInterpreter(cached_module("pathfinder")).run()
+
+    def test_budget_overrun_is_an_interpreter_bug(self, accumulator_module):
+        assert ProfilingInterpreter(accumulator_module).max_dynamic == (
+            50_000_000
+        )
+        with pytest.raises(InterpreterBug, match="budget exceeded"):
+            ProfilingInterpreter(accumulator_module, max_dynamic=10).run()
+
+    @pytest.mark.parametrize("tier", ["closure", "codegen", "batch"])
+    def test_interpreter_tier_does_not_reach_profiling(self, monkeypatch,
+                                                       tier):
+        module = cached_module("pathfinder")
+        reference = stable_digest(*ProfilingInterpreter(module).run())
+        monkeypatch.setenv("REPRO_INTERP_TIER", tier)
+        assert stable_digest(*ProfilingInterpreter(module).run()) == reference
+
+    def test_concurrent_profiles_are_identical(self):
+        """Sampling state lives on each run, so threads profiling one
+        module at once (the daemon's /v1/analyze) cannot interfere."""
+        module = cached_module("hercules")
+        reference = stable_digest(*ProfilingInterpreter(module).run())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(lambda: ProfilingInterpreter(module).run())
+                    for _ in range(6)
+                ]
+                digests = [stable_digest(*f.result(timeout=120))
+                           for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == [reference] * 6

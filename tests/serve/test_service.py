@@ -219,6 +219,18 @@ class TestAnalyze:
             client.analyze({"benchmark": BENCH, "model": "oracle"})
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_is_400(self, harness, client, samples):
+        body = json.dumps({"benchmark": BENCH, "scale": "test",
+                           "samples": samples}).encode()
+        request = (b"POST /v1/analyze HTTP/1.1\r\nContent-Type: "
+                   b"application/json\r\nContent-Length: "
+                   + str(len(body)).encode() + b"\r\n\r\n" + body)
+        status, response = raw_exchange(harness.daemon, request)
+        assert status == 400
+        assert "samples" in response["error"]
+        assert client.health()["status"] == "ok"
+
 
 class TestBackpressure:
     def test_full_queue_answers_429(self):
