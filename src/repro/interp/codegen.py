@@ -127,7 +127,7 @@ SAMPLED_OPERANDS = (BinOp, ICmp, FCmp, Cast, Select)
 MEMORY_ACCESSES = (Load, Store)
 
 #: Per-run state every profile block function binds to locals.
-_PROFILE_HEADER = ("    _bc = state.block_counts", "    _nk = state.next_kept",
+_PROFILE_HEADER = ("    _seen = state.seen", "    _nk = state.next_kept",
                    "    _evt = state.events")
 _ADDRESS_FLIPS = tuple(1 << bit for bit in range(64))
 
@@ -175,12 +175,14 @@ def _keep(state, iid: int, value) -> None:
 def _crash_prob(state, address: int) -> float:
     """P(crash) over the 64 single-bit flips of an access address,
     against the live validity set (the paper approximates this from the
-    program's allocated memory).  Memoized per address until the set
-    next changes (a stack allocation or a frame's release)."""
-    prob = state.crash_probs.get(address)
+    program's allocated memory).  Memoized per address and
+    ``MemoryState.generation``, which moves whenever the set does."""
+    memory = state.memory
+    key = (address, memory.generation)
+    prob = state.crash_probs.get(key)
     if prob is None:
-        valid = state.memory.valid
-        prob = state.crash_probs[address] = sum(
+        valid = memory.valid
+        prob = state.crash_probs[key] = sum(
             (address ^ flip) not in valid for flip in _ADDRESS_FLIPS
         ) / 64
     return prob
@@ -376,16 +378,9 @@ class _FunctionCodegen:
         w("    if state.dynamic_count > state.budget:")
         w("        raise _Hang(state.dynamic_count)")
         w(f"    state.block_counts[{cblock.ordinal}] += 1")
-        # A sampling site's instance count is its block's counter, which
-        # already counts this entry — unless a call earlier in the block
-        # may have re-entered it: such sites keep their own counter.
-        instances = f"_bc[{cblock.ordinal}]"
         for step_index, inst in enumerate(cblock.step_insts):
             if self.variant == PROFILE:
-                self.emit_profile(inst, instances)
-                if (isinstance(inst, Call)
-                        and inst.callee in self.engine.module.functions):
-                    instances = None
+                self.emit_profile(inst)
             self.emit_step(inst, step_index, covered)
 
     def emit_phi_moves(self, pred, succ, covered: set, depth: int) -> None:
@@ -419,7 +414,7 @@ class _FunctionCodegen:
 
     # -- profile bookkeeping ------------------------------------------
 
-    def emit_profile(self, inst, instances: str | None) -> None:
+    def emit_profile(self, inst) -> None:
         """The profiler's bookkeeping for one step, ahead of it: its
         operands are already defined, and a store sees the old cell."""
         w = self.lines.append
@@ -438,11 +433,9 @@ class _FunctionCodegen:
             sample = f"_cp(state, {self.expr(inst.pointer)})"
         else:
             return
-        if instances is None:
-            w(f"    state.seen[{iid}] += 1")
-            instances = f"state.seen[{iid}]"
         # Evaluate the sample only for the instances next_kept scheduled.
-        w(f"    if {instances} == _nk[{iid}]:")
+        w(f"    _seen[{iid}] += 1")
+        w(f"    if _seen[{iid}] == _nk[{iid}]:")
         w(f"        _keep(state, {iid}, {sample})")
         if isinstance(inst, Load):
             w(f"    _read(state, {self.expr(inst.pointer)}, {iid})")
@@ -572,7 +565,7 @@ class _FunctionCodegen:
                 f" * {inst.elem_size}) & {_MASK64})")
 
     def alloca_lines(self, inst: Alloca) -> list[str]:
-        lines = [
+        return [
             f"_v = frame.allocas.get({inst.iid})",
             "if _v is None:",
             f"    _v, _owned = state.memory.allocate_stack("
@@ -580,9 +573,6 @@ class _FunctionCodegen:
             f"    frame.allocas[{inst.iid}] = _v",
             "    frame.owned.extend(_owned)",
         ]
-        if self.variant == PROFILE:
-            lines.append("    state.crash_probs.clear()")
-        return lines
 
     def load_lines(self, inst: Load) -> list[str]:
         value_type = inst.type

@@ -206,10 +206,10 @@ class _ProfileState(_State):
         self.draws: list = [None] * n_insts
         #: Taken conditional branches, true selects, silent stores.
         self.events: list[int] = [0] * n_insts
-        #: Instances of the sites that cannot read their block counter.
+        #: Instances so far of each sampling site.
         self.seen: list[int] = [0] * n_insts
-        #: address -> P(crash), valid until ``memory.valid`` changes.
-        self.crash_probs: dict[int, float] = {}
+        #: (address, ``memory.generation``) -> P(crash).
+        self.crash_probs: dict[tuple[int, int], float] = {}
         #: address -> [last store iid, set of reader iids or None];
         #: (store, load) -> dependencies, in first-seen order;
         #: (store, frozenset of readers) -> instances; store -> instances
@@ -395,30 +395,22 @@ class ExecutionEngine:
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
         if injection is not None:
-            self._arm(state, injection)
-        return self._classified(
-            state, lambda: self._call(self._compiled["main"], [], state)
-        )
+            target = self.module.instruction(injection.iid)
+            if not target.has_result:
+                raise ValueError(
+                    f"instruction #{injection.iid} has no destination register"
+                )
+            if not 0 <= injection.bit < target.type.bits:
+                raise ValueError(
+                    f"bit {injection.bit} out of range for {target.type}"
+                )
+            state.inject_iid = injection.iid
+            state.inject_occurrence = injection.occurrence
+            state.inject_bit = injection.bit
 
-    def _arm(self, state: _State, injection: Injection) -> None:
-        target = self.module.instruction(injection.iid)
-        if not target.has_result:
-            raise ValueError(
-                f"instruction #{injection.iid} has no destination register"
-            )
-        if not 0 <= injection.bit < target.type.bits:
-            raise ValueError(
-                f"bit {injection.bit} out of range for {target.type}"
-            )
-        state.inject_iid = injection.iid
-        state.inject_occurrence = injection.occurrence
-        state.inject_bit = injection.bit
-
-    def _classified(self, state: _State, execute) -> RunResult:
-        """Run ``execute()``; a crash, hang or detection is its outcome."""
         outcome, crash_reason = OK, ""
         try:
-            execute()
+            self._call(self._compiled["main"], [], state)
         except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
             outcome, crash_reason = CRASH, str(fault)
         except HangFault as fault:
@@ -513,9 +505,7 @@ class ExecutionEngine:
             return state.ret_value
         finally:
             state.call_depth -= 1
-            if frame.owned:
-                state.memory.free(frame.owned)
-                state.crash_probs.clear()
+            state.memory.free(frame.owned)
 
     def _cg_run(self, compiled, frame, index: int, state: _State):
         """The codegen tier's driver: each generated block function
@@ -742,11 +732,30 @@ class ExecutionEngine:
         state.block_counts = list(snapshot.block_counts)
         state.activated = activated
         if injection is not None:
-            self._arm(state, injection)
+            target = self.module.instruction(injection.iid)
+            if not target.has_result:
+                raise ValueError(
+                    f"instruction #{injection.iid} has no destination register"
+                )
+            if not 0 <= injection.bit < target.type.bits:
+                raise ValueError(
+                    f"bit {injection.bit} out of range for {target.type}"
+                )
+            state.inject_iid = injection.iid
+            state.inject_occurrence = injection.occurrence
+            state.inject_bit = injection.bit
             state.occurrence = occurrence
-        return self._classified(
-            state, lambda: self._resume_frame(snapshot, 0, state)
-        )
+
+        outcome, crash_reason = OK, ""
+        try:
+            self._resume_frame(snapshot, 0, state)
+        except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
+            outcome, crash_reason = CRASH, str(fault)
+        except HangFault as fault:
+            outcome, crash_reason = HANG, str(fault)
+        except DetectionTrap as fault:
+            outcome, crash_reason = DETECTED, str(fault)
+        return self._result(state, outcome, crash_reason)
 
     def _resume_frame(self, snapshot: Snapshot, depth: int, state: _State):
         """Rebuild one activation record and continue its execution.

@@ -55,13 +55,17 @@ class GlobalLayout:
 class MemoryState:
     """Mutable per-run memory: cells, validity set, and a stack pointer."""
 
-    __slots__ = ("cells", "valid", "stack_cursor", "footprint_bytes")
+    __slots__ = ("cells", "valid", "stack_cursor", "footprint_bytes",
+                 "generation")
 
     def __init__(self, layout: GlobalLayout):
         self.cells: dict[int, object] = dict(layout.init_cells)
         self.valid: set[int] = set(layout.valid_addresses)
         self.stack_cursor = STACK_BASE
         self.footprint_bytes = layout.total_bytes
+        #: Changes whenever ``valid`` does, so facts derived from the
+        #: validity set can be cached against it.
+        self.generation = 0
 
     @classmethod
     def restored(cls, cells: dict, valid: set, stack_cursor: int,
@@ -77,6 +81,7 @@ class MemoryState:
         memory.valid = valid
         memory.stack_cursor = stack_cursor
         memory.footprint_bytes = footprint_bytes
+        memory.generation = 0
         return memory
 
     # -- allocation -----------------------------------------------------------
@@ -86,6 +91,7 @@ class MemoryState:
         base = self.stack_cursor
         addresses = [base + i * elem_size for i in range(count)]
         self.valid.update(addresses)
+        self.generation += 1
         size = count * elem_size
         self.stack_cursor += size + 16  # pad slots apart
         self.footprint_bytes += size
@@ -93,6 +99,8 @@ class MemoryState:
 
     def free(self, addresses: list[int]) -> None:
         """Release stack addresses when a frame is popped."""
+        if addresses:
+            self.generation += 1
         for address in addresses:
             self.valid.discard(address)
             self.cells.pop(address, None)

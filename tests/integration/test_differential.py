@@ -1,11 +1,13 @@
-"""Differential testing: golden runs and profiling runs implement the
-same semantics.
+"""Differential testing: the closure tier and the profiler implement
+the same semantics.
 
 Hypothesis generates random programs through the eDSL (arithmetic on
-locals, array traffic, branches, loops); a golden run (the codegen
-tier's fast variant) and a profiling run (its profile variant) must
-produce identical outputs and dynamic instruction counts on every one
-of them.
+locals, array traffic, branches, loops); a golden run on the closure
+tier (per-step closures over :mod:`repro.interp.ops`) and a profiling
+run (the codegen tier's profile variant, generated source) are two
+independent implementations of IR semantics, and must produce identical
+outputs, dynamic instruction counts and per-instruction execution counts
+on every one of them.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def build_random_program(spec) -> Module:
 @settings(max_examples=60, deadline=None)
 def test_engine_and_profiler_agree(spec):
     module = build_random_program(spec)
-    engine_result = ExecutionEngine(module).golden()
+    engine_result = ExecutionEngine(module, tier="closure").golden()
     profile, profiler_outputs = ProfilingInterpreter(module).run()
     assert engine_result.outputs == profiler_outputs
     assert engine_result.dynamic_count == profile.dynamic_count

@@ -85,3 +85,14 @@ class TestMemoryState:
         memory = MemoryState(layout)
         assert memory.is_valid(layout.addresses["a"])
         assert not memory.is_valid(0)
+
+    def test_generation_changes_with_the_validity_set(self):
+        memory = MemoryState(layout_with_globals())
+        start = memory.generation
+        _base, elements = memory.allocate_stack(4, 4)
+        allocated = memory.generation
+        assert allocated != start
+        memory.free([])  # a frame without stack arrays changes nothing
+        assert memory.generation == allocated
+        memory.free(elements)
+        assert memory.generation != allocated

@@ -8,9 +8,11 @@ profiler's output for
 
 * the 11 benchmarks at ``test`` and ``small`` scale,
 * fuzz modules 0-49 (:mod:`repro.ir.fuzz`, optimized and not),
-* a recursive module whose call re-enters the calling block, so the
-  sites after the call cannot count their instances with the block
-  counter.
+* a recursive module whose call re-enters the calling block, so each
+  site must count its own instances in execution order,
+* a module that reads one address inside a callee whose stack frame is
+  live and again after that frame is released, so a memoized crash
+  probability must not outlive the validity set it was computed on.
 
 Each entry is the SHA-256 of the serialized profile without its
 wall-clock ``profiling_seconds``, together with the program outputs, as
@@ -74,9 +76,36 @@ def recursive_module() -> Module:
     return module.finalize()
 
 
+def freed_frame_module() -> Module:
+    """``peek`` reads main's ``cells[0]`` while its own stack array is
+    live — a single-bit flip of that address lands in the array — and
+    main reads the same address again after ``peek`` returns."""
+    module = Module("freed_frame")
+    peek = FunctionBuilder(module, "peek", arg_types=[pointer_to(I32)],
+                           arg_names=["cells"], return_type=I32)
+    cells = ArrayView(peek, peek.arg(0).value, I32)
+    scratch = peek.array("scratch", I32, 8)
+    scratch[0] = cells[0] + 1
+    peek.ret(scratch[0])
+    peek.done()
+
+    main = FunctionBuilder(module, "main")
+    array = main.array("cells", I32, 4)
+    main.for_range(0, 4, lambda i: array.__setitem__(i, i))
+    acc = main.local("acc", I32, init=0)
+    main.for_range(0, 40, lambda i: acc.set(
+        acc.get() + main.call("peek", [array.base], I32) + array[0]
+    ))
+    main.out(acc.get())
+    main.done()
+    return module.finalize()
+
+
 def build_case(case: str):
     if case == "recursive":
         return recursive_module()
+    if case == "freed-frame":
+        return freed_frame_module()
     if case.startswith("fuzz:"):
         return build_fuzz_module(FuzzCase(int(case.split(":")[1])))
     name, scale = case.split("@")
@@ -94,3 +123,4 @@ def test_oracle_covers_the_frozen_cases():
     assert len(benches) == 22
     assert sorted(fuzz) == sorted(f"fuzz:{seed}" for seed in range(50))
     assert "recursive" in ORACLE
+    assert "freed-frame" in ORACLE

@@ -17,26 +17,29 @@ from tests.conftest import cached_module, cached_profile
 
 
 class TestAgreementWithEngine:
+    """The profile variant against the closure tier, an independent
+    implementation of the same IR semantics."""
+
     def test_outputs_match(self, accumulator_module):
         profile, outputs = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module).golden()
+        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
         assert outputs == golden.outputs
 
     def test_dynamic_count_matches(self, accumulator_module):
         profile, _ = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module).golden()
+        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
         assert profile.dynamic_count == golden.dynamic_count
 
     def test_instruction_counts_match(self, accumulator_module):
         profile, _ = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module).golden()
+        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
         assert profile.inst_counts == golden.instruction_counts()
 
     @pytest.mark.parametrize("name", ["pathfinder", "nw", "libquantum"])
     def test_benchmarks_agree(self, name):
         module = cached_module(name)
         profile, outputs = cached_profile(name)
-        golden = ExecutionEngine(module).golden()
+        golden = ExecutionEngine(module, tier="closure").golden()
         assert outputs == golden.outputs
         assert profile.dynamic_count == golden.dynamic_count
 
