@@ -20,7 +20,9 @@ Three phases, selectable with ``--only`` (default: all):
    checkpointed (golden-prefix snapshots, suffix-only trials) on two
    benchmarks with different outcome mixes.  Counts must be
    bit-identical, trials must actually skip prefix work, and the
-   checkpointed campaign must hit the speedup threshold.
+   checkpointed campaign must hit the speedup threshold.  Two more
+   campaigns are checked for counts only: hotspot after mem2reg (phis
+   at snapshot points) and hotspot at stride 1.
 
 4. **interp-codegen** — golden runs on every registered benchmark and
    FI campaigns on two of them, closure tier vs codegen tier.  Outcomes,
@@ -54,6 +56,7 @@ from repro.fi import FaultInjector
 from repro.harness.context import QUICK, Workspace
 from repro.harness.fig5 import run_fig5
 from repro.interp import TIER_CLOSURE, TIER_CODEGEN, ExecutionEngine
+from repro.opt.pipeline import optimize
 from repro.profiling import ProfilingInterpreter
 from repro.protection.duplication import (
     duplicable_iids,
@@ -170,6 +173,18 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
         f"checkpointing is >={speedup:g}x faster on some benchmark "
         f"(best {max(speedups):.2f}x)",
     )
+
+    hotspot = build_module("hotspot", "test")
+    for label, module, stride in (("hotspot O2", optimize(hotspot, 2)[0], 0),
+                                  ("hotspot stride 1", hotspot, 1)):
+        cold = FaultInjector(module, checkpoint=False).run_span(0, runs, 1)
+        warm = FaultInjector(module, checkpoint=True,
+                             checkpoint_stride=stride).run_span(0, runs, 1)
+        check(
+            warm.counts == cold.counts and warm.checkpointed
+            and not warm.checkpoint_degraded,
+            f"{label}: checkpointed counts bit-identical to cold runs",
+        )
 
 
 def _best_golden_seconds(engine: ExecutionEngine, repeats: int = 5) -> float:

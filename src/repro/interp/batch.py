@@ -456,8 +456,8 @@ class _GroupState:
         self.activated = [False] * lanes
         self.injections: list = [None] * lanes
         #: Shadow stack of [compiled, frame, cblock, previous, step_index]
-        #: records (same shape as the capture pass), so any lane can be
-        #: materialized as a checkpoint Snapshot at a block boundary.
+        #: records, so any lane can be materialized as a checkpoint
+        #: Snapshot at a block boundary.
         self.records: list = []
         self.call_depth = 0
         self.results: list = [None] * lanes
@@ -612,15 +612,7 @@ class BatchRunner:
         for lane, injection in enumerate(trials):
             if injection is None:
                 continue
-            target = engine.module.instruction(injection.iid)
-            if not target.has_result:
-                raise ValueError(
-                    f"instruction #{injection.iid} has no destination register"
-                )
-            if not 0 <= injection.bit < target.type.bits:
-                raise ValueError(
-                    f"bit {injection.bit} out of range for {target.type}"
-                )
+            engine.check_injection(injection)
             sim.injections[lane] = injection
             sim.armed.setdefault(injection.iid, []).append(lane)
             sim.inject_occurrence[lane] = injection.occurrence
@@ -722,9 +714,9 @@ class BatchRunner:
         """Materialize one lane's scalar state as a checkpoint Snapshot.
 
         The lane resumes at the top of ``succ_cblock`` entered from
-        ``from_cblock`` (phi moves pending), exactly like the innermost
-        frame of a capture-pass snapshot; outer frames stay suspended at
-        their recorded call steps.
+        ``from_cblock``, with that edge's phi moves still pending (a
+        golden capture snapshots after them); outer frames stay
+        suspended at their recorded call steps.
         """
         records = sim.records
         last = len(records) - 1
@@ -826,7 +818,8 @@ class BatchRunner:
         return value
 
     # ------------------------------------------------------------------
-    # Lockstep interpretation loop (mirrors engine._capture_loop)
+    # Lockstep interpretation loop (mirrors engine._loop, plus the
+    # shadow stack that lane snapshots are cut from)
     # ------------------------------------------------------------------
 
     def _bcall(self, sim: _GroupState, compiled, args, caller_step: int):

@@ -8,12 +8,13 @@ dynamic-instruction indices, and every trial restores the nearest
 snapshot at-or-before its injection point and executes only the
 remaining suffix — the FastFlip insight applied at execution level.
 
-Snapshots are taken at block boundaries (the top of the interpreter's
-block loop, before the block's phi moves run), which makes the capture
-points cheap to test for and gives a simple occurrence invariant: at a
-capture point, an instruction's completed-execution count is its home
-block's count in ``block_counts``, minus the suspended mid-block frames
-that have not yet passed it (see :meth:`GoldenCapture.prefix_occurrence`).
+Snapshots are taken between the codegen tier's block functions (at
+the head of one, after the phi moves of the edge into it), which makes
+the capture points cheap to test for and gives a simple occurrence
+invariant: at a capture point, an instruction's completed-execution
+count is its home block's count in ``block_counts``, plus the pending
+block's phis, minus the suspended mid-block frames that have not yet
+passed it (see :meth:`GoldenCapture.prefix_occurrence`).
 
 A snapshot is immutable once captured and shared read-only by every
 trial that forks from it; :meth:`GoldenCapture.resume` materializes
@@ -63,8 +64,10 @@ class FrameSnap:
 
     ``step_index`` is the position (in the block's step list) of the
     call instruction this frame is suspended at, or -1 for the innermost
-    frame, which resumes at the top of the block loop (phi moves of
-    ``cblock`` have not run yet).
+    frame, which resumes at the top of ``cblock``.  ``previous`` is the
+    block it enters from, whose phi moves are still pending, or None
+    when no phi moves are pending (a golden capture snapshots after
+    them).
     """
 
     __slots__ = ("compiled", "slots", "allocas", "owned", "cblock",
@@ -149,12 +152,16 @@ class GoldenCapture:
 
         Base count: the home block's entry in the snapshot's
         ``block_counts`` (incremented when a block iteration *starts*).
-        Correction: every suspended mid-block frame sitting in the home
-        block at a step index <= the instruction's position represents
-        a started iteration that has **not** yet produced this
-        instruction's result — including the suspended call itself.
-        The innermost frame is excluded: its pending block iteration is
-        not counted in ``block_counts`` at the capture point.
+        Corrections:
+
+        * every suspended mid-block frame sitting in the home block at
+          a step index <= the instruction's position represents a
+          started iteration that has **not** yet produced this
+          instruction's result — including the suspended call itself;
+        * the innermost frame's pending iteration is not counted in
+          ``block_counts`` at the capture point, but the phi moves of
+          the edge into it have run, so a phi of that block has
+          executed once more.
         """
         home = self.engine.instruction_home(iid)
         if home is None:
@@ -166,6 +173,8 @@ class GoldenCapture:
             frame = frames[index]
             if frame.cblock.block is block and position >= frame.step_index:
                 count -= 1
+        if position < 0 and frames[-1].cblock.block is block:
+            count += 1
         return count
 
     def snapshot_for(self, injection) -> Snapshot | None:

@@ -13,9 +13,9 @@ bit-identical with the closure tier by construction.
 
 Three specializations are generated from the same block templates:
 
-* the **fast** variant carries *zero* injection checks — golden runs
-  and every trial executing outside the armed instruction's blocks
-  use it;
+* the **fast** variant carries *zero* injection checks — golden runs,
+  the snapshot-capturing golden pass, and every trial executing
+  outside the armed instruction's blocks use it;
 * the **inject** variant guards every destination register (steps and
   phi edge copies) with the closure tier's ``state.inject_iid`` check;
 * the **profile** variant adds the profiler's bookkeeping into the
@@ -35,7 +35,9 @@ and return the local index of the next block, or ``-1`` after ``ret``
 (the return value parks in ``state.ret_value``).  Each is compiled on
 its own, which peaks at a fraction of the memory of one ``compile()``
 over a whole function.  The driver loop lives in
-:meth:`repro.interp.engine.ExecutionEngine._cg_run`.
+:meth:`repro.interp.engine.ExecutionEngine._cg_run`; a call passes its
+iid to ``state.call``, so the capture pass knows which call a caller
+is suspended in.
 """
 
 from __future__ import annotations
@@ -378,10 +380,10 @@ class _FunctionCodegen:
         w("    if state.dynamic_count > state.budget:")
         w("        raise _Hang(state.dynamic_count)")
         w(f"    state.block_counts[{cblock.ordinal}] += 1")
-        for step_index, inst in enumerate(cblock.step_insts):
+        for inst in cblock.step_insts:
             if self.variant == PROFILE:
                 self.emit_profile(inst)
-            self.emit_step(inst, step_index, covered)
+            self.emit_step(inst, covered)
 
     def emit_phi_moves(self, pred, succ, covered: set, depth: int) -> None:
         """Parallel phi copy for the edge ``pred -> succ``: evaluate
@@ -445,7 +447,7 @@ class _FunctionCodegen:
 
     # -- steps --------------------------------------------------------
 
-    def emit_step(self, inst, step_index: int, covered: set) -> None:
+    def emit_step(self, inst, covered: set) -> None:
         w = self.lines.append
         if isinstance(inst, Store):
             w(f"    state.memory.store({self.expr(inst.pointer)}, "
@@ -457,7 +459,7 @@ class _FunctionCodegen:
         if isinstance(inst, Detect):
             self.emit_detect(inst)
             return
-        pre, value = self.value_expr(inst, step_index)
+        pre, value = self.value_expr(inst)
         for line in pre:
             w(f"    {line}")
         if not inst.has_result:
@@ -475,7 +477,7 @@ class _FunctionCodegen:
         w(f"        _v = _inj(state, _v, {self.bind(inst.type)})")
         w(f"    slots[{dest}] = _v")
 
-    def value_expr(self, inst, step_index: int) -> tuple[list[str], str]:
+    def value_expr(self, inst) -> tuple[list[str], str]:
         """(setup lines, result expression) for a value-producing step.
 
         The expression may be the temp ``_v`` defined by the setup
@@ -501,7 +503,7 @@ class _FunctionCodegen:
         if isinstance(inst, Load):
             return self.load_lines(inst), "_v"
         if isinstance(inst, Call):
-            return [], self.call_expr(inst, step_index)
+            return [], self.call_expr(inst)
         raise InterpreterBug(f"cannot compile {inst!r}")
 
     def binop_expr(self, inst: BinOp) -> str:
@@ -590,7 +592,7 @@ class _FunctionCodegen:
         lines.append(f"    _v = _rl(_v, {self.bind(value_type)})")
         return lines
 
-    def call_expr(self, inst: Call, step_index: int) -> str:
+    def call_expr(self, inst: Call) -> str:
         args = ", ".join(self.expr(argument) for argument in inst.args)
         callee = inst.callee
         if (is_intrinsic(callee)
@@ -600,7 +602,7 @@ class _FunctionCodegen:
         if compiled is None:
             raise InterpreterBug(f"unknown callee {callee}")
         target = self.bind(compiled)
-        return f"state.call({target}, [{args}], state, {step_index})"
+        return f"state.call({target}, [{args}], state, {inst.iid})"
 
     def output_expr(self, inst: Output) -> str:
         value_type = inst.value.type

@@ -109,8 +109,8 @@ def _apply_phi_moves(state, frame, block, previous) -> None:
     """Parallel phi copy for entering ``block`` from ``previous``.
 
     Evaluate every incoming value first, then assign with per-phi
-    injection checks — the one definition both interpreter loops (and
-    the codegen tier's block-entry path) share, so they cannot diverge.
+    injection checks — the one definition the closure tier's loop and
+    the codegen tier's block-entry path share, so they cannot diverge.
     """
     if block.phi_moves is None:
         return
@@ -158,8 +158,9 @@ class _State:
         self.occurrence = 0
         self.activated = False
         self.call_depth = 0
-        #: Call dispatch: the engine's ``_call`` for plain runs, or
-        #: ``_capture_call`` during an instrumented golden pass.
+        #: Call dispatch: the engine's ``_call`` for plain runs,
+        #: ``_profile_call`` when profiling, or ``_capture_call`` during
+        #: an instrumented golden pass.
         self.call = None
         #: Return-value mailbox of the codegen tier's block functions.
         self.ret_value = None
@@ -174,9 +175,9 @@ class _CaptureState(_State):
     def __init__(self, memory: MemoryState, budget: int, stride: int,
                  max_snapshots: int, n_blocks: int = 0):
         super().__init__(memory, budget, n_blocks)
-        #: Shadow stack of [compiled, frame, cblock, previous, step_index]
-        #: records, innermost last; step_index is the position of the
-        #: call step a frame is currently suspended at.
+        #: Shadow stack of [compiled, frame, call iid] records, innermost
+        #: last; the call iid names the call an outer frame is
+        #: currently suspended in.
         self.records: list = []
         self.stride = stride
         self.next_capture = stride
@@ -394,23 +395,36 @@ class ExecutionEngine:
         memory = MemoryState(self.layout)
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
+        self._arm(state, injection)
+        return self._classified(state, self._call, self._compiled["main"],
+                                [], state)
+
+    def check_injection(self, injection: Injection) -> None:
+        """Refuse an injection whose target has no destination register
+        or whose bit lies outside it."""
+        target = self.module.instruction(injection.iid)
+        if not target.has_result:
+            raise ValueError(
+                f"instruction #{injection.iid} has no destination register"
+            )
+        if not 0 <= injection.bit < target.type.bits:
+            raise ValueError(
+                f"bit {injection.bit} out of range for {target.type}"
+            )
+
+    def _arm(self, state: _State, injection: Injection | None) -> None:
         if injection is not None:
-            target = self.module.instruction(injection.iid)
-            if not target.has_result:
-                raise ValueError(
-                    f"instruction #{injection.iid} has no destination register"
-                )
-            if not 0 <= injection.bit < target.type.bits:
-                raise ValueError(
-                    f"bit {injection.bit} out of range for {target.type}"
-                )
+            self.check_injection(injection)
             state.inject_iid = injection.iid
             state.inject_occurrence = injection.occurrence
             state.inject_bit = injection.bit
 
+    def _classified(self, state: _State, execute, *args) -> RunResult:
+        """Run ``execute(*args)`` to the end of the program and classify
+        how it ended: a fault raised by the program is an outcome."""
         outcome, crash_reason = OK, ""
         try:
-            self._call(self._compiled["main"], [], state)
+            execute(*args)
         except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
             outcome, crash_reason = CRASH, str(fault)
         except HangFault as fault:
@@ -473,7 +487,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _call(self, compiled: _CompiledFunction, args: list, state: _State,
-              caller_step: int = -1):
+              caller_iid: int = -1):
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
         state.call_depth += 1
@@ -490,7 +504,7 @@ class ExecutionEngine:
             state.memory.free(frame.owned)
 
     def _profile_call(self, compiled: _CompiledFunction, args: list,
-                      state: _ProfileState, caller_step: int = -1):
+                      state: _ProfileState, caller_iid: int = -1):
         """:meth:`_call` on the profile variant's block functions."""
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
@@ -526,11 +540,7 @@ class ExecutionEngine:
 
     def _loop(self, compiled, frame, block, previous, state: _State):
         """The closure tier's block dispatch loop, from the top of
-        ``block``.
-
-        Keep in lockstep with :meth:`_capture_loop`, which is this loop
-        plus shadow-stack/snapshot bookkeeping for the golden pass.
-        """
+        ``block`` (entered from ``previous``)."""
         block_counts = state.block_counts
         while True:
             _apply_phi_moves(state, frame, block, previous)
@@ -559,14 +569,23 @@ class ExecutionEngine:
     def capture(self, stride: int, max_snapshots: int = 256) -> GoldenCapture:
         """One instrumented golden run capturing resumable snapshots.
 
-        Snapshots are taken at block boundaries, the first one at or
-        after dynamic index ``stride`` and then every ``stride``
+        The run executes the fast codegen variant, which an engine on
+        the closure tier generates on its first capture.  Snapshots are
+        taken between block functions, the first one at or after
+        dynamic index ``stride`` and then every ``stride``
         instructions, up to ``max_snapshots``.  Raises
-        :class:`InterpreterBug` if the fault-free program does not
-        complete (the same contract as :meth:`golden`).
+        :class:`InterpreterBug` if a function has no generated code or
+        the fault-free program does not complete (the same contract as
+        :meth:`golden`).
         """
         if stride < 1:
             raise ValueError(f"capture stride must be >= 1, got {stride}")
+        self._build_codegen()
+        if self.codegen_fallbacks:
+            raise InterpreterBug(
+                f"golden capture of {self.module.name} needs generated "
+                f"code for every function"
+            )
         state = _CaptureState(MemoryState(self.layout), self.max_dynamic,
                               stride, max_snapshots, self._n_blocks)
         state.call = self._capture_call
@@ -581,7 +600,10 @@ class ExecutionEngine:
                              stride)
 
     def _capture_call(self, compiled: _CompiledFunction, args: list,
-                      state: _CaptureState, caller_step: int = -1):
+                      state: _CaptureState, caller_iid: int = -1):
+        """:meth:`_call` on the fast variant's block functions, keeping
+        the shadow stack and testing the snapshot schedule before each
+        block function, after the phi moves of the edge into it."""
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
         state.call_depth += 1
@@ -589,67 +611,42 @@ class ExecutionEngine:
         frame.slots[: compiled.n_args] = args
         records = state.records
         if records:
-            records[-1][4] = caller_step  # caller now suspended at this step
-        record = [compiled, frame, compiled.entry, None, -1]
-        records.append(record)
+            records[-1][2] = caller_iid  # caller now suspended in this call
+        records.append([compiled, frame, -1])
+        table = compiled.cg_fast
+        index = compiled.entry.local_index
         try:
-            return self._capture_loop(compiled, frame, state, record)
+            while index >= 0:
+                if state.dynamic_count >= state.next_capture:
+                    self._take_snapshot(state, index)
+                index = table[index](state, frame)
+            return state.ret_value
         finally:
             records.pop()
             state.call_depth -= 1
             state.memory.free(frame.owned)
 
-    def _capture_loop(self, compiled, frame, state: _CaptureState, record):
-        """:meth:`_loop` plus shadow-stack updates and snapshot capture.
-
-        The capture check sits at the very top of the loop — before the
-        pending block's phi moves, cost, and count — so a snapshot sees
-        only *completed* block iterations in every frame but the
-        suspended mid-block ones recorded on the shadow stack.
-        """
-        block = record[2]
-        previous = record[3]
-        block_counts = state.block_counts
-        while True:
-            record[2] = block
-            record[3] = previous
-            if state.dynamic_count >= state.next_capture:
-                self._take_snapshot(state)
-            _apply_phi_moves(state, frame, block, previous)
-            state.dynamic_count += block.cost
-            if state.dynamic_count > state.budget:
-                raise HangFault(state.dynamic_count)
-            block_counts[block.ordinal] += 1
-            for step in block.steps:
-                step(state, frame)
-            kind = block.term_kind
-            if kind == _T_JUMP:
-                previous = block
-                block = block.term_payload
-            elif kind == _T_CBR:
-                fetch, true_block, false_block = block.term_payload
-                previous = block
-                block = true_block if fetch(frame) else false_block
-            else:  # _T_RET
-                fetch = block.term_payload
-                return fetch(frame) if fetch is not None else None
-
-    def _take_snapshot(self, state: _CaptureState) -> None:
+    def _take_snapshot(self, state: _CaptureState, index: int) -> None:
+        """Snapshot with the innermost frame at the head of its block
+        function ``index``.  Outer frames resume at the home block and
+        step position of the call they are suspended in, which a
+        superblock does not hide."""
         records = state.records
-        last = len(records) - 1
-        frames = tuple(
-            FrameSnap(
+        frames = []
+        for depth, (compiled, frame, call_iid) in enumerate(records):
+            if depth < len(records) - 1:
+                block, position = self.instruction_home(call_iid)
+                cblock = compiled.blocks[block]
+            else:
+                cblock, position = list(compiled.blocks.values())[index], -1
+            frames.append(FrameSnap(
                 compiled, tuple(frame.slots), dict(frame.allocas),
-                tuple(frame.owned), cblock, previous,
-                step_index if index < last else -1,
-            )
-            for index, (compiled, frame, cblock, previous, step_index)
-            in enumerate(records)
-        )
+                tuple(frame.owned), cblock, None, position,
+            ))
         memory = state.memory
         state.snapshots.append(Snapshot(
             dynamic_count=state.dynamic_count,
-            frames=frames,
+            frames=tuple(frames),
             cells=dict(memory.cells),
             valid=set(memory.valid),
             stack_cursor=memory.stack_cursor,
@@ -731,31 +728,10 @@ class ExecutionEngine:
         state.dynamic_count = snapshot.dynamic_count
         state.block_counts = list(snapshot.block_counts)
         state.activated = activated
-        if injection is not None:
-            target = self.module.instruction(injection.iid)
-            if not target.has_result:
-                raise ValueError(
-                    f"instruction #{injection.iid} has no destination register"
-                )
-            if not 0 <= injection.bit < target.type.bits:
-                raise ValueError(
-                    f"bit {injection.bit} out of range for {target.type}"
-                )
-            state.inject_iid = injection.iid
-            state.inject_occurrence = injection.occurrence
-            state.inject_bit = injection.bit
-            state.occurrence = occurrence
-
-        outcome, crash_reason = OK, ""
-        try:
-            self._resume_frame(snapshot, 0, state)
-        except (MemoryFault, ArithmeticTrap, StackOverflow) as fault:
-            outcome, crash_reason = CRASH, str(fault)
-        except HangFault as fault:
-            outcome, crash_reason = HANG, str(fault)
-        except DetectionTrap as fault:
-            outcome, crash_reason = DETECTED, str(fault)
-        return self._result(state, outcome, crash_reason)
+        state.occurrence = occurrence
+        self._arm(state, injection)
+        return self._classified(state, self._resume_frame, snapshot, 0,
+                                state)
 
     def _resume_frame(self, snapshot: Snapshot, depth: int, state: _State):
         """Rebuild one activation record and continue its execution.
@@ -764,7 +740,8 @@ class ExecutionEngine:
         frame) resumes first, then its return value is placed exactly
         as the call step would have (injection hook included) and the
         block's remaining steps run.  The innermost frame resumes at
-        the top of the block loop, where the capture was taken.
+        the top of its block, entered from ``previous`` (None: no phi
+        moves are pending).
         """
         frec = snapshot.frames[depth]
         compiled = frec.compiled
@@ -836,11 +813,8 @@ class ExecutionEngine:
                 if inst.is_terminator:
                     self._compile_terminator(compiled, cblock, inst, block_map)
                 else:
-                    step_index = len(cblock.steps)
                     cblock.step_insts.append(inst)
-                    cblock.steps.append(
-                        self._compile_step(compiled, inst, step_index)
-                    )
+                    cblock.steps.append(self._compile_step(compiled, inst))
             cblock.cost = len(block.instructions)
         # Phi nodes become parallel copies on each incoming edge.
         for block, cblock in block_map.items():
@@ -900,7 +874,7 @@ class ExecutionEngine:
 
     # -- step compilation ---------------------------------------------------
 
-    def _compile_step(self, compiled, inst: Instruction, step_index: int):
+    def _compile_step(self, compiled, inst: Instruction):
         if isinstance(inst, BinOp):
             return self._step_binop(compiled, inst)
         if isinstance(inst, ICmp):
@@ -918,7 +892,7 @@ class ExecutionEngine:
         if isinstance(inst, GetElementPtr):
             return self._step_gep(compiled, inst)
         if isinstance(inst, Call):
-            return self._step_call(compiled, inst, step_index)
+            return self._step_call(compiled, inst)
         if isinstance(inst, Output):
             return self._step_output(compiled, inst)
         if isinstance(inst, Select):
@@ -1095,7 +1069,7 @@ class ExecutionEngine:
 
         return step
 
-    def _step_call(self, compiled, inst: Call, step_index: int):
+    def _step_call(self, compiled, inst: Call):
         fetches = [self._fetch(compiled, arg) for arg in inst.args]
         callee = inst.callee
         result_type = inst.type
@@ -1115,12 +1089,11 @@ class ExecutionEngine:
 
         compiled_map = self._compiled
 
-        # ``state.call`` dispatches to _call (plain runs) or
-        # _capture_call (golden snapshot pass); the step index lets the
-        # capture pass record where this frame is suspended.
+        # ``state.call`` is the run's call dispatch (``_State.call``);
+        # the iid names the call the caller is suspended in.
         def step(state, frame):
             args = [fetch(frame) for fetch in fetches]
-            value = state.call(compiled_map[callee], args, state, step_index)
+            value = state.call(compiled_map[callee], args, state, iid)
             if has_result:
                 if state.inject_iid == iid:
                     value = inject(state, value, result_type)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..cache import get_cache
 from ..cache.artifacts import CAMPAIGN_KIND
 from ..fi.campaign import CampaignResult
+from ..interp.codegen import resolve_tier
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
 from .spec import CampaignSettings, ModuleSpec
@@ -65,12 +66,15 @@ class CampaignRequest:
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         halfwidth = payload.get("ci_halfwidth")
+        tier = payload.get("interp_tier")
+        if tier is not None:
+            resolve_tier(tier)  # raises ValueError on an unknown tier
         settings = CampaignSettings(
             workers=max(1, int(payload.get("workers", default_workers))),
             ci_halfwidth=float(halfwidth) if halfwidth is not None else None,
             checkpoint=bool(payload.get("checkpoint", True)),
             checkpoint_stride=int(payload.get("checkpoint_stride", 0)),
-            interp_tier=payload.get("interp_tier"),
+            interp_tier=tier,
             batch_lanes=int(payload.get("batch_lanes", 0)),
         )
         return cls(

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+from repro.bench import BENCHMARK_NAMES
 from repro.interp import ExecutionEngine, Injection
 from repro.ir import I32, FunctionBuilder, Module
+from repro.opt.pipeline import optimize
 from tests.conftest import build_accumulator_module, cached_module
 
 
@@ -219,4 +221,29 @@ class TestOccurrenceAccounting:
                 assert (capture.prefix_occurrence(later, inst.iid)
                         >= occurrence)
             checked += 1
+        assert checked > 0
+
+    def test_phis_at_snapshot_points(self):
+        """A snapshot sits after the phi moves of the edge into its
+        innermost block, so those phis count as executed.  Inject every
+        such phi at the occurrences on either side of the snapshot and
+        resume: had the count come up one short, the occurrence just
+        before the snapshot would fork from it and flip the next
+        instance instead."""
+        checked = 0
+        for name in BENCHMARK_NAMES:
+            module, _report = optimize(cached_module(name), 2)
+            engine = ExecutionEngine(module)
+            capture = engine.capture(stride=1)
+            for snapshot in capture.snapshots:
+                for phi in snapshot.frames[-1].cblock.block.phis():
+                    done = capture.prefix_occurrence(snapshot, phi.iid)
+                    for occurrence in (done, done + 1):
+                        injection = Injection(phi.iid, occurrence, 0)
+                        chosen = capture.snapshot_for(injection)
+                        if chosen is None:
+                            continue
+                        assert_same_run(capture.resume(chosen, injection),
+                                        engine.run(injection))
+                        checked += 1
         assert checked > 0

@@ -108,9 +108,10 @@ class TestResumeDifferential:
             )
 
     def test_capture_lockstep_with_run_on_phi_heavy_module(self):
-        """Satellite: the capture loop (always closure) and both run
-        tiers must agree instruction-for-instruction — this is the
-        regression net for the once-duplicated phi-move logic."""
+        """The capture pass runs the fast codegen variant on either
+        tier (a closure-tier engine generates it on first capture), and
+        it must agree with both run tiers instruction-for-instruction on
+        a phi-heavy module."""
         module, _report = optimize(cached_module("pathfinder"), 2)
         for tier in (TIER_CLOSURE, TIER_CODEGEN):
             engine = ExecutionEngine(module, tier=tier)

@@ -102,6 +102,14 @@ def raw_exchange(daemon: ServiceDaemon, request: bytes) -> tuple[int, dict]:
     return int(head.split(b" ", 2)[1]), json.loads(body)
 
 
+def post_request(route: str, payload: dict) -> bytes:
+    """Raw bytes of a well-framed JSON POST to ``/v1<route>``."""
+    body = json.dumps(payload).encode()
+    return (b"POST /v1" + route.encode() + b" HTTP/1.1\r\nContent-Type: "
+            b"application/json\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body)
+
+
 def campaign_payload(runs=RUNS, seed=SEED, **extra) -> dict:
     payload = {"benchmark": BENCH, "scale": "test",
                "runs": runs, "seed": seed}
@@ -140,6 +148,19 @@ class TestProtocol:
         assert status == 400
         assert body["error"]
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("tier", ["bogus", 3])
+    def test_unknown_tier_is_400(self, harness, client, tier):
+        """An unknown tier is refused at admission, not accepted as a
+        job that fails."""
+        failed = client.stats()["counters"]["failed"]
+        request = post_request("/campaigns",
+                               campaign_payload(interp_tier=tier))
+        status, response = raw_exchange(harness.daemon, request)
+        assert status == 400
+        assert "unknown interpreter tier" in response["error"]
+        assert client.health()["status"] == "ok"
+        assert client.stats()["counters"]["failed"] == failed
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as exc:
@@ -221,11 +242,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sample_count_below_one_is_400(self, harness, client, samples):
-        body = json.dumps({"benchmark": BENCH, "scale": "test",
-                           "samples": samples}).encode()
-        request = (b"POST /v1/analyze HTTP/1.1\r\nContent-Type: "
-                   b"application/json\r\nContent-Length: "
-                   + str(len(body)).encode() + b"\r\n\r\n" + body)
+        request = post_request("/analyze", {"benchmark": BENCH,
+                                            "scale": "test",
+                                            "samples": samples})
         status, response = raw_exchange(harness.daemon, request)
         assert status == 400
         assert "samples" in response["error"]
