@@ -17,12 +17,14 @@ Three phases, selectable with ``--only`` (default: all):
    re-model must beat the cold rebuild by the re-model threshold.
 
 3. **fi-checkpoint** — run the same FI campaign cold (full runs) and
-   checkpointed (golden-prefix snapshots, suffix-only trials) on two
-   benchmarks with different outcome mixes.  Counts must be
-   bit-identical, trials must actually skip prefix work, and the
-   checkpointed campaign must hit the speedup threshold.  Two more
-   campaigns are checked for counts only: hotspot after mem2reg (phis
-   at snapshot points) and hotspot at stride 1.
+   checkpointed (golden-prefix snapshots, suffix-only trials that stop
+   where they rejoin the golden run) on two benchmarks with different
+   outcome mixes.  Counts must be bit-identical, trials must actually
+   skip prefix work, and the checkpointed campaign must hit the speedup
+   threshold.  Three more campaigns are checked for counts only:
+   hotspot after mem2reg (phis at snapshot points), hotspot at stride 1
+   and sad.  Every checkpointed campaign must have trials that
+   rejoined, so the phase cannot pass with convergence off.
 
 4. **interp-codegen** — golden runs on every registered benchmark and
    FI campaigns on two of them, closure tier vs codegen tier.  Outcomes,
@@ -165,6 +167,7 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
             f"{name}: trials skipped prefix work "
             f"({warm_result.skipped_instructions:,} dynamic instructions)",
         )
+        check_converged(name, warm_result, runs)
         speedups.append(cold_seconds / warm_seconds)
         print(f"   {name}: cold {cold_seconds:.2f}s, checkpointed "
               f"{warm_seconds:.2f}s ({speedups[-1]:.2f}x)")
@@ -176,7 +179,8 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
 
     hotspot = build_module("hotspot", "test")
     for label, module, stride in (("hotspot O2", optimize(hotspot, 2)[0], 0),
-                                  ("hotspot stride 1", hotspot, 1)):
+                                  ("hotspot stride 1", hotspot, 1),
+                                  ("sad", build_module("sad", "test"), 0)):
         cold = FaultInjector(module, checkpoint=False).run_span(0, runs, 1)
         warm = FaultInjector(module, checkpoint=True,
                              checkpoint_stride=stride).run_span(0, runs, 1)
@@ -185,6 +189,15 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
             and not warm.checkpoint_degraded,
             f"{label}: checkpointed counts bit-identical to cold runs",
         )
+        check_converged(label, warm, runs)
+
+
+def check_converged(label: str, result, runs: int) -> None:
+    check(
+        result.converged_trials > 0,
+        f"{label}: {result.converged_trials} of {runs} trials rejoined "
+        f"the golden run",
+    )
 
 
 def _best_golden_seconds(engine: ExecutionEngine, repeats: int = 5) -> float:

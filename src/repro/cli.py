@@ -243,8 +243,8 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint", default=True,
                         action=argparse.BooleanOptionalAction,
                         help="fork FI trials from golden-prefix snapshots "
-                             "(suffix-only execution; counts are identical "
-                             "either way)")
+                             "and stop those that rejoin the golden run "
+                             "(counts are identical either way)")
     parser.add_argument("--checkpoint-stride", type=int, default=0,
                         metavar="N",
                         help="dynamic instructions between snapshots "
@@ -442,7 +442,8 @@ def _print_campaign_summary(campaign: CampaignResult, out) -> None:
                 mode += ", degraded to cold runs"
             print(f"throughput: {campaign.dynamic_instructions:,} dynamic "
                   f"instructions ({campaign.instructions_per_second:,.0f}/s, "
-                  f"{campaign.skipped_instructions:,} prefix-skipped, "
+                  f"{campaign.skipped_instructions:,} skipped, "
+                  f"{campaign.converged_trials:,} trials converged, "
                   f"{campaign.snapshot_bytes:,} snapshot bytes; {mode})",
                   file=out)
         if campaign.interp_tier:

@@ -60,11 +60,14 @@ class CampaignResult:
     #: of being executed (counts are bit-identical either way).
     from_cache: bool = False
     #: Interpreter throughput: dynamic instructions actually executed
-    #: (suffixes + golden capture passes) and instructions *not*
-    #: re-executed because trials forked from golden-prefix snapshots.
-    #: Additive under :meth:`merge`, like the counts.
+    #: (trials + golden capture passes) and instructions *not* executed
+    #: because trials forked from golden-prefix snapshots or took over
+    #: the golden suffix.  Additive under :meth:`merge`, like the counts.
     dynamic_instructions: int = 0
     skipped_instructions: int = 0
+    #: Trials that rejoined the golden run and took over its suffix
+    #: instead of executing it.  Additive under :meth:`merge`.
+    converged_trials: int = 0
     #: Estimated bytes held by the snapshot sets built for this result
     #: (counted once per capture pass, summed across workers).
     snapshot_bytes: int = 0
@@ -170,6 +173,9 @@ class CampaignResult:
         merged.skipped_instructions = (
             self.skipped_instructions + other.skipped_instructions
         )
+        merged.converged_trials = (
+            self.converged_trials + other.converged_trials
+        )
         merged.snapshot_bytes = self.snapshot_bytes + other.snapshot_bytes
         merged.checkpointed = self.checkpointed or other.checkpointed
         merged.checkpoint_degraded = (
@@ -208,8 +214,10 @@ class CampaignResult:
             "rounds": self.rounds,
             "dynamic_instructions": self.dynamic_instructions,
             "skipped_instructions": self.skipped_instructions,
+            "converged_trials": self.converged_trials,
             "snapshot_bytes": self.snapshot_bytes,
             "checkpointed": self.checkpointed,
+            "checkpoint_degraded": self.checkpoint_degraded,
             "interp_tier": self.interp_tier,
             "codegen_functions": self.codegen_functions,
             "codegen_fallbacks": self.codegen_fallbacks,
@@ -245,8 +253,10 @@ class CampaignResult:
             # written before they existed replay as zeros.
             dynamic_instructions=int(data.get("dynamic_instructions", 0)),
             skipped_instructions=int(data.get("skipped_instructions", 0)),
+            converged_trials=int(data.get("converged_trials", 0)),
             snapshot_bytes=int(data.get("snapshot_bytes", 0)),
             checkpointed=bool(data.get("checkpointed", False)),
+            checkpoint_degraded=bool(data.get("checkpoint_degraded", False)),
             interp_tier=str(data.get("interp_tier", "")),
             codegen_functions=int(data.get("codegen_functions", 0)),
             codegen_fallbacks=int(data.get("codegen_fallbacks", 0)),
@@ -272,8 +282,9 @@ class FaultInjector:
     one instrumented golden pass that captures golden-prefix snapshots
     (:mod:`repro.interp.checkpoint`); every trial then restores the
     nearest snapshot at-or-before its injection point and executes only
-    the program suffix.  Outcomes are bit-identical to cold full runs —
-    only wall-clock changes.  Any unexpected failure in the checkpoint
+    the program suffix, and stops early if it rejoins the golden run
+    (``converged_trials``).  Outcomes are bit-identical to cold full
+    runs — only wall-clock changes.  Any unexpected failure in the checkpoint
     path permanently falls back to cold runs for this injector
     (``checkpoint_degraded``), mirroring the worker-pool degradation
     policy in :mod:`repro.sched.executor`: correctness never depends on
@@ -441,28 +452,38 @@ class FaultInjector:
             return SDC
         return BENIGN
 
-    def _execute_trial(self, injection: Injection, capture,
-                       snapshot) -> tuple[str, int, int]:
-        """One trial -> (outcome, executed, skipped) dynamic instructions."""
-        if capture is not None and snapshot is not None and self.checkpoint:
+    def _execute_trial(self, injection: Injection, capture, snapshot,
+                       tally: CampaignResult) -> str:
+        """One trial: add its outcome and its executed, skipped and
+        converged accounting to ``tally``; return the outcome."""
+        result, prefix = None, 0
+        if capture is not None and self.checkpoint:
             try:
-                result = capture.resume(
-                    snapshot, injection, budget=self.hang_budget
-                )
+                if snapshot is not None:
+                    result = capture.resume(
+                        snapshot, injection, budget=self.hang_budget
+                    )
+                    prefix = snapshot.dynamic_count
+                else:
+                    result = self.engine.run(
+                        injection, budget=self.hang_budget, rejoin=capture
+                    )
             except Exception:
-                # Legitimate fault outcomes are classified inside
-                # resume; anything escaping is a checkpoint bug — fall
+                # Legitimate fault outcomes are classified inside the
+                # run; anything escaping is a checkpoint bug — fall
                 # back to cold runs for good rather than risk counts.
                 self.checkpoint = False
                 self.checkpoint_degraded = True
-            else:
-                return (
-                    self._classify(result),
-                    result.dynamic_count - snapshot.dynamic_count,
-                    snapshot.dynamic_count,
-                )
-        result = self.engine.run(injection, budget=self.hang_budget)
-        return self._classify(result), result.dynamic_count, 0
+        if result is None:
+            result = self.engine.run(injection, budget=self.hang_budget)
+        outcome = self._classify(result)
+        skipped = prefix + result.golden_suffix
+        tally.counts[outcome] += 1
+        tally.dynamic_instructions += result.dynamic_count - skipped
+        tally.skipped_instructions += skipped
+        if result.golden_suffix:
+            tally.converged_trials += 1
+        return outcome
 
     def run_one(self, injection: Injection) -> str:
         """Execute once with the fault armed and classify the outcome."""
@@ -470,7 +491,8 @@ class FaultInjector:
         snapshot = (
             capture.snapshot_for(injection) if capture is not None else None
         )
-        return self._execute_trial(injection, capture, snapshot)[0]
+        return self._execute_trial(injection, capture, snapshot,
+                                   CampaignResult())
 
     # ------------------------------------------------------------------
 
@@ -514,12 +536,7 @@ class FaultInjector:
             self._run_scheduled_batch(scheduled, capture, result)
         else:
             for snapshot, injection in scheduled:
-                outcome, executed, skipped = self._execute_trial(
-                    injection, capture, snapshot
-                )
-                result.counts[outcome] += 1
-                result.dynamic_instructions += executed
-                result.skipped_instructions += skipped
+                self._execute_trial(injection, capture, snapshot, result)
         result.checkpointed = capture is not None
         result.checkpoint_degraded = self.checkpoint_degraded
         self._stamp_tier(result)
@@ -568,12 +585,7 @@ class FaultInjector:
                 self.batch_fallbacks += 1
                 result.batch_fallbacks += 1
                 for snap, injection in chunk:
-                    outcome, executed, skipped = self._execute_trial(
-                        injection, capture, snap
-                    )
-                    result.counts[outcome] += 1
-                    result.dynamic_instructions += executed
-                    result.skipped_instructions += skipped
+                    self._execute_trial(injection, capture, snap, result)
                 continue
             for trial_result in group.results:
                 result.counts[self._classify(trial_result)] += 1
@@ -616,12 +628,7 @@ class FaultInjector:
                     capture.snapshot_for(injection)
                     if capture is not None else None
                 )
-                outcome, executed, skipped = self._execute_trial(
-                    injection, capture, snapshot
-                )
-                result.counts[outcome] += 1
-                result.dynamic_instructions += executed
-                result.skipped_instructions += skipped
+                self._execute_trial(injection, capture, snapshot, result)
             result.checkpointed = capture is not None
             result.checkpoint_degraded = self.checkpoint_degraded
             self._stamp_tier(result)

@@ -23,6 +23,11 @@ so no trial can corrupt the prefix for its siblings (the copy-on-write
 discipline that makes suffix-only execution sound).  Engine state holds
 no wall-clock or RNG, so a restored suffix replays exactly what a cold
 run would have executed.
+
+The same determinism lets a trial end early: once its fault has fired,
+a trial whose whole state equals a later main-only snapshot has
+rejoined the golden run, and the rest of it is the golden suffix
+(:attr:`GoldenCapture.rejoin_points`, ``ExecutionEngine._rejoin``).
 """
 
 from __future__ import annotations
@@ -134,16 +139,34 @@ class GoldenCapture:
     is a per-process, per-engine object — campaign workers each build
     their own from their own golden pass and then share it read-only
     across every trial they execute.
+
+    The capture also serves the other end of a trial: a trial whose
+    state equals a later snapshot's *rejoins* the golden run there and
+    takes over its suffix (``ExecutionEngine._rejoin``).  Rejoin points
+    are the snapshots with ``main`` alone on the stack whose golden
+    suffix is longer than the state a check compares, so a check can
+    save more than it costs.
     """
 
-    __slots__ = ("engine", "result", "snapshots", "stride", "total_bytes")
+    __slots__ = ("engine", "result", "snapshots", "stride", "total_bytes",
+                 "final_counts", "rejoin_points", "rejoin_counts")
 
-    def __init__(self, engine, result, snapshots, stride):
+    def __init__(self, engine, result, snapshots, stride, final_counts):
         self.engine = engine
         self.result = result
         self.snapshots = snapshots
         self.stride = stride
         self.total_bytes = sum(s.approx_bytes() for s in snapshots)
+        #: The golden run's dense per-block counters at exit.
+        self.final_counts = final_counts
+        total = result.dynamic_count
+        self.rejoin_points = [
+            s for s in snapshots
+            if len(s.frames) == 1 and total - s.dynamic_count
+            > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
+        ]
+        #: Their dynamic counts, ascending (the capture order).
+        self.rejoin_counts = [s.dynamic_count for s in self.rejoin_points]
 
     # -- occurrence accounting ----------------------------------------
 

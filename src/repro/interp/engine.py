@@ -14,6 +14,9 @@ element's output, Sec. II-A).
 
 from __future__ import annotations
 
+import marshal
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ..ir.bitutils import flip_bit_typed, mask, to_signed
@@ -71,6 +74,9 @@ from .result import CRASH, DETECTED, HANG, OK, RunResult
 
 _MASK64 = mask(64)
 
+#: ``_State.next_check`` of a run that has no rejoin point left to test.
+_NEVER = sys.maxsize
+
 #: Engines compiled in this process.  Campaign workers must build one
 #: engine per (module revision) and reuse it for every run; the
 #: regression tests in ``tests/fi/test_engine_reuse.py`` watch this.
@@ -102,7 +108,59 @@ def _maybe_inject(state, value, value_type):
     if state.occurrence != state.inject_occurrence:
         return value
     state.activated = True
+    if state.rejoin is not None:
+        # Until now the trial was the golden run: start testing whether
+        # it rejoins it at the next main-only block-function head.
+        _schedule_rejoin(state, bisect_left(state.rejoin.rejoin_counts,
+                                            state.dynamic_count))
     return flip_bit_typed(value, state.inject_bit, value_type)
+
+
+def _schedule_rejoin(state, index: int) -> None:
+    """Make rejoin point ``index`` of the trial's capture the next test."""
+    counts = state.rejoin.rejoin_counts
+    state.check_index = index
+    state.next_check = counts[index] if index < len(counts) else _NEVER
+
+
+def _encoded(values) -> bytes:
+    """Values as marshal format 2, which writes each one's type code and
+    a float's 8 IEEE-754 bytes (no back-references, so equal values
+    always encode alike)."""
+    return marshal.dumps(tuple(values), 2)
+
+
+def _same_state(state, frame, index: int, snapshot: Snapshot) -> bool:
+    """Whether a trial at the head of main's block function ``index``,
+    with main alone on the stack, is in the state of a main-only golden
+    ``snapshot``.
+
+    The ``==`` tests run at C speed in order of expected cost: block
+    function, slots, stack cursor and allocas, cells (which differ when
+    a corrupted value still sits in memory), then the validity set.
+    Only when all hold does the strict pass compare encodings, so each
+    value must also have the same class and, for a float zero, the same
+    sign: ``-0.0 == 0.0`` and ``1 == 1.0``, but ``%g`` prints ``-0``
+    and a float cell is not an int one.  A NaN passes ``==`` only by
+    identity.  Main's owned stack addresses follow from its allocas,
+    and only main's return frees them, so they are not compared.
+    """
+    main = snapshot.frames[0]
+    if index != main.cblock.local_index:
+        return False
+    slots = tuple(frame.slots)
+    if slots != main.slots:
+        return False
+    memory = state.memory
+    cells = snapshot.cells
+    if not (memory.stack_cursor == snapshot.stack_cursor
+            and frame.allocas == main.allocas
+            and memory.cells == cells
+            and memory.valid == snapshot.valid):
+        return False
+    return (_encoded(slots) == _encoded(main.slots)
+            and _encoded(map(memory.cells.__getitem__, cells))
+            == _encoded(cells.values()))
 
 
 def _apply_phi_moves(state, frame, block, previous) -> None:
@@ -140,7 +198,8 @@ class _State:
     __slots__ = (
         "memory", "outputs", "dynamic_count", "budget", "block_counts",
         "inject_iid", "inject_occurrence", "inject_bit", "occurrence",
-        "activated", "call_depth", "call", "ret_value",
+        "activated", "call_depth", "call", "ret_value", "rejoin",
+        "next_check", "check_index", "misses", "golden_suffix",
     )
 
     def __init__(self, memory: MemoryState, budget: int, n_blocks: int = 0):
@@ -164,6 +223,15 @@ class _State:
         self.call = None
         #: Return-value mailbox of the codegen tier's block functions.
         self.ret_value = None
+        #: A trial's golden capture (None: the run never rejoins), the
+        #: dynamic count and index of its next rejoin point to test,
+        #: the tests that missed so far, and the golden suffix taken
+        #: over when one matched (see ``ExecutionEngine._rejoin``).
+        self.rejoin = None
+        self.next_check = _NEVER
+        self.check_index = 0
+        self.misses = 0
+        self.golden_suffix = 0
 
 
 class _CaptureState(_State):
@@ -390,12 +458,18 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def run(self, injection: Injection | None = None,
-            budget: int | None = None) -> RunResult:
-        """Execute main once; classify crashes/hangs/detections."""
+            budget: int | None = None, *,
+            rejoin: GoldenCapture | None = None) -> RunResult:
+        """Execute main once; classify crashes/hangs/detections.
+
+        With a ``rejoin`` capture of this engine, a trial may stop
+        where it rejoins the golden run (see :meth:`_rejoin`); its
+        result is the full run's either way.
+        """
         memory = MemoryState(self.layout)
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
-        self._arm(state, injection)
+        self._arm(state, injection, rejoin)
         return self._classified(state, self._call, self._compiled["main"],
                                 [], state)
 
@@ -412,12 +486,18 @@ class ExecutionEngine:
                 f"bit {injection.bit} out of range for {target.type}"
             )
 
-    def _arm(self, state: _State, injection: Injection | None) -> None:
+    def _arm(self, state: _State, injection: Injection | None,
+             rejoin: GoldenCapture | None = None) -> None:
         if injection is not None:
             self.check_injection(injection)
             state.inject_iid = injection.iid
             state.inject_occurrence = injection.occurrence
             state.inject_bit = injection.bit
+            # Taking over the golden suffix is sound only if the golden
+            # run would also finish inside this run's budget.
+            if (rejoin is not None
+                    and rejoin.result.dynamic_count <= state.budget):
+                state.rejoin = rejoin
 
     def _classified(self, state: _State, execute, *args) -> RunResult:
         """Run ``execute(*args)`` to the end of the program and classify
@@ -443,6 +523,7 @@ class ExecutionEngine:
             activated=state.activated,
             block_counts=self._block_counts_map(state.block_counts),
             footprint_bytes=state.memory.footprint_bytes,
+            golden_suffix=state.golden_suffix,
         )
 
     def golden(self) -> RunResult:
@@ -524,11 +605,57 @@ class ExecutionEngine:
     def _cg_run(self, compiled, frame, index: int, state: _State):
         """The codegen tier's driver: each generated block function
         executes one (super)block iteration — successor phi moves
-        included — and returns the next block's local index (-1 = ret)."""
+        included — and returns the next block's local index (-1 = ret).
+
+        In main (``call_depth`` 1) of a trial that may rejoin the golden
+        run, the loop tests each block-function head once the count
+        reaches the next rejoin point; a match ends the run.
+        """
         table = compiled.cg_table(state.inject_iid)
+        if state.rejoin is not None and state.call_depth == 1:
+            while index >= 0:
+                if (state.dynamic_count >= state.next_check
+                        and self._rejoin(state, frame, index)):
+                    return None
+                index = table[index](state, frame)
+            return state.ret_value
         while index >= 0:
             index = table[index](state, frame)
         return state.ret_value
+
+    def _rejoin(self, state: _State, frame, index: int) -> bool:
+        """Test the trial against its next rejoin point.
+
+        On a match the rest of the trial is the golden suffix, because
+        execution is deterministic: take over its outputs, block counts,
+        footprint and dynamic count, and return True.  Otherwise count a
+        miss (the state differed, or the count passed the point without
+        landing on it) and skip 2^misses - 1 further points, so a trial
+        makes O(log points) tests.
+        """
+        capture = state.rejoin
+        snapshot = capture.rejoin_points[state.check_index]
+        if (state.dynamic_count == snapshot.dynamic_count
+                and _same_state(state, frame, index, snapshot)):
+            golden = capture.result
+            state.outputs.extend(golden.outputs[snapshot.outputs_len:])
+            state.block_counts = [
+                mine + final - before for mine, final, before in zip(
+                    state.block_counts, capture.final_counts,
+                    snapshot.block_counts)
+            ]
+            state.memory.footprint_bytes += (
+                golden.footprint_bytes - snapshot.footprint_bytes
+            )
+            state.golden_suffix = golden.dynamic_count - state.dynamic_count
+            state.dynamic_count = golden.dynamic_count
+            return True
+        state.misses += 1
+        _schedule_rejoin(
+            state, bisect_right(capture.rejoin_counts, state.dynamic_count)
+            + (1 << state.misses) - 1,
+        )
+        return False
 
     def _enter_block(self, compiled, frame, block, previous, state: _State):
         """Resume execution at the top of ``block`` (entered from
@@ -597,7 +724,7 @@ class ExecutionEngine:
                 f"golden capture of {self.module.name} failed: {fault}"
             ) from fault
         return GoldenCapture(self, self._result(state), state.snapshots,
-                             stride)
+                             stride, state.block_counts)
 
     def _capture_call(self, compiled: _CompiledFunction, args: list,
                       state: _CaptureState, caller_iid: int = -1):
@@ -698,6 +825,7 @@ class ExecutionEngine:
             snapshot, injection, budget,
             occurrence=occurrence,
             outputs=capture.result.outputs[: snapshot.outputs_len],
+            rejoin=capture,
         )
 
     def resume_snapshot(self, snapshot: Snapshot,
@@ -705,16 +833,18 @@ class ExecutionEngine:
                         budget: int | None = None, *,
                         occurrence: int = 0,
                         outputs: list | None = None,
-                        activated: bool = False) -> RunResult:
+                        activated: bool = False,
+                        rejoin: GoldenCapture | None = None) -> RunResult:
         """Execute a suffix from an explicit mid-run state.
 
         The general form of :meth:`resume_run`: callers provide the
         occurrence count the prefix already consumed and the output
-        buffer as of the snapshot.  The batch tier uses this to drain a
-        diverged lane — its snapshot is synthesized from lockstep state
-        rather than a golden capture, and a lane whose fault already
-        fired hands over ``activated=True`` with its occurrence count so
-        the armed instance cannot fire twice.
+        buffer as of the snapshot, and optionally the capture the trial
+        may rejoin (as in :meth:`run`).  The batch tier uses this to
+        drain a diverged lane — its snapshot is synthesized from
+        lockstep state rather than a golden capture, and a lane whose
+        fault already fired hands over ``activated=True`` with its
+        occurrence count so the armed instance cannot fire twice.
         """
         state = _State(
             MemoryState.restored(
@@ -729,7 +859,7 @@ class ExecutionEngine:
         state.block_counts = list(snapshot.block_counts)
         state.activated = activated
         state.occurrence = occurrence
-        self._arm(state, injection)
+        self._arm(state, injection, rejoin)
         return self._classified(state, self._resume_frame, snapshot, 0,
                                 state)
 

@@ -25,6 +25,10 @@ class RunResult:
     block_counts: dict = field(default_factory=dict)
     #: Peak memory footprint in bytes (globals + stack), for the crash model.
     footprint_bytes: int = 0
+    #: Dynamic instructions at the end of the run taken over from the
+    #: golden run instead of executed: a fault-injection trial that
+    #: rejoined it.  Bookkeeping, not behaviour, so equality ignores it.
+    golden_suffix: int = field(default=0, compare=False)
 
     @property
     def completed(self) -> bool:

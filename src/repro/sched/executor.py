@@ -180,6 +180,7 @@ class CampaignExecutor:
         perf = shard.perf
         result.dynamic_instructions += perf.get("dynamic_instructions", 0)
         result.skipped_instructions += perf.get("skipped_instructions", 0)
+        result.converged_trials += perf.get("converged_trials", 0)
         result.snapshot_bytes += perf.get("snapshot_bytes", 0)
         result.checkpointed |= bool(perf.get("checkpointed", False))
         result.checkpoint_degraded |= bool(

@@ -59,6 +59,7 @@ def span_perf(result) -> dict:
     return {
         "dynamic_instructions": result.dynamic_instructions,
         "skipped_instructions": result.skipped_instructions,
+        "converged_trials": result.converged_trials,
         "snapshot_bytes": result.snapshot_bytes,
         "checkpointed": result.checkpointed,
         "checkpoint_degraded": result.checkpoint_degraded,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..fi.campaign import SDC
+from ..fi.campaign import OUTCOMES, SDC
 from ..ir.module import Module
 from ..stats.confidence import Z_95
 
@@ -212,13 +212,26 @@ class ShardResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardResult":
-        counts = {str(k): int(v) for k, v in data["counts"].items()}
+        """Rebuild a shard; raises ValueError unless its counts are
+        non-negative ints of known outcomes summing to ``count``, so a
+        corrupt checkpoint is recomputed rather than merged."""
+        count = int(data["count"])
+        counts = dict(data["counts"])
+        for outcome, n in counts.items():
+            if outcome not in OUTCOMES:
+                raise ValueError(f"unknown shard outcome {outcome!r}")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"malformed shard count {outcome}={n!r}")
+        if sum(counts.values()) != count:
+            raise ValueError(
+                f"shard counts sum to {sum(counts.values())}, not {count}"
+            )
         perf = data.get("perf", {})
         if not isinstance(perf, dict):
             raise ValueError("malformed shard perf block")
         return cls(
             start=int(data["start"]),
-            count=int(data["count"]),
+            count=count,
             counts=counts,
             cpu_seconds=float(data["cpu_seconds"]),
             perf=perf,

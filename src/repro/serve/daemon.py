@@ -21,6 +21,7 @@ import time
 from ..core.env import env_float, env_int, env_str
 from ..sched.queue import QueueFull
 from ..sched.scheduler import CampaignRequest, Scheduler
+from . import protocol
 from .protocol import (
     API_PREFIX,
     MAX_BODY_BYTES,
@@ -41,6 +42,14 @@ PORT_ENV = "REPRO_SERVE_PORT"
 WORKERS_ENV = "REPRO_SERVE_WORKERS"
 MAX_PENDING_ENV = "REPRO_SERVE_MAX_PENDING"
 WAIT_TIMEOUT_ENV = "REPRO_SERVE_WAIT_TIMEOUT"
+
+
+class _Refused(Exception):
+    """A request refused while it was being read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def default_host() -> str:
@@ -118,33 +127,48 @@ class ServiceDaemon:
             writer.close()
 
     async def _respond(self, reader) -> tuple[int, dict]:
+        deadline = protocol.READ_DEADLINE_SECONDS
+        try:
+            method, path, query, body = await asyncio.wait_for(
+                self._read_request(reader), deadline
+            )
+        except _Refused as refused:
+            return refused.status, error_body(str(refused))
+        except asyncio.TimeoutError:
+            return 408, error_body(
+                f"request not received within {deadline:g} s"
+            )
+        return await self._route(method, path, query, body)
+
+    async def _read_request(self, reader) -> tuple[str, str, dict, dict]:
+        """(method, path, query, JSON body) of one request."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            return 400, error_body("truncated request head")
+            raise _Refused(400, "truncated request head") from None
         try:
             method, target, headers = parse_request_head(head[:-4])
             length = content_length(headers)
         except ValueError as exc:
-            return 400, error_body(str(exc))
+            raise _Refused(400, str(exc)) from None
         path, query = split_target(target)
         if length > MAX_BODY_BYTES:
-            return 413, error_body(f"body exceeds {MAX_BODY_BYTES} bytes")
+            raise _Refused(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body: dict = {}
         if length:
             try:
                 raw = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
-                return 400, error_body(
-                    f"request body shorter than Content-Length {length}"
-                )
+                raise _Refused(
+                    400, f"request body shorter than Content-Length {length}"
+                ) from None
             try:
                 body = json.loads(raw)
             except ValueError:
-                return 400, error_body("request body is not valid JSON")
+                raise _Refused(400, "request body is not valid JSON") from None
             if not isinstance(body, dict):
-                return 400, error_body("request body must be a JSON object")
-        return await self._route(method, path, query, body)
+                raise _Refused(400, "request body must be a JSON object")
+        return method, path, query, body
 
     async def _route(self, method: str, path: str, query: dict,
                      body: dict) -> tuple[int, dict]:

@@ -32,6 +32,7 @@ REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -40,6 +41,10 @@ REASONS = {
 #: Largest request body the daemon will read (a printed-IR module of
 #: every benchmark fits with orders of magnitude to spare).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest the daemon waits for a request's head and body; a client
+#: that stalls longer is answered 408 and its connection closed.
+READ_DEADLINE_SECONDS = 30.0
 
 
 def error_body(message: str) -> dict:

@@ -37,7 +37,8 @@ def warm_injector(name: str, stride: int = 0) -> FaultInjector:
 class TestTrialEquivalence:
     """Property test: on every benchmark, a random (iid, occurrence,
     bit) triple resumed from a snapshot classifies exactly like a cold
-    full run — same outcome class, outputs, and dynamic footprint."""
+    full run — same outcome class, outputs, and dynamic footprint —
+    also when the resumed trial stops where it rejoins the golden run."""
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_random_triples_match_cold_runs(self, name):
@@ -45,7 +46,7 @@ class TestTrialEquivalence:
         warm = warm_injector(name)
         capture = warm.checkpoints()
         assert capture is not None and not warm.checkpoint_degraded
-        resumed = 0
+        resumed = converged = 0
         for index in range(25):
             injection = cold.sample_injection(rng_for(SEED, index))
             cold_result = cold.engine.run(
@@ -63,20 +64,29 @@ class TestTrialEquivalence:
             assert warm_result.dynamic_count == cold_result.dynamic_count
             assert warm_result.block_counts == cold_result.block_counts
             assert warm._classify(warm_result) == cold._classify(cold_result)
+            converged += warm_result.golden_suffix > 0
         assert resumed > 0, f"{name}: every trial ran cold"
+        assert converged > 0, f"{name}: no resumed trial rejoined"
 
 
 class TestCampaignDifferential:
     @pytest.mark.parametrize("name", ("pathfinder", "bfs_rodinia", "nw"))
     def test_span_counts_identical(self, name):
         cold = cold_injector(name).run_span(0, RUNS, SEED)
-        warm = warm_injector(name).run_span(0, RUNS, SEED)
+        injector = warm_injector(name)
+        warm = injector.run_span(0, RUNS, SEED)
         assert warm.counts == cold.counts
         assert warm.checkpointed and not warm.checkpoint_degraded
         assert not cold.checkpointed
         assert warm.skipped_instructions > 0
+        assert warm.converged_trials > 0
         assert warm.snapshot_bytes > 0
         assert warm.dynamic_instructions < cold.dynamic_instructions
+        # Each trial instruction is executed or skipped exactly once;
+        # the capture pass adds one golden run.
+        assert (warm.dynamic_instructions + warm.skipped_instructions
+                == cold.dynamic_instructions
+                + injector.golden.dynamic_count)
 
     def test_stride_invariance(self):
         baseline = cold_injector("hotspot").run_span(0, RUNS, SEED)
@@ -95,6 +105,8 @@ class TestCampaignDifferential:
         assert parallel.counts == serial.counts
         assert parallel.checkpointed and not parallel.checkpoint_degraded
         assert parallel.skipped_instructions > 0
+        serial_warm = warm_injector("pathfinder").run_span(0, RUNS, SEED)
+        assert parallel.converged_trials == serial_warm.converged_trials
 
     def test_per_instruction_campaign_checkpointed(self):
         cold = cold_injector("pathfinder")
@@ -160,21 +172,38 @@ class TestBookkeeping:
         assert merged.skipped_instructions == (
             a.skipped_instructions + b.skipped_instructions
         )
+        assert a.converged_trials > 0 and b.converged_trials > 0
+        assert merged.converged_trials == (
+            a.converged_trials + b.converged_trials
+        )
         assert merged.checkpointed
         rebuilt = CampaignResult.from_dict(merged.to_dict())
         assert rebuilt.dynamic_instructions == merged.dynamic_instructions
         assert rebuilt.skipped_instructions == merged.skipped_instructions
+        assert rebuilt.converged_trials == merged.converged_trials
         assert rebuilt.snapshot_bytes == merged.snapshot_bytes
         assert rebuilt.checkpointed == merged.checkpointed
+
+    def test_degraded_flag_merges_and_roundtrips(self):
+        degraded = CampaignResult(checkpoint_degraded=True)
+        merged = CampaignResult().merge(degraded)
+        assert merged.checkpoint_degraded
+        assert CampaignResult.from_dict(merged.to_dict()).checkpoint_degraded
+        assert not CampaignResult.from_dict(
+            CampaignResult().to_dict()
+        ).checkpoint_degraded
 
     def test_old_cache_payloads_still_load(self):
         payload = warm_injector("nw").run_span(0, 30, SEED).to_dict()
         for key in ("dynamic_instructions", "skipped_instructions",
-                    "snapshot_bytes", "checkpointed"):
+                    "snapshot_bytes", "checkpointed", "converged_trials",
+                    "checkpoint_degraded"):
             payload.pop(key, None)
         rebuilt = CampaignResult.from_dict(payload)
         assert rebuilt.dynamic_instructions == 0
+        assert rebuilt.converged_trials == 0
         assert not rebuilt.checkpointed
+        assert not rebuilt.checkpoint_degraded
 
 
 @pytest.mark.slow

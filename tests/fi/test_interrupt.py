@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import get_cache
+from repro.cache import campaign_key, get_cache, module_fingerprint, shard_key
+from repro.cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
 from repro.fi import FaultInjector
 from repro.sched import (
     CampaignExecutor,
@@ -125,3 +126,25 @@ class TestCheckpointResume:
         )
         assert replay.from_cache
         assert replay.shards_resumed == 0
+
+    def test_corrupt_shard_checkpoint_is_recomputed(self):
+        """A JSON-valid shard entry with an unknown outcome and counts
+        that overshoot its range is dropped and recomputed, not merged."""
+        spec = ModuleSpec.from_benchmark(BENCH, "test")
+        module = spec.materialize()
+        key = campaign_key(module_fingerprint(module), 100, 7)
+        cache = get_cache()
+        cache.remove(CAMPAIGN_KIND, key)
+        cache.store(SHARD_KIND, shard_key(key, 0, 50), {
+            "start": 0, "count": 50, "counts": {"sdc": 49, "bogus": 7},
+            "cpu_seconds": 0.0, "perf": {},
+        })
+        result = run_store_campaign(
+            100, seed=7, spec=spec,
+            settings=CampaignSettings(chunk_size=50),
+        )
+        assert result.total == 100
+        assert result.shards_resumed == 0
+        assert result.counts == FaultInjector(module).campaign(
+            100, seed=7
+        ).counts

@@ -13,8 +13,12 @@ import random
 import pytest
 
 from repro.bench import BENCHMARK_NAMES
+from repro.fi import FaultInjector
 from repro.interp import ExecutionEngine, Injection
-from repro.ir import I32, FunctionBuilder, Module
+from repro.interp.checkpoint import Snapshot
+from repro.interp.engine import _Frame, _same_state, _State
+from repro.interp.memory import MemoryState
+from repro.ir import F64, I32, FunctionBuilder, Module
 from repro.opt.pipeline import optimize
 from tests.conftest import build_accumulator_module, cached_module
 
@@ -50,6 +54,33 @@ def build_calling_module(rounds: int = 6, inner: int = 8) -> Module:
     f.out(total.get())
     f.done()
     return module.finalize()
+
+
+def build_signed_zero_module() -> Module:
+    """main stores ``cell * 1.0`` back to a cell holding 0.0, runs a
+    short loop, then outputs the cell."""
+    module = Module("signed_zero")
+    f = FunctionBuilder(module, "main")
+    cell = f.local("cell", F64, init=0.0)
+    cell.set(cell.get() * 1.0)
+    acc = f.local("acc", I32, init=0)
+    f.for_range(0, 40, lambda i: acc.set(acc.get() + i))
+    f.out(cell.get())
+    f.out(acc.get())
+    f.done()
+    return module.finalize()
+
+
+def random_injections(module, golden, count: int, seed: int):
+    """``count`` random faults over the instructions ``golden`` ran."""
+    counts = golden.instruction_counts()
+    targets = [inst for inst in module.instructions()
+               if inst.has_result and counts.get(inst.iid, 0) > 0]
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = rng.choice(targets)
+        yield Injection(inst.iid, rng.randint(1, counts[inst.iid]),
+                        rng.randrange(inst.type.bits))
 
 
 class TestCapture:
@@ -121,20 +152,8 @@ class TestInjectedResume:
         engine = ExecutionEngine(module)
         golden = engine.golden()
         capture = engine.capture(max(1, golden.dynamic_count // 32))
-        counts = golden.instruction_counts()
-        targets = [
-            inst for inst in module.instructions()
-            if inst.has_result and counts.get(inst.iid, 0) > 0
-        ]
-        rng = random.Random(seed)
         resumed = 0
-        for _ in range(trials):
-            inst = rng.choice(targets)
-            injection = Injection(
-                inst.iid,
-                rng.randint(1, counts[inst.iid]),
-                rng.randrange(inst.type.bits),
-            )
+        for injection in random_injections(module, golden, trials, seed):
             cold = engine.run(injection)
             snapshot = capture.snapshot_for(injection)
             if snapshot is None:
@@ -247,3 +266,107 @@ class TestOccurrenceAccounting:
                                         engine.run(injection))
                         checked += 1
         assert checked > 0
+
+
+class TestRejoin:
+    """A trial stops where its state equals a later main-only golden
+    snapshot and takes over the golden suffix; its result must still
+    be the cold run's."""
+
+    def test_rejoined_runs_match_cold_runs(self):
+        module = cached_module("pathfinder")
+        engine = ExecutionEngine(module)
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        rejoined = 0
+        for injection in random_injections(module, golden, 60, 21):
+            trial = engine.run(injection, rejoin=capture)
+            cold = engine.run(injection)
+            assert_same_run(trial, cold)
+            assert trial.footprint_bytes == cold.footprint_bytes
+            rejoined += trial.golden_suffix > 0
+        assert rejoined > 0
+
+    def test_sign_flip_of_a_zero_is_an_sdc(self):
+        """Flipping bit 63 of ``0.0 * 1.0`` stores -0.0, which passes
+        every ``==`` against the golden 0.0 but prints ``-0``: the
+        strict pass must keep the trial from rejoining."""
+        module = build_signed_zero_module()
+        fmul = next(inst for inst in module.instructions()
+                    if getattr(inst, "op", None) == "fmul")
+        injection = Injection(fmul.iid, 1, 63)
+        engine = ExecutionEngine(module)
+        capture = engine.capture(stride=1)
+        assert capture.rejoin_points
+        cold = engine.run(injection)
+        assert cold.outputs[0] == "-0"
+        trial = engine.run(injection, rejoin=capture)
+        assert_same_run(trial, cold)
+        assert trial.golden_suffix == 0
+        assert FaultInjector(module).run_one(injection) == "sdc"
+
+    def test_no_rejoin_past_the_budget(self):
+        """Taking over the golden suffix needs the golden run to fit
+        the trial's budget; otherwise the trial runs into its hang."""
+        module = cached_module("pathfinder")
+        engine = ExecutionEngine(module)
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        budget = golden.dynamic_count - 1
+        for injection in random_injections(module, golden, 20, 5):
+            trial = engine.run(injection, budget, rejoin=capture)
+            assert_same_run(trial, engine.run(injection, budget))
+            assert trial.golden_suffix == 0
+
+    def test_closure_tier_never_rejoins(self):
+        module = cached_module("pathfinder")
+        engine = ExecutionEngine(module, tier="closure")
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        for injection in random_injections(module, golden, 20, 8):
+            trial = engine.run(injection, rejoin=capture)
+            assert_same_run(trial, engine.run(injection))
+            assert trial.golden_suffix == 0
+
+
+class TestStrictCompare:
+    """``_same_state`` on a main-only golden snapshot with one memory
+    cell replaced, against a trial whose state is a copy of it except
+    for that cell."""
+
+    @staticmethod
+    def compare(golden_value, trial_value) -> bool:
+        engine = ExecutionEngine(build_accumulator_module())
+        base = engine.capture(stride=1).rejoin_points[0]
+        address = min(base.valid)
+        golden = Snapshot(
+            base.dynamic_count, base.frames,
+            {**base.cells, address: golden_value}, base.valid,
+            base.stack_cursor, base.footprint_bytes, base.outputs_len,
+            base.block_counts,
+        )
+        main = golden.frames[0]
+        state = _State(MemoryState.restored(
+            {**base.cells, address: trial_value}, set(base.valid),
+            base.stack_cursor, base.footprint_bytes,
+        ), budget=10**6)
+        frame = _Frame(main.compiled.n_slots)
+        frame.slots[:] = main.slots
+        frame.allocas.update(main.allocas)
+        return _same_state(state, frame, main.cblock.local_index, golden)
+
+    def test_equal_values_match(self):
+        assert self.compare(1.0, 1.0)
+        assert self.compare(7, 7)
+        nan = float("nan")
+        assert self.compare(nan, nan)  # the same object
+
+    def test_int_one_is_not_float_one(self):
+        assert not self.compare(1.0, 1)
+        assert not self.compare(1, 1.0)
+
+    def test_negative_zero_is_not_zero(self):
+        assert not self.compare(0.0, -0.0)
+
+    def test_distinct_nans_differ(self):
+        assert not self.compare(float("nan"), float("nan"))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.fi import FaultInjector
 from repro.sched import (
     CampaignExecutor,
@@ -137,3 +139,24 @@ class TestWilsonConsistency:
         assert sharded.total == serial.total
         assert sharded.stopped_early == serial.stopped_early
         assert serial.stopped_early  # the rule fires well before 400
+
+
+class TestShardPayload:
+    GOOD = {"start": 0, "count": 5, "counts": {"sdc": 2, "benign": 3},
+            "cpu_seconds": 0.1, "perf": {}}
+
+    def test_valid_payload_loads(self):
+        shard = ShardResult.from_dict(self.GOOD)
+        assert shard.counts == {"sdc": 2, "benign": 3}
+
+    def test_corrupt_counts_refused(self):
+        for counts in (
+            {"sdc": 2, "bogus": 3},      # unknown outcome
+            {"sdc": -1, "benign": 6},    # negative
+            {"sdc": 2.0, "benign": 3},   # not an int
+            {"sdc": "2", "benign": 3},
+            {"sdc": True, "benign": 4},
+            {"sdc": 2, "benign": 4},     # sums past count
+        ):
+            with pytest.raises(ValueError):
+                ShardResult.from_dict({**self.GOOD, "counts": counts})

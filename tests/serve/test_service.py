@@ -22,7 +22,7 @@ import pytest
 from repro.fi import FaultInjector
 from repro.ir.printer import print_module
 from repro.sched import ModuleSpec, run_store_campaign
-from repro.serve import ServiceClient, ServiceDaemon, ServiceError
+from repro.serve import ServiceClient, ServiceDaemon, ServiceError, protocol
 from tests.conftest import build_straightline_module, cached_module
 
 BENCH = "pathfinder"
@@ -147,6 +147,23 @@ class TestProtocol:
         status, body = raw_exchange(harness.daemon, request_bytes)
         assert status == 400
         assert body["error"]
+        assert client.health()["status"] == "ok"
+
+    def test_stalled_body_is_408(self, monkeypatch, harness, client):
+        """A client that sends a head but never its body is answered
+        408 at the read deadline, and the daemon keeps serving."""
+        monkeypatch.setattr(protocol, "READ_DEADLINE_SECONDS", 0.5)
+        daemon = harness.daemon
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=30.0) as sock:
+            sock.sendall(b"POST /v1/campaigns HTTP/1.1\r\n"
+                         b"Content-Length: 10\r\n\r\n")
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        head, _sep, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert "not received" in json.loads(body)["error"]
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize("tier", ["bogus", 3])
