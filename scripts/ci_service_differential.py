@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Service-mode differential CI checks for the campaign daemon.
 
-Two phases, selectable with ``--only`` (default: all):
+Three phases, selectable with ``--only`` (default: all):
 
 1. **cold-shards** — start a fresh daemon on an empty result store and
    submit the same campaign over HTTP with 1 and 4 workers.  Both
@@ -15,6 +15,15 @@ Two phases, selectable with ``--only`` (default: all):
    (``cached``, zero trials executed) returning the CLI run's counts
    bit-for-bit, and the daemon's ``/v1/stats`` must expose the
    scheduler and store counters the nightly job tracks.
+
+3. **reuse** — one daemon takes interleaved submits over two
+   benchmarks, so it serves each campaign from the module and injector
+   it compiled for an earlier one.  Campaigns on the same module switch
+   checkpointing and the interpreter tier (codegen, closure, batch with
+   lanes) and return to no tier; each must match a fresh in-process
+   serial reference and report the tier and checkpoint mode it asked
+   for.  Every submit uses a new seed, because neither knob is part of
+   the campaign key.
 
 The daemon runs as a real subprocess (stderr → ``service-daemon.log``,
 uploaded by CI on failure) listening on an ephemeral port published
@@ -35,10 +44,23 @@ from pathlib import Path
 
 from repro.bench import build_module
 from repro.fi.campaign import FaultInjector
+from repro.interp.codegen import resolve_tier
 
 BENCH = "pathfinder"
 SCALE = "test"
 LOG_PATH = Path("service-daemon.log")
+
+#: The reuse phase's benchmarks, submitted alternately.
+REUSE_BENCHES = (BENCH, "nw")
+#: Settings the reuse phase's campaigns switch through, in order.
+REUSE_SETTINGS = (
+    {},
+    {"checkpoint": False},
+    {"interp_tier": "closure"},
+    {"interp_tier": "codegen"},
+    {"interp_tier": "batch", "batch_lanes": 8},
+    {},
+)
 
 
 def check(condition: bool, message: str) -> None:
@@ -94,9 +116,9 @@ def payload(runs: int, seed: int, workers: int) -> dict:
             "seed": seed, "workers": workers}
 
 
-def serial_reference(runs: int, seed: int) -> dict:
-    """In-process serial counts: the ground truth both phases gate on."""
-    return FaultInjector(build_module(BENCH, SCALE)).campaign(
+def serial_reference(runs: int, seed: int, bench: str = BENCH) -> dict:
+    """In-process serial counts: the ground truth every phase gates on."""
+    return FaultInjector(build_module(bench, SCALE)).campaign(
         runs, seed=seed
     ).counts
 
@@ -174,10 +196,43 @@ def store_replay(runs: int, seed: int, bench_json: str | None) -> None:
             print(f"wrote {bench_json}")
 
 
+def reuse(runs: int, seed: int) -> None:
+    jobs = []
+    with tempfile.TemporaryDirectory() as cache_dir:
+        daemon = Daemon(cache_dir)
+        try:
+            client = daemon.client()
+            for settings in REUSE_SETTINGS:
+                for bench in REUSE_BENCHES:
+                    campaign_seed = seed + 1 + len(jobs)
+                    body = dict(payload(runs, campaign_seed, 1),
+                                benchmark=bench, **settings)
+                    jobs.append((bench, campaign_seed, settings,
+                                 client.submit(body, wait=True)))
+            stats = client.stats()
+        finally:
+            daemon.stop()
+    for bench, campaign_seed, settings, job in jobs:
+        label = f"{bench} seed {campaign_seed} {settings or 'defaults'}"
+        check(job["status"] == "done" and not job["cached"],
+              f"{label}: executed on the daemon")
+        result = job["result"]
+        check(result["counts"] == serial_reference(runs, campaign_seed,
+                                                   bench),
+              f"{label}: counts bit-identical to a fresh serial reference")
+        tier = settings.get("interp_tier") or resolve_tier(None)
+        check(result["interp_tier"] == tier
+              and result["checkpointed"] == settings.get("checkpoint", True),
+              f"{label}: ran on the {tier} tier, checkpointed="
+              f"{result['checkpointed']}")
+    check(stats["counters"]["completed"] == len(jobs),
+          f"dispatcher executed all {len(jobs)} campaigns")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--only", action="append",
-                        choices=("cold-shards", "store-replay"),
+                        choices=("cold-shards", "store-replay", "reuse"),
                         help="run a subset of the phases")
     parser.add_argument("--runs", type=int, default=300)
     parser.add_argument("--seed", type=int, default=7)
@@ -185,12 +240,14 @@ def main() -> None:
                         help="write service-mode timing/counter facts "
                              "here (nightly: BENCH_service.json)")
     args = parser.parse_args()
-    phases = args.only or ["cold-shards", "store-replay"]
+    phases = args.only or ["cold-shards", "store-replay", "reuse"]
     LOG_PATH.write_text("")  # fresh log per invocation
     if "cold-shards" in phases:
         cold_shards(args.runs, args.seed)
     if "store-replay" in phases:
         store_replay(args.runs, args.seed, args.bench_json)
+    if "reuse" in phases:
+        reuse(args.runs, args.seed)
     print("service differential: all checks passed")
 
 

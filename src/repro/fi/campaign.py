@@ -368,13 +368,12 @@ class FaultInjector:
     def configure_tier(self, tier: str | None) -> None:
         """(Re)select the interpreter tier for subsequent trials.
 
-        Pass ``None`` to keep the engine's current tier.  Like
-        :meth:`configure_checkpoints`, this is cheap to call per span —
-        switching tiers flips a dispatch flag on the shared engine
-        without recompiling anything.
+        ``None`` selects the resolved default tier, never the tier an
+        earlier span left.  Like :meth:`configure_checkpoints`, this is
+        cheap to call per span — switching tiers flips a dispatch flag
+        on the shared engine without recompiling anything.
         """
-        if tier is not None:
-            self.engine.configure_tier(tier)
+        self.engine.configure_tier(tier)
 
     def configure_batch(self, lanes: int) -> None:
         """Set the lockstep group width for subsequent batch-tier spans."""
@@ -420,6 +419,11 @@ class FaultInjector:
         if enabled and not self.checkpoint:
             self.checkpoint_degraded = False
         self.checkpoint = enabled
+
+    def release_capture(self) -> None:
+        """Free the golden capture; the next checkpointed span rebuilds
+        it (and accounts for that pass)."""
+        self._capture = None
 
     def checkpoints(self):
         """The lazily-built GoldenCapture, or None when disabled/degraded."""

@@ -9,7 +9,8 @@ counts are byte-identical by construction:
 * :mod:`~repro.sched.plan` — deterministic run-range sharding
   (:class:`ShardPlan`), independent of worker placement;
 * :mod:`~repro.sched.shard` — :func:`run_shard`, the one entrypoint a
-  worker (local pool process or remote-style) executes;
+  worker (local pool process or remote-style) executes, and
+  :data:`MODULE_CACHE`, the per-process modules and injectors by spec;
 * :mod:`~repro.sched.executor` — the campaign driver with store-backed
   partial-shard checkpoints and interrupt-safe teardown;
 * :mod:`~repro.sched.queue` / :mod:`~repro.sched.scheduler` — bounded
@@ -25,7 +26,7 @@ from .executor import (
 from .plan import ShardPlan, ShardRange, coalesce_ranges
 from .queue import INTERACTIVE, NIGHTLY, JobQueue, QueueFull, resolve_priority
 from .scheduler import CampaignRequest, Job, Scheduler
-from .shard import materialize_injector, run_shard
+from .shard import MODULE_CACHE, ModuleCache, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "INTERACTIVE",
     "Job",
     "JobQueue",
+    "MODULE_CACHE",
+    "ModuleCache",
     "ModuleSpec",
     "NIGHTLY",
     "QueueFull",
@@ -46,7 +49,6 @@ __all__ = [
     "ShardSpec",
     "campaign_request_key",
     "coalesce_ranges",
-    "materialize_injector",
     "resolve_priority",
     "run_shard",
     "run_store_campaign",

@@ -43,7 +43,7 @@ from ..cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
 from ..fi.campaign import CampaignResult, FaultInjector
 from ..stats.confidence import wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
-from .shard import materialize_injector, run_shard
+from .shard import MODULE_CACHE, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
 
 
@@ -87,8 +87,8 @@ class CampaignExecutor:
     def injector(self):
         """The in-process injector (serial path and fallback)."""
         if self._injector is None:
-            self._injector = materialize_injector(
-                self._spec, interp_tier=self.settings.interp_tier
+            self._injector = MODULE_CACHE.injector(
+                self._spec, self.settings.interp_tier
             )
         return self._injector
 
@@ -389,17 +389,11 @@ def run_store_campaign(
         if isinstance(injector, FaultInjector):
             module = injector.module
         elif spec is not None:
-            module = spec.materialize()
+            module = MODULE_CACHE.module(spec)
         else:
             raise ValueError("need a module, a ModuleSpec or an injector")
     cache = get_cache()
-    key = campaign_key(
-        module_fingerprint(module), runs, seed,
-        ci_halfwidth=settings.ci_halfwidth,
-        ci_outcome=settings.ci_outcome,
-        min_runs=settings.min_runs,
-        round_size=settings.effective_round_size(),
-    )
+    key = campaign_request_key(module, runs, seed, settings)
     payload = cache.load(CAMPAIGN_KIND, key)
     if payload is not None:
         try:

@@ -25,12 +25,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..cache import get_cache
+from ..cache import get_cache, module_fingerprint
 from ..cache.artifacts import CAMPAIGN_KIND
 from ..fi.campaign import CampaignResult
 from ..interp.codegen import resolve_tier
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
+from .shard import MODULE_CACHE
 from .spec import CampaignSettings, ModuleSpec
 
 __all__ = ["CampaignRequest", "Job", "Scheduler", "QueueFull"]
@@ -59,9 +60,7 @@ class CampaignRequest:
         Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
         payloads; the HTTP layer maps those to 400 responses.
         """
-        spec = ModuleSpec.from_dict(payload)
-        if spec.benchmark is None and spec.ir_text is None:
-            raise ValueError("request names neither a benchmark nor IR")
+        spec = ModuleSpec.from_request(payload)
         runs = int(payload["runs"])
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
@@ -194,8 +193,7 @@ class Scheduler:
 
     def submit(self, request: CampaignRequest) -> Job:
         """Admit one request: store hit, coalesce, or enqueue (429)."""
-        module = request.spec.materialize()
-        from ..cache import module_fingerprint
+        module = MODULE_CACHE.module(request.spec)
         fingerprint = module_fingerprint(module)
         key = campaign_request_key(
             module, request.runs, request.seed, request.settings

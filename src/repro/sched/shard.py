@@ -1,21 +1,27 @@
-"""The one shard-execution entrypoint every worker calls.
+"""The one shard-execution entrypoint every worker calls, and the
+per-process cache of the modules and injectors campaigns run on.
 
-``run_shard(spec)`` re-materializes the module named by the shard's
-:class:`~repro.sched.spec.ModuleSpec`, builds (or reuses) a
-:class:`~repro.fi.campaign.FaultInjector`, executes the shard's run
-range, and returns a picklable/JSON-safe
+``run_shard(spec)`` takes the module named by the shard's
+:class:`~repro.sched.spec.ModuleSpec` and its
+:class:`~repro.fi.campaign.FaultInjector` from :data:`MODULE_CACHE`,
+executes the shard's run range, and returns a picklable/JSON-safe
 :class:`~repro.sched.spec.ShardResult`.  The local ``multiprocessing``
 pool, the serial fallback in the executor, and independent remote-style
 workers all funnel through this function, which is what makes their
 merged counts bit-identical by construction.
 
-The injector is cached per process and per spec (compiling an engine is
-the expensive per-module step), and the golden-run summary is served
-from the shared result store so only the first process ever pays for
-the fault-free reference execution.
+:class:`ModuleCache` keys on the spec alone, so a long-lived process
+(the daemon, a pool worker) materializes, fingerprints and compiles
+each module once rather than once per request or shard.  The golden-run
+summary is served from the shared result store, so only the first
+process ever pays for the fault-free reference execution.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from collections import OrderedDict
 
 from ..cache import (
     GoldenSummary,
@@ -26,23 +32,25 @@ from ..cache import (
     store_golden_summary,
 )
 from ..fi.campaign import FaultInjector
+from ..ir.module import Module
 from .spec import ModuleSpec, ShardResult, ShardSpec
 
-#: Per-process injector cache: one compiled engine per module spec.
-_WORKER_SPEC: ModuleSpec | None = None
-_WORKER_INJECTOR = None
+#: Most IR instructions the cache keeps resident, summed over entries.
+#: The 11 benchmarks total 1,457 at every scale; a request's printed IR
+#: may be up to 8 MiB, so the bound counts instructions, not entries.
+MAX_CACHED_INSTRUCTIONS = 4096
 
 
-def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None):
-    """Build a FaultInjector for a spec, warm-starting the golden run.
+def build_injector(module: Module,
+                   interp_tier: str | None = None) -> FaultInjector:
+    """Build a FaultInjector for a module, warm-starting the golden run.
 
     The golden-run summary (outputs, per-instruction counts, dynamic
-    count) is content-addressed by the re-materialized module's
-    fingerprint, so a worker — or a later campaign over the same module
-    — skips the fault-free reference execution; a cache miss computes
-    and publishes it for every subsequent process.
+    count) is content-addressed by the module's fingerprint, so a
+    worker — or a later process over the same module — skips the
+    fault-free reference execution; a store miss computes and publishes
+    it for every subsequent process.
     """
-    module = spec.materialize()
     cache = get_cache()
     key = golden_key(module_fingerprint(module))
     golden = load_golden_summary(cache, key)
@@ -52,6 +60,123 @@ def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None):
             cache, key, GoldenSummary.from_run(injector.golden)
         )
     return injector
+
+
+class _Entry:
+    __slots__ = ("module", "size", "injector")
+
+    def __init__(self, module: Module):
+        self.module = module
+        self.size = module.num_instructions
+        self.injector: FaultInjector | None = None
+
+
+class ModuleCache:
+    """Modules and their injectors by :class:`ModuleSpec`, least
+    recently used first out.
+
+    An entry holds the materialized module (and so its memoized
+    fingerprint) and, after the first campaign on it, its injector: the
+    compiled engine plus the golden summary.  The entries' instruction
+    total stays at most :data:`MAX_CACHED_INSTRUCTIONS`; an entry that
+    alone exceeds it is built and used, but not kept.  Handing out an
+    injector drops the checkpoint capture of every other entry, so at
+    most one capture per process stays alive.  A lock guards the
+    entries, because the daemon's submit threads read modules while its
+    dispatcher thread runs campaigns; materialization and injector
+    builds run outside it.  Failures are never cached.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[ModuleSpec, _Entry] = OrderedDict()
+        self._instructions = 0
+
+    def module(self, spec: ModuleSpec) -> Module:
+        """The spec's module, materialized on a miss only."""
+        return self._entry(spec).module
+
+    def injector(self, spec: ModuleSpec,
+                 interp_tier: str | None = None) -> FaultInjector:
+        """The spec's injector, built on first use in tier
+        ``interp_tier``; callers configure tier, checkpoints and lanes
+        per shard, so they never inherit an earlier campaign's."""
+        entry = self._entry(spec)
+        with self._lock:
+            for other in self._entries.values():
+                if other is not entry and other.injector is not None:
+                    other.injector.release_capture()
+            injector = entry.injector
+        if injector is not None:
+            return injector
+        try:
+            injector = build_injector(entry.module, interp_tier)
+        except Exception:
+            with self._lock:
+                if self._entries.get(spec) is entry:
+                    self._remove(spec)
+            raise
+        with self._lock:
+            if self._entries.get(spec) is entry:
+                entry.injector = injector
+        return injector
+
+    def _entry(self, spec: ModuleSpec) -> _Entry:
+        with self._lock:
+            entry = self._entries.get(spec)
+            if entry is not None:
+                self._entries.move_to_end(spec)
+                return entry
+        entry = _Entry(spec.materialize())
+        with self._lock:
+            resident = self._entries.get(spec)
+            if resident is not None:  # a concurrent miss got there first
+                self._entries.move_to_end(spec)
+                return resident
+            if entry.size <= MAX_CACHED_INSTRUCTIONS:
+                self._entries[spec] = entry
+                self._instructions += entry.size
+                while self._instructions > MAX_CACHED_INSTRUCTIONS:
+                    self._remove(next(iter(self._entries)))
+        return entry
+
+    def _remove(self, spec: ModuleSpec) -> None:
+        self._instructions -= self._entries.pop(spec).size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._instructions = 0
+
+    def injectors(self) -> list[FaultInjector]:
+        """The injectors of resident entries, least recently used first."""
+        with self._lock:
+            return [entry.injector for entry in self._entries.values()
+                    if entry.injector is not None]
+
+    @property
+    def instructions(self) -> int:
+        return self._instructions
+
+    def __contains__(self, spec: ModuleSpec) -> bool:
+        with self._lock:
+            return spec in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _after_fork(self) -> None:
+        """A forked pool worker inherits the entries, but not a lock a
+        parent thread may have held mid-update at the fork."""
+        if self._lock.locked():
+            self._entries.clear()
+            self._instructions = 0
+        self._lock = threading.Lock()
+
+
+#: The campaign path's cache for this process.
+MODULE_CACHE = ModuleCache()
+os.register_at_fork(after_in_child=MODULE_CACHE._after_fork)
 
 
 def span_perf(result) -> dict:
@@ -80,17 +205,11 @@ def run_shard(spec: ShardSpec, injector=None) -> ShardResult:
 
     With no ``injector`` the per-process cache supplies one (building
     it on first use); passing an injector runs the shard on it directly
-    — the serial in-driver path, which must not disturb the worker
-    cache.
+    — the serial in-driver path.  Either way the shard's own settings
+    are applied, and ``interp_tier=None`` selects the default tier.
     """
-    global _WORKER_SPEC, _WORKER_INJECTOR
     if injector is None:
-        if _WORKER_INJECTOR is None or _WORKER_SPEC != spec.module:
-            _WORKER_INJECTOR = materialize_injector(
-                spec.module, interp_tier=spec.interp_tier
-            )
-            _WORKER_SPEC = spec.module
-        injector = _WORKER_INJECTOR
+        injector = MODULE_CACHE.injector(spec.module, spec.interp_tier)
     injector.configure_checkpoints(spec.checkpoint, spec.checkpoint_stride)
     injector.configure_tier(spec.interp_tier)
     injector.configure_batch(spec.batch_lanes)

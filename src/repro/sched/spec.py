@@ -73,6 +73,17 @@ class ModuleSpec:
             ir_text=data.get("ir_text"),
         )
 
+    @classmethod
+    def from_request(cls, data: dict) -> "ModuleSpec":
+        """The spec of a service request, which must name exactly one
+        of a benchmark and IR; raises ValueError otherwise."""
+        spec = cls.from_dict(data)
+        if spec.benchmark is None and spec.ir_text is None:
+            raise ValueError("request names neither a benchmark nor IR")
+        if spec.benchmark is not None and spec.ir_text is not None:
+            raise ValueError("request names both a benchmark and IR")
+        return spec
+
 
 @dataclass(frozen=True)
 class CampaignSettings:

@@ -78,6 +78,8 @@ class ServiceDaemon:
         self._wait_timeout = env_float(WAIT_TIMEOUT_ENV, 600.0, minimum=0.0)
         self._log = log if log is not None else sys.stderr
         self._server: asyncio.Server | None = None
+        #: Connection handlers in flight, cancelled by :meth:`stop`.
+        self._handlers: set[asyncio.Task] = set()
         self._started = time.time()
 
     # -- lifecycle -------------------------------------------------------
@@ -98,8 +100,14 @@ class ServiceDaemon:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Close the socket and cancel in-flight handlers, so a client
+        that stalls mid-request cannot hold shutdown until its read
+        deadline."""
         if self._server is not None:
             self._server.close()
+            for task in self._handlers:
+                task.cancel()
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.scheduler.stop()
@@ -111,19 +119,27 @@ class ServiceDaemon:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            status, payload = await self._respond(reader)
-        except Exception as exc:  # noqa: BLE001 - protocol error boundary
-            status, payload = 500, error_body(
-                f"{type(exc).__name__}: {exc}"
-            )
-            self.log(f"500 {exc!r}")
-        try:
+            try:
+                status, payload = await self._respond(reader)
+            except Exception as exc:  # noqa: BLE001 - protocol error boundary
+                status, payload = 500, error_body(
+                    f"{type(exc).__name__}: {exc}"
+                )
+                self.log(f"500 {exc!r}")
             writer.write(encode_response(status, payload))
             await writer.drain()
         except (ConnectionError, BrokenPipeError):
             pass  # client went away; nothing to salvage
+        except asyncio.CancelledError:
+            # stop() cancelled this connection.  Before Python 3.12 a
+            # connection task that ends cancelled makes asyncio's
+            # stream callback log an error, so end normally instead.
+            pass
         finally:
+            self._handlers.discard(task)
             writer.close()
 
     async def _respond(self, reader) -> tuple[int, dict]:
@@ -268,9 +284,7 @@ def analyze_request(body: dict) -> dict:
     from ..core.simple_models import MODEL_NAMES, create_model
     from ..profiling.profiler import ProfilingInterpreter
     from ..sched.spec import ModuleSpec
-    spec = ModuleSpec.from_dict(body)
-    if spec.benchmark is None and spec.ir_text is None:
-        raise ValueError("request names neither a benchmark nor IR")
+    spec = ModuleSpec.from_request(body)
     model_name = str(body.get("model", "trident"))
     if model_name not in MODEL_NAMES:
         raise ValueError(f"unknown model {model_name!r}")

@@ -15,15 +15,14 @@ from repro.fi import FaultInjector
 from repro.sched import ModuleSpec, ShardSpec, run_shard
 from repro.sched import shard as sched_shard
 from repro.interp import engine_build_count
+from repro.interp.codegen import resolve_tier
 from tests.conftest import cached_module
 
 
 @pytest.fixture
-def fresh_worker(monkeypatch):
-    """Simulate a fresh pool worker: clear the per-process injector
-    cache without leaking state into other tests."""
-    monkeypatch.setattr(sched_shard, "_WORKER_SPEC", None)
-    monkeypatch.setattr(sched_shard, "_WORKER_INJECTOR", None)
+def fresh_worker():
+    """Simulate a fresh pool worker: clear the per-process cache."""
+    sched_shard.MODULE_CACHE.clear()
 
 
 def shard(spec, start, count, seed=1, checkpoint=True, stride=0,
@@ -66,6 +65,15 @@ class TestWorkerReuse:
         run_shard(shard(spec, 90, 30, tier="codegen", lanes=8))  # toggling
         assert engine_build_count() == before + 1            # knobs keeps it
 
+    def test_default_tier_shard_after_closure_shard(self, fresh_worker):
+        """A shard with no tier runs on the default tier, whatever
+        tier the previous shard left on the cached injector."""
+        spec = ModuleSpec.from_benchmark("pathfinder", "test")
+        closure = run_shard(shard(spec, 0, 20, tier="closure"))
+        default = run_shard(shard(spec, 20, 20))
+        assert closure.perf["interp_tier"] == "closure"
+        assert default.perf["interp_tier"] == resolve_tier(None)
+
     def test_new_module_revision_recompiles(self, fresh_worker):
         before = engine_build_count()
         run_shard(shard(ModuleSpec.from_benchmark("pathfinder", "test"),
@@ -78,5 +86,5 @@ class TestWorkerReuse:
         before = engine_build_count()
         result = run_shard(shard(ModuleSpec(), 0, 20), injector=injector)
         assert engine_build_count() == before  # no materialization
-        assert sched_shard._WORKER_INJECTOR is None  # cache untouched
+        assert len(sched_shard.MODULE_CACHE) == 0  # cache untouched
         assert sum(result.counts.values()) == 20

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fi import FaultInjector
+from repro.ir.printer import print_module
 from repro.sched import (
     INTERACTIVE,
     NIGHTLY,
@@ -164,3 +165,8 @@ class TestWireForm:
             )
         with pytest.raises(ValueError):
             CampaignRequest.from_payload({"benchmark": BENCH, "runs": 0})
+        with pytest.raises(ValueError):  # two modules: which one runs?
+            CampaignRequest.from_payload({
+                "benchmark": BENCH, "runs": 10,
+                "ir_text": print_module(cached_module("nw")),
+            })

@@ -36,15 +36,14 @@ SEED = 9
 BENCH = "pathfinder"
 
 
-def remote_run_shard(monkeypatch, spec: ShardSpec) -> ShardResult:
+def remote_run_shard(spec: ShardSpec) -> ShardResult:
     """One shard on an emulated remote machine.
 
     Cold injector cache (a different host shares no process state) and
     JSON wire forms in both directions, exactly as the service protocol
     ships them.
     """
-    monkeypatch.setattr(sched_shard, "_WORKER_SPEC", None)
-    monkeypatch.setattr(sched_shard, "_WORKER_INJECTOR", None)
+    sched_shard.MODULE_CACHE.clear()
     wire_spec = ShardSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     result = run_shard(wire_spec)
     return ShardResult.from_dict(json.loads(json.dumps(result.to_dict())))
@@ -58,14 +57,13 @@ def merge_counts(shards) -> dict[str, int]:
     return merged
 
 
-def run_on_machines(monkeypatch, machines: int,
+def run_on_machines(machines: int,
                     runs: int = RUNS, seed: int = SEED) -> dict[str, int]:
     spec = ModuleSpec.from_benchmark(BENCH, "test")
     plan = ShardPlan.split(0, runs, machines)
     assert len(plan) == machines
     shards = [
         remote_run_shard(
-            monkeypatch,
             ShardSpec(module=spec, start=rng.start, count=rng.count,
                       seed=seed),
         )
@@ -75,24 +73,24 @@ def run_on_machines(monkeypatch, machines: int,
 
 
 class TestCrossMachineMerge:
-    def test_three_machines_match_serial(self, monkeypatch):
+    def test_three_machines_match_serial(self):
         serial = FaultInjector(cached_module(BENCH)).campaign(
             RUNS, seed=SEED
         )
-        merged = run_on_machines(monkeypatch, machines=3)
+        merged = run_on_machines(machines=3)
         assert merged == serial.counts
 
-    def test_three_machines_match_local_pool(self, monkeypatch):
+    def test_three_machines_match_local_pool(self):
         pooled = CampaignExecutor(
             ModuleSpec.from_benchmark(BENCH, "test"),
             settings=CampaignSettings(workers=4),
         ).run(RUNS, seed=SEED)
-        merged = run_on_machines(monkeypatch, machines=3)
+        merged = run_on_machines(machines=3)
         assert merged == pooled.counts
 
-    def test_machine_count_is_invisible(self, monkeypatch):
-        by_two = run_on_machines(monkeypatch, machines=2)
-        by_five = run_on_machines(monkeypatch, machines=5)
+    def test_machine_count_is_invisible(self):
+        by_two = run_on_machines(machines=2)
+        by_five = run_on_machines(machines=5)
         assert by_two == by_five
 
     def test_disjoint_plans_share_no_runs(self):
@@ -111,11 +109,11 @@ class TestWilsonConsistency:
                                      sum(counts.values()))
         return interval.margin <= self.HALFWIDTH
 
-    def test_stop_decision_identical_across_sharding(self, monkeypatch):
+    def test_stop_decision_identical_across_sharding(self):
         serial = FaultInjector(cached_module(BENCH)).campaign(
             RUNS, seed=SEED
         )
-        merged = run_on_machines(monkeypatch, machines=3)
+        merged = run_on_machines(machines=3)
         assert self.stop_decision(merged) == self.stop_decision(
             serial.counts
         )

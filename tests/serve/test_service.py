@@ -12,10 +12,13 @@ errors surface as typed HTTP statuses (400/404/429), never hangs.
 from __future__ import annotations
 
 import asyncio
+import gc
 import io
 import json
+import logging
 import socket
 import threading
+import time
 
 import pytest
 
@@ -139,6 +142,13 @@ class TestProtocol:
         assert exc.value.status == 400
         with pytest.raises(ServiceError) as exc:
             client.submit(campaign_payload(runs="many"))
+        assert exc.value.status == 400
+        both = campaign_payload(ir_text=print_module(cached_module("nw")))
+        with pytest.raises(ServiceError) as exc:
+            client.submit(both)  # names two modules
+        assert exc.value.status == 400
+        with pytest.raises(ServiceError) as exc:
+            client.analyze(both)
         assert exc.value.status == 400
 
     @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
@@ -266,6 +276,27 @@ class TestAnalyze:
         assert status == 400
         assert "samples" in response["error"]
         assert client.health()["status"] == "ok"
+
+
+class TestShutdown:
+    def test_stop_with_stalled_client(self, caplog):
+        """A client stalled mid-body holds neither ``stop()`` until its
+        read deadline nor leaves a pending task to the loop teardown."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        harness = DaemonHarness()
+        daemon = harness.daemon
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=30.0) as sock:
+            sock.sendall(b"POST /v1/campaigns HTTP/1.1\r\n"
+                         b"Content-Length: 10\r\n\r\n")
+            assert harness.client.health()["status"] == "ok"
+            started = time.monotonic()
+            harness.close()
+            elapsed = time.monotonic() - started
+        gc.collect()  # a destroyed pending task logs on collection
+        assert elapsed < 2.0
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
 
 class TestBackpressure:
