@@ -16,9 +16,9 @@ set the environment variables below for a fuller (slower) run:
     REPRO_FI_CHECKPOINT_STRIDE=500
                                 dynamic instructions between golden
                                 snapshots (0 = auto)
-    REPRO_INTERP_TIER=closure   interpreter execution tier (codegen,
-                                closure, or batch; default codegen —
-                                outcomes are bit-identical on every tier)
+    REPRO_INTERP_TIER=batch     interpreter execution tier (codegen
+                                or batch; default codegen — outcomes
+                                are bit-identical on every tier)
     REPRO_BATCH_LANES=64        trials per lockstep group on the batch
                                 tier (0 = tier default; a wall-clock
                                 knob only — counts are identical for

@@ -1,13 +1,14 @@
-"""Interpreter-tier microbenchmark: golden-run and campaign throughput.
+"""Interpreter microbenchmark: golden-run and campaign throughput.
 
 Records per-benchmark golden-run throughput (dynamic instructions per
-second) for the closure and codegen tiers into
-``benchmarks/results/interp_speed.json``, and a >=1000-run campaign
-comparison into the repo root (``BENCH_interp_codegen.json``) for the
-nightly trend lane.  Counts and outputs must stay bit-identical — only
-wall-clock may differ — so the benchmark doubles as one more
-differential.  The 2x bar applies to the best benchmark, matching the
-CI differential (small programs are dominated by fixed per-run costs).
+second) for the reference engine (every block on the closure steps) and
+the generated code into ``benchmarks/results/interp_speed.json``, and a
+>=1000-run campaign comparison into the repo root
+(``BENCH_interp_codegen.json``) for the nightly trend lane.  Counts and
+outputs must stay bit-identical — only wall-clock may differ — so the
+benchmark doubles as one more differential.  The 2x bar applies to the
+best benchmark, matching the CI differential (small programs are
+dominated by fixed per-run costs).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import pytest
 
 from repro.bench import BENCHMARK_NAMES
 from repro.fi import FaultInjector
-from repro.interp import TIER_CLOSURE, TIER_CODEGEN, ExecutionEngine
+from repro.interp import TIER_CODEGEN, ExecutionEngine
+from repro.interp.engine import ReferenceEngine
 from repro.sched import ModuleSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -43,9 +45,8 @@ def test_golden_run_throughput_both_tiers():
     speedups = []
     for name in BENCHMARK_NAMES:
         module = ModuleSpec.from_benchmark(name, "test").materialize()
-        closure = ExecutionEngine(module, tier=TIER_CLOSURE)
-        codegen = ExecutionEngine(module, tier=TIER_CODEGEN)
-        assert codegen.codegen_fallbacks == 0
+        closure = ReferenceEngine(module)
+        codegen = ExecutionEngine(module)
         assert closure.run().outputs == codegen.run().outputs
         closure_seconds, dynamic = _best_golden(closure)
         codegen_seconds, _ = _best_golden(codegen)
@@ -76,18 +77,18 @@ def test_campaign_throughput_both_tiers():
     speedups = []
     for name in ("pathfinder", "hotspot"):
         module = ModuleSpec.from_benchmark(name, "test").materialize()
-        per_tier = {}
-        for tier in (TIER_CLOSURE, TIER_CODEGEN):
-            injector = FaultInjector(module, interp_tier=tier)
+        per_engine = []
+        for engine in (ReferenceEngine(module), ExecutionEngine(module)):
+            injector = FaultInjector(module, engine=engine,
+                                     interp_tier=TIER_CODEGEN)
             started = time.perf_counter()
             result = injector.run_span(0, runs, 1)
             wall = time.perf_counter() - started
-            per_tier[tier] = (result, wall)
-        closure_result, closure_wall = per_tier[TIER_CLOSURE]
-        codegen_result, codegen_wall = per_tier[TIER_CODEGEN]
+            per_engine.append((result, wall))
+        closure_result, closure_wall = per_engine[0]
+        codegen_result, codegen_wall = per_engine[1]
 
         assert codegen_result.counts == closure_result.counts
-        assert codegen_result.codegen_fallbacks == 0
         speedup = closure_wall / codegen_wall
         speedups.append(speedup)
         report["benchmarks"][name] = {
@@ -100,7 +101,6 @@ def test_campaign_throughput_both_tiers():
             "codegen_instr_per_second": round(
                 codegen_result.instructions_per_second
             ),
-            "codegen_functions": codegen_result.codegen_functions,
         }
 
     RESULTS_DIR.mkdir(exist_ok=True)

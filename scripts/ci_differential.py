@@ -27,11 +27,11 @@ Three phases, selectable with ``--only`` (default: all):
    rejoined, so the phase cannot pass with convergence off.
 
 4. **interp-codegen** — golden runs on every registered benchmark and
-   FI campaigns on two of them, closure tier vs codegen tier.  Outcomes,
-   outputs, block counts and campaign counts must be bit-identical, no
-   function may fall back, and codegen must hit the golden-run speedup
-   threshold (plus a measurable campaign speedup on top of
-   checkpointing).
+   checkpointed FI campaigns on two of them, the generated code against
+   the reference engine (every block on the closure steps).  Outcomes,
+   outputs, block counts and campaign counts must be bit-identical, and
+   the generated code must hit the golden-run speedup threshold (plus a
+   measurable campaign speedup on top of checkpointing).
 
 5. **batch-tier** — FI campaigns on every registered benchmark, batch
    tier vs codegen tier.  Campaign counts must be bit-identical at 1,
@@ -57,7 +57,8 @@ from repro.core.simple_models import create_model
 from repro.fi import FaultInjector
 from repro.harness.context import QUICK, Workspace
 from repro.harness.fig5 import run_fig5
-from repro.interp import TIER_CLOSURE, TIER_CODEGEN, ExecutionEngine
+from repro.interp import TIER_CODEGEN, ExecutionEngine
+from repro.interp.engine import ReferenceEngine
 from repro.opt.pipeline import optimize
 from repro.profiling import ProfilingInterpreter
 from repro.protection.duplication import (
@@ -211,28 +212,25 @@ def _best_golden_seconds(engine: ExecutionEngine, repeats: int = 5) -> float:
 
 
 def interp_codegen(speedup: float, runs: int) -> None:
-    """Closure vs codegen tiers: identical results, faster clock."""
+    """Reference engine vs generated code: identical results, faster
+    clock."""
     golden_speedups = []
     for name in BENCHMARK_NAMES:
         module = build_module(name, "test")
-        closure = ExecutionEngine(module, tier=TIER_CLOSURE)
-        codegen = ExecutionEngine(module, tier=TIER_CODEGEN)
-        check(
-            codegen.codegen_fallbacks == 0,
-            f"{name}: all {codegen.codegen_functions} functions compiled",
-        )
-        left, right = closure.run(), codegen.run()
+        reference = ReferenceEngine(module)
+        codegen = ExecutionEngine(module)
+        left, right = reference.run(), codegen.run()
         check(
             left.outcome == right.outcome
             and left.outputs == right.outputs
             and left.block_counts == right.block_counts
             and left.dynamic_count == right.dynamic_count,
-            f"{name}: codegen golden run bit-identical to closure",
+            f"{name}: codegen golden run bit-identical to the reference",
         )
-        closure_seconds = _best_golden_seconds(closure)
+        reference_seconds = _best_golden_seconds(reference)
         codegen_seconds = _best_golden_seconds(codegen)
-        golden_speedups.append(closure_seconds / codegen_seconds)
-        print(f"   {name}: closure {closure_seconds * 1e3:.2f}ms, "
+        golden_speedups.append(reference_seconds / codegen_seconds)
+        print(f"   {name}: reference {reference_seconds * 1e3:.2f}ms, "
               f"codegen {codegen_seconds * 1e3:.2f}ms "
               f"({golden_speedups[-1]:.2f}x)")
     check(
@@ -244,10 +242,11 @@ def interp_codegen(speedup: float, runs: int) -> None:
     campaign_speedups = []
     for name in ("pathfinder", "hotspot"):
         module = build_module(name, "test")
-        closure = FaultInjector(module, interp_tier=TIER_CLOSURE)
+        reference = FaultInjector(module, engine=ReferenceEngine(module),
+                                  interp_tier=TIER_CODEGEN)
         started = time.perf_counter()
-        closure_result = closure.run_span(0, runs, 1)
-        closure_seconds = time.perf_counter() - started
+        reference_result = reference.run_span(0, runs, 1)
+        reference_seconds = time.perf_counter() - started
 
         codegen = FaultInjector(module, interp_tier=TIER_CODEGEN)
         started = time.perf_counter()
@@ -255,19 +254,16 @@ def interp_codegen(speedup: float, runs: int) -> None:
         codegen_seconds = time.perf_counter() - started
 
         check(
-            codegen_result.counts == closure_result.counts,
-            f"{name}: codegen campaign counts bit-identical to closure",
+            codegen_result.counts == reference_result.counts,
+            f"{name}: codegen campaign counts bit-identical to the "
+            f"reference",
         )
         check(
-            codegen_result.checkpointed and closure_result.checkpointed,
+            codegen_result.checkpointed and reference_result.checkpointed,
             f"{name}: both campaigns ran checkpointed",
         )
-        check(
-            codegen_result.codegen_fallbacks == 0,
-            f"{name}: campaign engine had no codegen fallbacks",
-        )
-        campaign_speedups.append(closure_seconds / codegen_seconds)
-        print(f"   {name}: closure {closure_seconds:.2f}s, codegen "
+        campaign_speedups.append(reference_seconds / codegen_seconds)
+        print(f"   {name}: reference {reference_seconds:.2f}s, codegen "
               f"{codegen_seconds:.2f}s ({campaign_speedups[-1]:.2f}x)")
     check(
         max(campaign_speedups) > 1.1,

@@ -19,11 +19,13 @@ Three phases, selectable with ``--only`` (default: all):
 3. **reuse** — one daemon takes interleaved submits over two
    benchmarks, so it serves each campaign from the module and injector
    it compiled for an earlier one.  Campaigns on the same module switch
-   checkpointing and the interpreter tier (codegen, closure, batch with
-   lanes) and return to no tier; each must match a fresh in-process
+   checkpointing, the snapshot stride (so a reused injector rebuilds
+   its capture) and the interpreter tier (codegen, batch with lanes),
+   and return to the defaults; each must match a fresh in-process
    serial reference and report the tier and checkpoint mode it asked
-   for.  Every submit uses a new seed, because neither knob is part of
-   the campaign key.
+   for.  Every submit uses a new seed, because none of these knobs is
+   part of the campaign key.  A submit naming the retired ``closure``
+   tier must be refused with 400.
 
 The daemon runs as a real subprocess (stderr → ``service-daemon.log``,
 uploaded by CI on failure) listening on an ephemeral port published
@@ -45,6 +47,7 @@ from pathlib import Path
 from repro.bench import build_module
 from repro.fi.campaign import FaultInjector
 from repro.interp.codegen import resolve_tier
+from repro.serve import ServiceError
 
 BENCH = "pathfinder"
 SCALE = "test"
@@ -56,7 +59,7 @@ REUSE_BENCHES = (BENCH, "nw")
 REUSE_SETTINGS = (
     {},
     {"checkpoint": False},
-    {"interp_tier": "closure"},
+    {"checkpoint_stride": 37},
     {"interp_tier": "codegen"},
     {"interp_tier": "batch", "batch_lanes": 8},
     {},
@@ -202,6 +205,12 @@ def reuse(runs: int, seed: int) -> None:
         daemon = Daemon(cache_dir)
         try:
             client = daemon.client()
+            try:
+                client.submit(dict(payload(runs, seed, 1),
+                                   interp_tier="closure"))
+                refused = None
+            except ServiceError as exc:
+                refused = exc.status
             for settings in REUSE_SETTINGS:
                 for bench in REUSE_BENCHES:
                     campaign_seed = seed + 1 + len(jobs)
@@ -212,6 +221,8 @@ def reuse(runs: int, seed: int) -> None:
             stats = client.stats()
         finally:
             daemon.stop()
+    check(refused == 400, f"a closure-tier submit is refused with 400 "
+                          f"(got {refused})")
     for bench, campaign_seed, settings, job in jobs:
         label = f"{bench} seed {campaign_seed} {settings or 'defaults'}"
         check(job["status"] == "done" and not job["cached"],

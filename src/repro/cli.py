@@ -25,7 +25,7 @@ from .core.simple_models import MODEL_NAMES, create_model
 from .fi.campaign import OUTCOMES, CampaignResult
 from .harness.context import ExperimentConfig, Workspace
 from .harness.runner import EXPERIMENTS, run_experiment
-from .interp.codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN
+from .interp.codegen import TIER_BATCH, TIERS
 from .ir.module import Module
 from .ir.printer import format_instruction, print_module
 from .opt.pipeline import optimize
@@ -228,7 +228,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_interp_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--interp-tier", default=None,
-                        choices=(TIER_CODEGEN, TIER_CLOSURE, TIER_BATCH),
+                        choices=TIERS,
                         help="interpreter execution tier (default: "
                              "REPRO_INTERP_TIER env, else codegen; "
                              "outcomes are identical on every tier)")
@@ -448,11 +448,7 @@ def _print_campaign_summary(campaign: CampaignResult, out) -> None:
                   file=out)
         if campaign.interp_tier:
             tier = f"interp tier: {campaign.interp_tier}"
-            if campaign.interp_tier == TIER_CODEGEN:
-                tier += (f" ({campaign.codegen_functions} functions "
-                         f"compiled, {campaign.codegen_fallbacks} "
-                         f"fallbacks)")
-            elif campaign.interp_tier == TIER_BATCH:
+            if campaign.interp_tier == TIER_BATCH:
                 tier += (f" ({campaign.batch_lanes} lanes, "
                          f"{campaign.batch_divergences} divergences"
                          + (f", {campaign.batch_fallbacks} fallbacks"

@@ -15,7 +15,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..interp.codegen import TIER_BATCH
+from ..interp.codegen import TIER_BATCH, resolve_tier
 from ..interp.engine import ExecutionEngine, Injection
 from ..interp.result import CRASH, DETECTED, HANG
 from ..ir.module import Module
@@ -76,15 +76,11 @@ class CampaignResult:
     #: True when a checkpoint path failed and trials fell back to cold
     #: full runs (counts are bit-identical either way).
     checkpoint_degraded: bool = False
-    #: Interpreter tier that executed the campaign ("codegen",
-    #: "closure" or "batch"); empty for results that never ran (e.g.
-    #: bare merges).
+    #: Interpreter tier that executed the campaign ("codegen" or
+    #: "batch"); empty for results that never ran (e.g. bare merges).
     interp_tier: str = ""
-    #: Codegen tier statistics from the executing engine: functions
-    #: successfully compiled to generated source, and functions that
-    #: fell back to the closure tier.  Per-engine gauges, so ``merge``
-    #: takes the max rather than summing across workers.
-    codegen_functions: int = 0
+    #: Always 0: generated code has no fallback.  Kept because the
+    #: repository benchmark's tracer (``perfbench/tracer.py``) reads it.
     codegen_fallbacks: int = 0
     #: Batch tier statistics: the lane count groups ran with (gauge,
     #: merged by max), lanes that left lockstep and drained on the
@@ -182,12 +178,6 @@ class CampaignResult:
             self.checkpoint_degraded or other.checkpoint_degraded
         )
         merged.interp_tier = self.interp_tier or other.interp_tier
-        merged.codegen_functions = max(
-            self.codegen_functions, other.codegen_functions
-        )
-        merged.codegen_fallbacks = max(
-            self.codegen_fallbacks, other.codegen_fallbacks
-        )
         merged.batch_lanes = max(self.batch_lanes, other.batch_lanes)
         merged.batch_divergences = (
             self.batch_divergences + other.batch_divergences
@@ -219,8 +209,6 @@ class CampaignResult:
             "checkpointed": self.checkpointed,
             "checkpoint_degraded": self.checkpoint_degraded,
             "interp_tier": self.interp_tier,
-            "codegen_functions": self.codegen_functions,
-            "codegen_fallbacks": self.codegen_fallbacks,
             "batch_lanes": self.batch_lanes,
             "batch_divergences": self.batch_divergences,
             "batch_fallbacks": self.batch_fallbacks,
@@ -258,8 +246,6 @@ class CampaignResult:
             checkpointed=bool(data.get("checkpointed", False)),
             checkpoint_degraded=bool(data.get("checkpoint_degraded", False)),
             interp_tier=str(data.get("interp_tier", "")),
-            codegen_functions=int(data.get("codegen_functions", 0)),
-            codegen_fallbacks=int(data.get("codegen_fallbacks", 0)),
             batch_lanes=int(data.get("batch_lanes", 0)),
             batch_divergences=int(data.get("batch_divergences", 0)),
             batch_fallbacks=int(data.get("batch_fallbacks", 0)),
@@ -297,13 +283,15 @@ class FaultInjector:
                  max_snapshots: int = 192, interp_tier: str | None = None,
                  batch_lanes: int = 0):
         self.module = module
-        self.engine = engine or ExecutionEngine(module, tier=interp_tier)
+        #: Tier of subsequent trials (see :meth:`configure_tier`).
+        self.interp_tier = resolve_tier(interp_tier)
+        self.engine = engine or ExecutionEngine(module)
         self.checkpoint = checkpoint
         self.checkpoint_stride = checkpoint_stride
         self.max_snapshots = max_snapshots
         self.checkpoint_degraded = False
         #: Lanes per lockstep group on the batch tier; <= 0 picks the
-        #: tier's default.  Irrelevant (and harmless) on scalar tiers.
+        #: tier's default.  Irrelevant (and harmless) on codegen.
         self.batch_lanes = batch_lanes
         self.batch_divergences = 0
         self.batch_fallbacks = 0
@@ -370,10 +358,10 @@ class FaultInjector:
 
         ``None`` selects the resolved default tier, never the tier an
         earlier span left.  Like :meth:`configure_checkpoints`, this is
-        cheap to call per span — switching tiers flips a dispatch flag
-        on the shared engine without recompiling anything.
+        cheap to call per span: every tier runs on the one engine, so
+        switching recompiles nothing.
         """
-        self.engine.configure_tier(tier)
+        self.interp_tier = resolve_tier(tier)
 
     def configure_batch(self, lanes: int) -> None:
         """Set the lockstep group width for subsequent batch-tier spans."""
@@ -387,7 +375,7 @@ class FaultInjector:
         counts are bit-identical either way, so this mirrors the
         checkpoint/worker-pool degradation policy.
         """
-        if self.engine.tier != TIER_BATCH:
+        if self.interp_tier != TIER_BATCH:
             return False
         from ..interp.batch import HAVE_NUMPY
         return HAVE_NUMPY
@@ -397,12 +385,6 @@ class FaultInjector:
             return self.batch_lanes
         from ..interp.batch import DEFAULT_BATCH_LANES
         return DEFAULT_BATCH_LANES
-
-    def _stamp_tier(self, result: CampaignResult) -> None:
-        """Record which tier executed a result plus its codegen stats."""
-        result.interp_tier = self.engine.tier
-        result.codegen_functions = self.engine.codegen_functions
-        result.codegen_fallbacks = self.engine.codegen_fallbacks
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -543,7 +525,7 @@ class FaultInjector:
                 self._execute_trial(injection, capture, snapshot, result)
         result.checkpointed = capture is not None
         result.checkpoint_degraded = self.checkpoint_degraded
-        self._stamp_tier(result)
+        result.interp_tier = self.interp_tier
         elapsed = time.perf_counter() - started
         result.wall_seconds = elapsed
         result.cpu_seconds = elapsed
@@ -635,7 +617,7 @@ class FaultInjector:
                 self._execute_trial(injection, capture, snapshot, result)
             result.checkpointed = capture is not None
             result.checkpoint_degraded = self.checkpoint_degraded
-            self._stamp_tier(result)
+            result.interp_tier = self.interp_tier
             elapsed = time.perf_counter() - started
             result.wall_seconds = elapsed
             result.cpu_seconds = elapsed

@@ -60,9 +60,9 @@ class ExperimentConfig:
     #: are invariant to both knobs; stride 0 picks one automatically.
     fi_checkpoint: bool = True
     fi_checkpoint_stride: int = 0
-    #: Interpreter tier ("codegen"/"closure"/"batch"); None = resolved
-    #: default (REPRO_INTERP_TIER env, else codegen).  Outcomes are
-    #: invariant across tiers.
+    #: Interpreter tier ("codegen"/"batch"); None = resolved default
+    #: (REPRO_INTERP_TIER env, else codegen).  Outcomes are invariant
+    #: across tiers.
     interp_tier: str | None = None
     #: Trials per lockstep group on the batch tier (0 = tier default).
     #: A wall-clock knob only: counts are identical for any lane count.
@@ -124,12 +124,13 @@ class BenchmarkContext:
 
     @cached_property
     def engine(self) -> ExecutionEngine:
-        return ExecutionEngine(self.module, tier=self.config.interp_tier)
+        return ExecutionEngine(self.module)
 
     @cached_property
     def injector(self) -> FaultInjector:
         golden = load_golden_summary(get_cache(), golden_key(self.fingerprint))
         return FaultInjector(self.module, self.engine, golden=golden,
+                             interp_tier=self.config.interp_tier,
                              batch_lanes=self.config.batch_lanes)
 
     def model(self, name: str, warm: bool = True) -> Trident:

@@ -2,7 +2,7 @@
 
 from .batch import DEFAULT_BATCH_LANES, HAVE_NUMPY, BatchRunner, GroupOutcome
 from .checkpoint import GoldenCapture, Snapshot
-from .codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN, resolve_tier
+from .codegen import TIER_BATCH, TIER_CODEGEN, resolve_tier
 from .engine import ExecutionEngine, Injection, engine_build_count
 from .errors import (
     ArithmeticTrap,
@@ -23,6 +23,6 @@ __all__ = [
     "GlobalLayout", "GoldenCapture", "GroupOutcome", "HANG", "HAVE_NUMPY",
     "HangFault", "INTRINSICS", "Injection", "InterpreterBug", "MemoryFault",
     "MemoryState", "OK", "RunResult", "RuntimeFault", "STACK_BASE",
-    "Snapshot", "StackOverflow", "TIER_BATCH", "TIER_CLOSURE", "TIER_CODEGEN",
+    "Snapshot", "StackOverflow", "TIER_BATCH", "TIER_CODEGEN",
     "call_intrinsic", "engine_build_count", "is_intrinsic", "resolve_tier",
 ]

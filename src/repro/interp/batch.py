@@ -818,8 +818,8 @@ class BatchRunner:
         return value
 
     # ------------------------------------------------------------------
-    # Lockstep interpretation loop (mirrors engine._loop, plus the
-    # shadow stack that lane snapshots are cut from)
+    # Lockstep interpretation loop (mirrors ReferenceEngine's closure
+    # loop, plus the shadow stack that lane snapshots are cut from)
     # ------------------------------------------------------------------
 
     def _bcall(self, sim: _GroupState, compiled, args, caller_step: int):

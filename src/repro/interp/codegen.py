@@ -1,15 +1,17 @@
-"""Codegen execution tier: basic blocks compiled to Python functions.
+"""Generated code: basic blocks compiled to Python functions.
 
-The closure tier in :mod:`repro.interp.engine` pays a Python call per
-step plus one or two calls per operand fetch.  This module eliminates
-that dispatch by translating every compiled block — and straight-line
-*superblocks* along unconditional-jump chains — into a single Python
-function generated as source, ``compile()``'d and ``exec``'d once per
-module revision.  Operands become direct ``slots[i]`` subscripts or
-embedded literals, common operations are inlined (masked adds, unsigned
+This is how :class:`repro.interp.engine.ExecutionEngine` executes.  The
+engine's closure steps pay a Python call per step plus one or two calls
+per operand fetch.  This module eliminates that dispatch by translating
+every compiled block — and straight-line *superblocks* along
+unconditional-jump chains — into a single Python function generated as
+source, ``compile()``'d and ``exec``'d once per engine, on its first
+run.  Operands become direct ``slots[i]`` subscripts or embedded
+literals, common operations are inlined (masked adds, unsigned
 compares, direct float arithmetic), and rare or trap-raising operations
 call the exact helpers of :mod:`repro.interp.ops`, so results stay
-bit-identical with the closure tier by construction.
+bit-identical with the closure steps (which the tests run through
+:class:`repro.interp.engine.ReferenceEngine`) by construction.
 
 Three specializations are generated from the same block templates:
 
@@ -17,17 +19,19 @@ Three specializations are generated from the same block templates:
   the snapshot-capturing golden pass, and every trial executing
   outside the armed instruction's blocks use it;
 * the **inject** variant guards every destination register (steps and
-  phi edge copies) with the closure tier's ``state.inject_iid`` check;
+  phi edge copies) with the closure steps' ``state.inject_iid`` check;
 * the **profile** variant adds the profiler's bookkeeping into the
   run's state (:meth:`repro.interp.engine.ExecutionEngine.profile`).
-  Only profiling builds it, without fallback: a function it cannot
-  translate raises :class:`InterpreterBug`.
+  Only profiling builds it.
+
+A function the generator cannot translate raises
+:class:`InterpreterBug`; there is no fallback.
 
 A generated function's *covered* iid set records exactly which
 instructions the inject variant guards; the engine dispatches through a
 per-``inject_iid`` table that selects the inject variant only for
 functions covering the armed iid, so occurrence bookkeeping is
-identical to the closure tier while the common path stays clean.
+identical to the closure steps' while the common path stays clean.
 
 Block functions have the signature ``(state, frame) -> int``: they
 execute one (super)block iteration — successor phi moves included —
@@ -75,14 +79,14 @@ from .ops import (
     reinterpret_loaded,
 )
 
-#: Interpreter tier names, and the environment knob that selects one.
-#: The batch tier (:mod:`repro.interp.batch`) builds on the codegen
-#: representation: campaign trials run in numpy lockstep and diverged
-#: lanes drain on generated block functions.
+#: Interpreter tier names, a setting of
+#: :class:`repro.fi.campaign.FaultInjector`, and the environment knob
+#: that selects one.  On the batch tier (:mod:`repro.interp.batch`)
+#: campaign trials run in numpy lockstep and diverged lanes drain on
+#: generated block functions.
 TIER_CODEGEN = "codegen"
-TIER_CLOSURE = "closure"
 TIER_BATCH = "batch"
-TIERS = (TIER_CODEGEN, TIER_CLOSURE, TIER_BATCH)
+TIERS = (TIER_CODEGEN, TIER_BATCH)
 TIER_ENV = "REPRO_INTERP_TIER"
 
 #: Longest unconditional-jump chain inlined into one superblock.
@@ -234,8 +238,8 @@ def generate_function(engine, compiled):
     Returns ``(fast, inject, covered)``: block-function lists indexed by
     the blocks' local indices, and the per-block-function frozensets of
     iids the inject variant guards.  Raises on any instruction the
-    generator cannot translate — the engine treats that as a
-    per-function fallback to the closure tier.
+    generator cannot translate; the engine reports that as an
+    :class:`InterpreterBug`.
     """
     codegen = _FunctionCodegen(engine, compiled)
     fast, _ = codegen.build(FAST)
@@ -374,7 +378,7 @@ class _FunctionCodegen:
 
     def emit_block_core(self, cblock, covered: set) -> None:
         """Cost, budget check, block count, and steps of one block —
-        the same order as one iteration of the closure tier's loop."""
+        the same order as one iteration of the closure dispatch loop."""
         w = self.lines.append
         w(f"    state.dynamic_count += {cblock.cost}")
         w("    if state.dynamic_count > state.budget:")
@@ -388,7 +392,7 @@ class _FunctionCodegen:
     def emit_phi_moves(self, pred, succ, covered: set, depth: int) -> None:
         """Parallel phi copy for the edge ``pred -> succ``: evaluate
         every source first, then assign (with per-phi injection checks
-        in the inject variant) — exactly the closure tier's order."""
+        in the inject variant) — exactly ``_apply_phi_moves``' order."""
         phis = succ.block.phis()
         if not phis:
             return
@@ -522,7 +526,7 @@ class _FunctionCodegen:
         if sym is not None:
             return f"({a} {sym} {b})"
         # Shifts, divisions, remainders: trap/masking semantics live in
-        # one place (ops.eval_int_binop) for both tiers.
+        # one place (ops.eval_int_binop) for the steps and this code.
         return f'_ib("{op}", {a}, {b}, {bits})'
 
     def icmp_expr(self, inst: ICmp) -> str:
@@ -582,7 +586,7 @@ class _FunctionCodegen:
         lines = [
             f"_v = state.memory.load({self.expr(inst.pointer)}, {default})",
         ]
-        # Same reinterpretation fast path as the closure tier: only a
+        # Same reinterpretation fast path as the closure steps: only a
         # corrupted address can land on a cell of another type/width.
         if value_type.is_float:
             lines.append("if _v.__class__ is not float:")

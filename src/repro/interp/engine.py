@@ -1,9 +1,13 @@
 """Fast execution engine for the mini-IR.
 
-The engine compiles every instruction once into a small Python closure
-("step"); running a program is then a tight loop over per-block step
-lists.  This is what makes LLFI-style fault-injection campaigns (many
-thousands of complete executions) tractable in pure Python.
+The engine executes generated code (:mod:`repro.interp.codegen`): each
+basic block becomes one Python function, generated on the engine's
+first run.  This is what makes LLFI-style fault-injection campaigns
+(many thousands of complete executions) tractable in pure Python.  It
+also compiles every instruction into a small Python closure ("step"):
+a frame resumed inside a block finishes that block on its steps, and
+:class:`ReferenceEngine` runs every block on them as the tests'
+independent oracle for the generated code.
 
 Fault injection is built in: a run can be armed with an
 :class:`Injection` naming a static instruction, the k-th dynamic
@@ -41,14 +45,7 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .checkpoint import FrameSnap, GoldenCapture, Snapshot
-from .codegen import (
-    TIER_BATCH,
-    TIER_CODEGEN,
-    finish_store,
-    generate_function,
-    generate_profile_function,
-    resolve_tier,
-)
+from .codegen import finish_store, generate_function, generate_profile_function
 from .errors import (
     ArithmeticTrap,
     DetectionTrap,
@@ -100,8 +97,8 @@ class Injection:
 def _maybe_inject(state, value, value_type):
     """Occurrence bookkeeping + bit flip for the armed injection.
 
-    Shared by the closure tier, the codegen tier's inject variants, and
-    the phi-move helper: every code location that can produce the armed
+    Shared by the closure steps, the generated inject variants, and the
+    phi-move helper: every code location that can produce the armed
     instruction's value must route through this exact bookkeeping.
     """
     state.occurrence += 1
@@ -167,8 +164,9 @@ def _apply_phi_moves(state, frame, block, previous) -> None:
     """Parallel phi copy for entering ``block`` from ``previous``.
 
     Evaluate every incoming value first, then assign with per-phi
-    injection checks — the one definition the closure tier's loop and
-    the codegen tier's block-entry path share, so they cannot diverge.
+    injection checks — the one definition the reference engine's loop
+    and the generated code's block-entry path share, so they cannot
+    diverge.
     """
     if block.phi_moves is None:
         return
@@ -221,7 +219,7 @@ class _State:
         #: ``_profile_call`` when profiling, or ``_capture_call`` during
         #: an instrumented golden pass.
         self.call = None
-        #: Return-value mailbox of the codegen tier's block functions.
+        #: Return-value mailbox of the generated block functions.
         self.ret_value = None
         #: A trial's golden capture (None: the run never rejoins), the
         #: dynamic count and index of its next rejoin point to test,
@@ -332,8 +330,8 @@ class _CompiledFunction:
         self.n_slots = next_slot
         self.blocks: dict = {}
         self.entry = None
-        #: Codegen tier: block functions by local index (None = this
-        #: function runs on the closure tier), their injection-capable
+        #: Generated block functions by local index (None until the
+        #: engine's first run generates them), their injection-capable
         #: twins, the per-block-function sets of iids those twins guard,
         #: and memoized per-injection dispatch tables.
         self.cg_fast = None
@@ -365,7 +363,7 @@ class ExecutionEngine:
     """Compiles a finalized module and executes it (optionally with a fault)."""
 
     def __init__(self, module: Module, max_dynamic: int = 20_000_000,
-                 stack_limit: int = 256, tier: str | None = None):
+                 stack_limit: int = 256):
         if not module.is_finalized:
             raise ValueError("finalize the module before building an engine")
         if "main" not in module.functions:
@@ -382,7 +380,7 @@ class ExecutionEngine:
         for compiled in self._compiled.values():
             self._compile_function(compiled)
         # Global block ordinals index the dense per-run counter array
-        # shared by both tiers and by checkpoint snapshots.
+        # shared by every run, the batch tier and checkpoint snapshots.
         order: list = []
         ordinals: dict = {}
         for compiled in self._compiled.values():
@@ -396,52 +394,38 @@ class ExecutionEngine:
         self._n_blocks = len(order)
         #: iid -> (home IR block, step position) for the checkpoint layer.
         self._homes: dict[int, tuple] | None = None
-        self.tier = resolve_tier(tier)
-        self.codegen_functions = 0
-        self.codegen_fallbacks = 0
-        self._codegen_built = False
         self._batch_runner = None
-        # The batch tier drains diverged lanes on generated block
-        # functions, so it implies the codegen representation.
-        self._codegen_on = self.tier in (TIER_CODEGEN, TIER_BATCH)
-        if self._codegen_on:
-            self._build_codegen()
         global _ENGINE_BUILDS
         _ENGINE_BUILDS += 1
 
-    def _build_codegen(self) -> None:
-        """Generate the codegen tier once, with per-function fallback.
+    def _generate(self) -> None:
+        """Generate the fast and inject variants of every function that
+        has none yet.
 
-        A function the generator cannot translate simply keeps running
-        on the closure tier (``cg_fast is None``) — the same
-        degradation-over-divergence contract as checkpointing.
+        Capture and, through :meth:`_prepare_dispatch`, every run and
+        resume call this first, so building an engine generates no code
+        and an engine that only profiles generates only the profile
+        variant.  Functions run on nothing else, so one the generator
+        cannot translate is an :class:`InterpreterBug`.
         """
-        if self._codegen_built:
-            return
-        self._codegen_built = True
         for compiled in self._compiled.values():
+            if compiled.cg_fast is not None:
+                continue
             try:
                 fast, inject, covered = generate_function(self, compiled)
-            except Exception:
-                self.codegen_fallbacks += 1
-            else:
-                compiled.cg_fast = fast
-                compiled.cg_inject = inject
-                compiled.cg_covered = covered
-                compiled.cg_iids = frozenset().union(*covered)
-                self.codegen_functions += 1
+            except Exception as exc:
+                raise InterpreterBug(
+                    f"code generation for {self.module.name}, function "
+                    f"{compiled.function.name} failed: {exc}"
+                ) from exc
+            compiled.cg_inject = inject
+            compiled.cg_covered = covered
+            compiled.cg_iids = frozenset().union(*covered)
+            compiled.cg_fast = fast  # last: it marks the function done
 
-    def configure_tier(self, tier: str | None) -> None:
-        """(Re)select the execution tier for subsequent runs.
-
-        Both representations coexist on one engine, so campaign workers
-        can honor a per-span tier knob without recompiling anything —
-        the engine-reuse invariant in ``tests/fi/test_engine_reuse.py``.
-        """
-        self.tier = resolve_tier(tier)
-        self._codegen_on = self.tier in (TIER_CODEGEN, TIER_BATCH)
-        if self._codegen_on:
-            self._build_codegen()
+    #: What dispatch needs before a run or resume enters its first
+    #: block: the generated code :meth:`_enter_block` runs.
+    _prepare_dispatch = _generate
 
     def block_ordinal(self, block) -> int:
         """Index of an IR block in the dense counter array."""
@@ -466,6 +450,7 @@ class ExecutionEngine:
         where it rejoins the golden run (see :meth:`_rejoin`); its
         result is the full run's either way.
         """
+        self._prepare_dispatch()
         memory = MemoryState(self.layout)
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
@@ -539,7 +524,7 @@ class ExecutionEngine:
     def profile(self, sample_cap: int,
                 site_rng) -> tuple[RunResult, _ProfileState]:
         """One fault-free run on the profile specialization, generated
-        on first use (an engine on the closure tier compiles no other
+        on first use (an engine that only profiles generates no other
         variant).  Returns the run's result and its bookkeeping, with
         the store instances live at exit closed out.  ``site_rng(iid)``
         creates a site's sampling stream.
@@ -575,11 +560,8 @@ class ExecutionEngine:
         frame = _Frame(compiled.n_slots)
         frame.slots[: compiled.n_args] = args
         try:
-            if self._codegen_on and compiled.cg_fast is not None:
-                return self._cg_run(
-                    compiled, frame, compiled.entry.local_index, state
-                )
-            return self._loop(compiled, frame, compiled.entry, None, state)
+            return self._enter_block(compiled, frame, compiled.entry, None,
+                                     state)
         finally:
             state.call_depth -= 1
             state.memory.free(frame.owned)
@@ -603,7 +585,7 @@ class ExecutionEngine:
             state.memory.free(frame.owned)
 
     def _cg_run(self, compiled, frame, index: int, state: _State):
-        """The codegen tier's driver: each generated block function
+        """The generated code's driver: each block function
         executes one (super)block iteration — successor phi moves
         included — and returns the next block's local index (-1 = ret).
 
@@ -658,36 +640,10 @@ class ExecutionEngine:
         return False
 
     def _enter_block(self, compiled, frame, block, previous, state: _State):
-        """Resume execution at the top of ``block`` (entered from
-        ``previous``) on whichever tier ``compiled`` runs on."""
-        if self._codegen_on and compiled.cg_fast is not None:
-            _apply_phi_moves(state, frame, block, previous)
-            return self._cg_run(compiled, frame, block.local_index, state)
-        return self._loop(compiled, frame, block, previous, state)
-
-    def _loop(self, compiled, frame, block, previous, state: _State):
-        """The closure tier's block dispatch loop, from the top of
-        ``block`` (entered from ``previous``)."""
-        block_counts = state.block_counts
-        while True:
-            _apply_phi_moves(state, frame, block, previous)
-            state.dynamic_count += block.cost
-            if state.dynamic_count > state.budget:
-                raise HangFault(state.dynamic_count)
-            block_counts[block.ordinal] += 1
-            for step in block.steps:
-                step(state, frame)
-            kind = block.term_kind
-            if kind == _T_JUMP:
-                previous = block
-                block = block.term_payload
-            elif kind == _T_CBR:
-                fetch, true_block, false_block = block.term_payload
-                previous = block
-                block = true_block if fetch(frame) else false_block
-            else:  # _T_RET
-                fetch = block.term_payload
-                return fetch(frame) if fetch is not None else None
+        """Run from the top of ``block``, entered from ``previous``
+        (None: no phi moves are pending), on the generated code."""
+        _apply_phi_moves(state, frame, block, previous)
+        return self._cg_run(compiled, frame, block.local_index, state)
 
     # ------------------------------------------------------------------
     # Checkpoint-and-fork execution (see repro.interp.checkpoint)
@@ -696,23 +652,16 @@ class ExecutionEngine:
     def capture(self, stride: int, max_snapshots: int = 256) -> GoldenCapture:
         """One instrumented golden run capturing resumable snapshots.
 
-        The run executes the fast codegen variant, which an engine on
-        the closure tier generates on its first capture.  Snapshots are
-        taken between block functions, the first one at or after
-        dynamic index ``stride`` and then every ``stride``
-        instructions, up to ``max_snapshots``.  Raises
-        :class:`InterpreterBug` if a function has no generated code or
-        the fault-free program does not complete (the same contract as
-        :meth:`golden`).
+        The run executes the fast variant.  Snapshots are taken between
+        block functions, the first one at or after dynamic index
+        ``stride`` and then every ``stride`` instructions, up to
+        ``max_snapshots``.  Raises :class:`InterpreterBug` if code
+        generation fails or the fault-free program does not complete
+        (the same contract as :meth:`golden`).
         """
         if stride < 1:
             raise ValueError(f"capture stride must be >= 1, got {stride}")
-        self._build_codegen()
-        if self.codegen_fallbacks:
-            raise InterpreterBug(
-                f"golden capture of {self.module.name} needs generated "
-                f"code for every function"
-            )
+        self._generate()
         state = _CaptureState(MemoryState(self.layout), self.max_dynamic,
                               stride, max_snapshots, self._n_blocks)
         state.call = self._capture_call
@@ -846,6 +795,7 @@ class ExecutionEngine:
         fault already fired hands over ``activated=True`` with its
         occurrence count so the armed instance cannot fire twice.
         """
+        self._prepare_dispatch()
         state = _State(
             MemoryState.restored(
                 dict(snapshot.cells), set(snapshot.valid),
@@ -912,7 +862,8 @@ class ExecutionEngine:
         return self._batch_runner
 
     def _loop_from(self, compiled, frame, cblock, start: int, state: _State):
-        """Finish a block from step ``start``, then rejoin the main loop."""
+        """Finish a block on its steps from step ``start``, then enter
+        its successor."""
         steps = cblock.steps
         for index in range(start, len(steps)):
             steps[index](state, frame)
@@ -1031,8 +982,9 @@ class ExecutionEngine:
             return self._step_detect(compiled, inst)
         raise InterpreterBug(f"cannot compile {inst!r}")
 
-    #: One shared definition (module level) serves both tiers; kept as a
-    #: static method so the step closures below read naturally.
+    #: One shared definition (module level) serves the steps and the
+    #: generated code; kept as a static method so the step closures
+    #: below read naturally.
     _maybe_inject = staticmethod(_maybe_inject)
 
     def _step_binop(self, compiled, inst: BinOp):
@@ -1275,3 +1227,42 @@ class ExecutionEngine:
             raise DetectionTrap(f"detect #{iid}: {a!r} != {b!r}")
 
         return step
+
+
+class ReferenceEngine(ExecutionEngine):
+    """An engine that runs every block on the closure steps.
+
+    The tests' independent oracle for the generated code: it differs
+    from :class:`ExecutionEngine` only in dispatch, and the steps share
+    nothing with the codegen templates but :mod:`repro.interp.ops`.
+    Its runs generate no code.  Capture still generates and runs the
+    fast variant, so a trial can resume from its snapshots, but a trial
+    never tests a rejoin point.  Nothing in the package constructs one.
+    """
+
+    def _prepare_dispatch(self) -> None:
+        """The closure loop needs no generated code."""
+
+    def _enter_block(self, compiled, frame, block, previous, state: _State):
+        """The closure dispatch loop, from the top of ``block`` (entered
+        from ``previous``)."""
+        block_counts = state.block_counts
+        while True:
+            _apply_phi_moves(state, frame, block, previous)
+            state.dynamic_count += block.cost
+            if state.dynamic_count > state.budget:
+                raise HangFault(state.dynamic_count)
+            block_counts[block.ordinal] += 1
+            for step in block.steps:
+                step(state, frame)
+            kind = block.term_kind
+            if kind == _T_JUMP:
+                previous = block
+                block = block.term_payload
+            elif kind == _T_CBR:
+                fetch, true_block, false_block = block.term_payload
+                previous = block
+                block = true_block if fetch(frame) else false_block
+            else:  # _T_RET
+                fetch = block.term_payload
+                return fetch(frame) if fetch is not None else None

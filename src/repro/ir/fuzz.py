@@ -1,8 +1,9 @@
 """Seeded random IR modules for cross-tier differential fuzzing.
 
-The execution tiers (closure, codegen, batch) promise bit-identical
-results; the fixed benchmark suite can only witness that promise on the
-code shapes it happens to contain.  This module generates small random
+The execution paths (generated code, the batch tier, and the closure
+steps the tests run as a reference) promise bit-identical results; the
+fixed benchmark suite can only witness that promise on the code shapes
+it happens to contain.  This module generates small random
 programs — mixed integer widths, loops and phi nodes (via mem2reg),
 div/rem statements that can trap under injection, NaN-prone float
 arithmetic, and in-bounds loads/stores — as a *renewable* source of

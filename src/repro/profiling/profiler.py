@@ -1,6 +1,6 @@
 """Profiling: one instrumented fault-free execution.
 
-The profile runs on the codegen tier's *profile* specialization
+The profile runs on the *profile* specialization of the generated code
 (:mod:`repro.interp.codegen`): the same generated block functions as
 golden runs and campaigns, plus the profiler's bookkeeping, so IR
 semantics live only in :mod:`repro.interp.ops` and the codegen
@@ -25,7 +25,7 @@ import random
 import time
 from hashlib import blake2b
 
-from ..interp.codegen import MEMORY_ACCESSES, SAMPLED_OPERANDS, TIER_CLOSURE
+from ..interp.codegen import MEMORY_ACCESSES, SAMPLED_OPERANDS
 from ..interp.engine import ExecutionEngine
 from ..ir.instructions import Branch, Select, Store
 from ..ir.module import Module
@@ -82,11 +82,9 @@ class ProfilingInterpreter:
         run: both are the fixed cost Fig. 6/7 weigh against FI.
         """
         started = time.perf_counter()
-        # The closure tier generates no code up front, so this engine
-        # compiles only the profile variant, whatever REPRO_INTERP_TIER
-        # says.
-        engine = ExecutionEngine(self.module, max_dynamic=self.max_dynamic,
-                                 tier=TIER_CLOSURE)
+        # An engine generates code on first use, so this one compiles
+        # only the profile variant.
+        engine = ExecutionEngine(self.module, max_dynamic=self.max_dynamic)
         result, run = engine.profile(self.sample_cap, self.site_rng)
         counts = result.instruction_counts()
         profile = ProgramProfile(

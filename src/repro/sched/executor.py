@@ -87,9 +87,7 @@ class CampaignExecutor:
     def injector(self):
         """The in-process injector (serial path and fallback)."""
         if self._injector is None:
-            self._injector = MODULE_CACHE.injector(
-                self._spec, self.settings.interp_tier
-            )
+            self._injector = MODULE_CACHE.injector(self._spec)
         return self._injector
 
     def spec(self) -> ModuleSpec:
@@ -187,12 +185,6 @@ class CampaignExecutor:
             perf.get("checkpoint_degraded", False)
         )
         result.interp_tier = result.interp_tier or perf.get("interp_tier", "")
-        result.codegen_functions = max(
-            result.codegen_functions, perf.get("codegen_functions", 0)
-        )
-        result.codegen_fallbacks = max(
-            result.codegen_fallbacks, perf.get("codegen_fallbacks", 0)
-        )
         result.batch_lanes = max(
             result.batch_lanes, perf.get("batch_lanes", 0)
         )

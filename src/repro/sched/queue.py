@@ -80,6 +80,13 @@ class JobQueue:
                     return None
             return heapq.heappop(self._heap)[2]
 
+    def drain(self) -> list:
+        """Remove and return every queued item."""
+        with self._lock:
+            items = [item for _priority, _seq, item in self._heap]
+            self._heap.clear()
+        return items
+
     def close(self) -> None:
         """Wake every blocked ``pop`` with None; further pushes fail."""
         with self._not_empty:

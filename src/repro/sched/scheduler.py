@@ -186,7 +186,17 @@ class Scheduler:
             self._thread = None
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Close the queue, fail every job still queued (so its waiters
+        return), then stop the dispatcher, waiting up to ``timeout``
+        for a running job."""
         self._queue.close()
+        for job in self._queue.drain():
+            with self._lock:
+                if self._active.get(job.key) is job:
+                    del self._active[job.key]
+                self.counters["failed"] += 1
+            job.resolve(JOB_FAILED,
+                        error="scheduler stopped before the job ran")
         self.pause(timeout)
 
     # -- submission ------------------------------------------------------

@@ -41,8 +41,7 @@ from .spec import ModuleSpec, ShardResult, ShardSpec
 MAX_CACHED_INSTRUCTIONS = 4096
 
 
-def build_injector(module: Module,
-                   interp_tier: str | None = None) -> FaultInjector:
+def build_injector(module: Module) -> FaultInjector:
     """Build a FaultInjector for a module, warm-starting the golden run.
 
     The golden-run summary (outputs, per-instruction counts, dynamic
@@ -54,7 +53,7 @@ def build_injector(module: Module,
     cache = get_cache()
     key = golden_key(module_fingerprint(module))
     golden = load_golden_summary(cache, key)
-    injector = FaultInjector(module, golden=golden, interp_tier=interp_tier)
+    injector = FaultInjector(module, golden=golden)
     if golden is None:
         store_golden_summary(
             cache, key, GoldenSummary.from_run(injector.golden)
@@ -96,11 +95,10 @@ class ModuleCache:
         """The spec's module, materialized on a miss only."""
         return self._entry(spec).module
 
-    def injector(self, spec: ModuleSpec,
-                 interp_tier: str | None = None) -> FaultInjector:
-        """The spec's injector, built on first use in tier
-        ``interp_tier``; callers configure tier, checkpoints and lanes
-        per shard, so they never inherit an earlier campaign's."""
+    def injector(self, spec: ModuleSpec) -> FaultInjector:
+        """The spec's injector, built on first use; callers configure
+        tier, checkpoints and lanes per shard, so they never inherit an
+        earlier campaign's."""
         entry = self._entry(spec)
         with self._lock:
             for other in self._entries.values():
@@ -110,7 +108,7 @@ class ModuleCache:
         if injector is not None:
             return injector
         try:
-            injector = build_injector(entry.module, interp_tier)
+            injector = build_injector(entry.module)
         except Exception:
             with self._lock:
                 if self._entries.get(spec) is entry:
@@ -189,8 +187,6 @@ def span_perf(result) -> dict:
         "checkpointed": result.checkpointed,
         "checkpoint_degraded": result.checkpoint_degraded,
         "interp_tier": result.interp_tier,
-        "codegen_functions": result.codegen_functions,
-        "codegen_fallbacks": result.codegen_fallbacks,
         "batch_lanes": result.batch_lanes,
         "batch_divergences": result.batch_divergences,
         "batch_fallbacks": result.batch_fallbacks,
@@ -209,7 +205,7 @@ def run_shard(spec: ShardSpec, injector=None) -> ShardResult:
     are applied, and ``interp_tier=None`` selects the default tier.
     """
     if injector is None:
-        injector = MODULE_CACHE.injector(spec.module, spec.interp_tier)
+        injector = MODULE_CACHE.injector(spec.module)
     injector.configure_checkpoints(spec.checkpoint, spec.checkpoint_stride)
     injector.configure_tier(spec.interp_tier)
     injector.configure_batch(spec.batch_lanes)

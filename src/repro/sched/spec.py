@@ -117,10 +117,10 @@ class CampaignSettings:
     checkpoint: bool = True
     #: Snapshot stride in dynamic instructions; 0 = auto.
     checkpoint_stride: int = 0
-    #: Interpreter tier ("codegen"/"closure"/"batch"); None keeps each
-    #: engine's resolved default.  Counts are invariant to the tier (the
-    #: CI differential enforces bit-identity), so — like the checkpoint
-    #: knobs — it is deliberately *not* part of the campaign cache key.
+    #: Interpreter tier ("codegen"/"batch"); None selects the resolved
+    #: default.  Counts are invariant to the tier (the CI differential
+    #: enforces bit-identity), so — like the checkpoint knobs — it is
+    #: deliberately *not* part of the campaign cache key.
     interp_tier: str | None = None
     #: Lanes per lockstep group on the batch tier; <= 0 picks the
     #: tier's default.  Another wall-clock-only knob: counts are

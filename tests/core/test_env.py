@@ -109,7 +109,7 @@ class TestEnvFloat:
 
 
 class TestEnvChoice:
-    CHOICES = ("codegen", "closure", "batch")
+    CHOICES = ("codegen", "batch")
 
     def test_accepts_declared_choices(self, monkeypatch):
         assert env_choice(VAR, "codegen", self.CHOICES) == "codegen"

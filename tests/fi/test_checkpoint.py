@@ -199,11 +199,15 @@ class TestBookkeeping:
                     "snapshot_bytes", "checkpointed", "converged_trials",
                     "checkpoint_degraded"):
             payload.pop(key, None)
+        # Keys entries carried while codegen could fall back per function.
+        payload.update(codegen_functions=1, codegen_fallbacks=0)
         rebuilt = CampaignResult.from_dict(payload)
         assert rebuilt.dynamic_instructions == 0
         assert rebuilt.converged_trials == 0
         assert not rebuilt.checkpointed
         assert not rebuilt.checkpoint_degraded
+        assert rebuilt.codegen_fallbacks == 0
+        assert "codegen_fallbacks" not in rebuilt.to_dict()
 
 
 @pytest.mark.slow

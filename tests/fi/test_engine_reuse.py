@@ -1,8 +1,9 @@
 """Engine reuse: one compilation per worker per module revision.
 
-Compiling an :class:`ExecutionEngine` (closure specialization of every
-instruction) is the expensive per-module step; a campaign must pay it
-once per worker and amortize it across every shard, round, and trial.
+Compiling an :class:`ExecutionEngine` (closure steps for every
+instruction, then generated code on its first run) is the expensive
+per-module step; a campaign must pay it once per worker and amortize it
+across every shard, round, and trial.
 ``engine_build_count`` counts compilations process-wide, so these tests
 lock the invariant by measuring deltas.
 """
@@ -61,17 +62,17 @@ class TestWorkerReuse:
         run_shard(shard(spec, 0, 30))
         assert engine_build_count() == before + 1
         run_shard(shard(spec, 30, 30))
-        run_shard(shard(spec, 60, 30, checkpoint=False, tier="closure"))
+        run_shard(shard(spec, 60, 30, checkpoint=False, tier="batch"))
         run_shard(shard(spec, 90, 30, tier="codegen", lanes=8))  # toggling
         assert engine_build_count() == before + 1            # knobs keeps it
 
-    def test_default_tier_shard_after_closure_shard(self, fresh_worker):
+    def test_default_tier_shard_after_batch_shard(self, fresh_worker):
         """A shard with no tier runs on the default tier, whatever
         tier the previous shard left on the cached injector."""
         spec = ModuleSpec.from_benchmark("pathfinder", "test")
-        closure = run_shard(shard(spec, 0, 20, tier="closure"))
+        batch = run_shard(shard(spec, 0, 20, tier="batch"))
         default = run_shard(shard(spec, 20, 20))
-        assert closure.perf["interp_tier"] == "closure"
+        assert batch.perf["interp_tier"] == "batch"
         assert default.perf["interp_tier"] == resolve_tier(None)
 
     def test_new_module_revision_recompiles(self, fresh_worker):

@@ -64,6 +64,21 @@ class TestCli:
         assert "crash" in text
         assert "±" in text
 
+    def test_inject_reports_tier(self, tmp_path):
+        try:  # an empty store, so the campaign runs
+            text = run_cli("--cache-dir", str(tmp_path), "inject",
+                           "pathfinder", "--scale", "test", "--runs", "50",
+                           "--interp-tier", "codegen")
+        finally:
+            configure_cache(None)
+        assert "\ninterp tier: codegen\n" in text
+
+    def test_closure_tier_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("inject", "pathfinder", "--interp-tier", "closure")
+        assert exc.value.code == 2
+        assert "invalid choice: 'closure'" in capsys.readouterr().err
+
     def test_protect(self):
         text = run_cli("protect", "pathfinder", "--scale", "test",
                        "--runs", "150", "--budget", "0.5")

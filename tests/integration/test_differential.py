@@ -1,10 +1,10 @@
-"""Differential testing: the closure tier and the profiler implement
+"""Differential testing: the closure steps and the profiler implement
 the same semantics.
 
 Hypothesis generates random programs through the eDSL (arithmetic on
-locals, array traffic, branches, loops); a golden run on the closure
-tier (per-step closures over :mod:`repro.interp.ops`) and a profiling
-run (the codegen tier's profile variant, generated source) are two
+locals, array traffic, branches, loops); a golden run on the reference
+engine (per-step closures over :mod:`repro.interp.ops`) and a profiling
+run (the generated code's profile variant) are two
 independent implementations of IR semantics, and must produce identical
 outputs, dynamic instruction counts and per-instruction execution counts
 on every one of them.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.interp import ExecutionEngine
+from repro.interp.engine import ReferenceEngine
 from repro.ir import I32, FunctionBuilder, Module
 from repro.profiling import ProfilingInterpreter
 
@@ -85,7 +85,7 @@ def build_random_program(spec) -> Module:
 @settings(max_examples=60, deadline=None)
 def test_engine_and_profiler_agree(spec):
     module = build_random_program(spec)
-    engine_result = ExecutionEngine(module, tier="closure").golden()
+    engine_result = ReferenceEngine(module).golden()
     profile, profiler_outputs = ProfilingInterpreter(module).run()
     assert engine_result.outputs == profiler_outputs
     assert engine_result.dynamic_count == profile.dynamic_count

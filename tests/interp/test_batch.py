@@ -145,7 +145,7 @@ def alloca_region_module():
 
 
 def _scalar_reference(module, injection):
-    return ExecutionEngine(module, tier=TIER_CODEGEN).run(injection=injection)
+    return ExecutionEngine(module).run(injection=injection)
 
 
 def _assert_lane_matches(lane_result, reference):
@@ -160,7 +160,7 @@ def test_branch_divergence_reconverges_without_drain():
     """The default path: a lone lane takes the other arm of an if/else,
     parks at the join block, and re-merges — no scalar drain at all."""
     module, probe = branch_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)  # 5 -> 2**30 + 5: other arm
     trials = [None, injection, None, None]
     group = engine.batch_runner().run_group(trials)
@@ -182,7 +182,7 @@ def test_branch_divergence_peels_one_lane(monkeypatch):
     lane is peeled onto the scalar drain."""
     monkeypatch.setenv("REPRO_BATCH_RECONVERGE", "0")
     module, probe = branch_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)
     trials = [None, injection, None, None]
     group = engine.batch_runner().run_group(trials)
@@ -199,7 +199,7 @@ def test_branch_divergence_peels_one_lane(monkeypatch):
 
 def test_nested_divergence_reconverges_both_levels():
     module, probe = nested_branch_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)
     trials = [None, injection, None, None, None]
     group = engine.batch_runner().run_group(trials)
@@ -217,7 +217,7 @@ def test_side_loop_keeps_per_lane_dynamic_counts():
     """A lane that runs a loop inside its side must report its own
     (much larger) dynamic count while the majority keeps the shared one."""
     module, probe = side_loop_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)
     trials = [None, injection, None]
     group = engine.batch_runner().run_group(trials)
@@ -236,10 +236,10 @@ def test_hang_inside_side_matches_scalar_budget():
     must hang with exactly the scalar tier's count and message while the
     other lanes finish OK."""
     module, probe = side_loop_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)
     budget = engine.golden().dynamic_count + 20
-    reference = ExecutionEngine(module, tier=TIER_CODEGEN).run(
+    reference = ExecutionEngine(module).run(
         injection=injection, budget=budget
     )
     assert reference.outcome == "hang"
@@ -253,7 +253,7 @@ def test_hang_inside_side_matches_scalar_budget():
 
 def test_alloca_in_region_falls_back_to_drain():
     module, probe = alloca_region_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 30)
     trials = [None, injection, None, None]
     group = engine.batch_runner().run_group(trials)
@@ -269,7 +269,7 @@ def test_alloca_in_region_falls_back_to_drain():
 
 def test_trap_in_one_lane_crashes_only_that_lane():
     module, probe = trap_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 0)  # denominator 1 -> 0
     group = engine.batch_runner().run_group([None, None, injection])
     reference = _scalar_reference(module, injection)
@@ -285,7 +285,7 @@ def test_per_lane_memory_divergence_without_branching():
     """Divergent stores split memory cells per lane; control flow stays
     shared, so no lane is peeled yet every lane sees its own value."""
     module, probe = store_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     trials = [None, Injection(probe.iid, 1, 8), Injection(probe.iid, 1, 9)]
     group = engine.batch_runner().run_group(trials)
     assert group.divergences == 0
@@ -303,7 +303,7 @@ def test_group_outcome_accounting():
     """Lockstep executes the shared trace once: executed stays near one
     trace-length while skipped absorbs the other lanes' logical work."""
     module, _probe = store_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     lanes = 6
     group = engine.batch_runner().run_group([None] * lanes)
     trace = engine.golden().dynamic_count
@@ -315,7 +315,7 @@ def test_group_outcome_accounting():
 
 def test_single_lane_group_matches_scalar():
     module, probe = trap_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     injection = Injection(probe.iid, 1, 0)
     group = engine.batch_runner().run_group([injection])
     _assert_lane_matches(group.results[0], _scalar_reference(module, injection))
@@ -323,7 +323,7 @@ def test_single_lane_group_matches_scalar():
 
 def test_run_group_rejects_bad_trials():
     module, probe = branch_module()
-    runner = ExecutionEngine(module, tier=TIER_BATCH).batch_runner()
+    runner = ExecutionEngine(module).batch_runner()
     with pytest.raises(ValueError):
         runner.run_group([])
     with pytest.raises(ValueError):
@@ -389,4 +389,4 @@ def test_numpy_absence_degrades_to_codegen(monkeypatch):
     assert degraded.batch_lanes == 0
     assert degraded.batch_divergences == 0
     with pytest.raises(Exception):
-        BatchRunner(ExecutionEngine(module, tier=TIER_BATCH))
+        BatchRunner(ExecutionEngine(module))

@@ -3,7 +3,7 @@
 A lockstep group restores *once* from the snapshot nearest the earliest
 lane's fork point and replays the shared suffix for every lane; the
 contract is that each lane's result is bit-identical to (a) a cold
-scalar run with the same injection and (b) the closure tier's
+scalar run with the same injection and (b) the reference engine's
 checkpointed resume.  Stride 1 snapshots at every opportunity — the
 capture schedule then lands on mid-block suspended frames, inside loop
 bodies, which is the hardest restore shape; a stride beyond the trace
@@ -16,8 +16,8 @@ import pytest
 
 from repro.fi.campaign import FaultInjector
 from repro.interp.batch import HAVE_NUMPY
-from repro.interp.codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN
-from repro.interp.engine import ExecutionEngine, Injection
+from repro.interp.codegen import TIER_BATCH
+from repro.interp.engine import ExecutionEngine, Injection, ReferenceEngine
 from repro.ir import I32, Module
 from repro.ir.dsl import FunctionBuilder
 
@@ -58,7 +58,7 @@ def test_group_resume_from_midblock_snapshots():
     """Restore a group from a stride-1 snapshot (suspended mid-loop
     frames) and check every lane against a cold scalar run."""
     module, probe = loop_module()
-    engine = ExecutionEngine(module, tier=TIER_BATCH)
+    engine = ExecutionEngine(module)
     capture = engine.capture(stride=1)
     assert len(capture.snapshots) > 4
     # Lanes fork at different occurrences of the same multiply; the
@@ -79,9 +79,7 @@ def test_group_resume_from_midblock_snapshots():
         occurrences=occurrences,
     )
     for injection, result in zip(trials, group.results):
-        cold = ExecutionEngine(module, tier=TIER_CODEGEN).run(
-            injection=injection
-        )
+        cold = ExecutionEngine(module).run(injection=injection)
         assert result.outcome == cold.outcome
         assert result.outputs == cold.outputs
         assert result.dynamic_count == cold.dynamic_count
@@ -91,10 +89,10 @@ def test_group_resume_from_midblock_snapshots():
 @pytest.mark.parametrize("stride", [1, 7, 500, 10**9])
 def test_campaign_counts_invariant_to_stride(stride):
     """Batch + checkpointing at any stride (including degenerate ones)
-    reproduces the closure tier's resumed campaign bit-for-bit."""
+    reproduces the reference engine's resumed campaign bit-for-bit."""
     module, _probe = loop_module()
     reference = FaultInjector(
-        module, interp_tier=TIER_CLOSURE, checkpoint=True,
+        module, engine=ReferenceEngine(module), checkpoint=True,
         checkpoint_stride=stride,
     ).campaign(60, seed=17)
     for lanes in (1, 8):

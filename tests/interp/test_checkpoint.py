@@ -16,7 +16,7 @@ from repro.bench import BENCHMARK_NAMES
 from repro.fi import FaultInjector
 from repro.interp import ExecutionEngine, Injection
 from repro.interp.checkpoint import Snapshot
-from repro.interp.engine import _Frame, _same_state, _State
+from repro.interp.engine import ReferenceEngine, _Frame, _same_state, _State
 from repro.interp.memory import MemoryState
 from repro.ir import F64, I32, FunctionBuilder, Module
 from repro.opt.pipeline import optimize
@@ -318,9 +318,9 @@ class TestRejoin:
             assert_same_run(trial, engine.run(injection, budget))
             assert trial.golden_suffix == 0
 
-    def test_closure_tier_never_rejoins(self):
+    def test_reference_engine_never_rejoins(self):
         module = cached_module("pathfinder")
-        engine = ExecutionEngine(module, tier="closure")
+        engine = ReferenceEngine(module)
         golden = engine.golden()
         capture = engine.capture(max(1, golden.dynamic_count // 192))
         for injection in random_injections(module, golden, 20, 8):

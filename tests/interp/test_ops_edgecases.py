@@ -1,11 +1,12 @@
-"""ops.py edge cases the codegen tier must preserve, across both tiers.
+"""ops.py edge cases the generated code must preserve, on every path.
 
 The generated source inlines the hot arithmetic (masked add/sub/mul,
 bitwise ops, unsigned compares) and falls back to :mod:`repro.interp.ops`
-for the rest, so every exactness property of the closure tier — wraparound
-at each bit width, signed/unsigned comparison boundaries, NaN-propagating
-float compares, division/remainder traps — is asserted identical across
-tiers here, with concrete anchors so a semantics change in *both* tiers
+for the rest, so every exactness property of the closure steps —
+wraparound at each bit width, signed/unsigned comparison boundaries,
+NaN-propagating float compares, division/remainder traps — is asserted
+identical across the reference engine, the generated code and the batch
+tier here, with concrete anchors so a semantics change in *every* path
 cannot slip through as "still identical".
 """
 
@@ -14,8 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.interp.batch import HAVE_NUMPY
-from repro.interp.codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN
-from repro.interp.engine import ExecutionEngine, Injection
+from repro.interp.engine import ExecutionEngine, Injection, ReferenceEngine
 from repro.interp.result import CRASH, OK
 from repro.ir import F32, F64, I8, I16, I32, I64, Function, IRBuilder, Module
 
@@ -31,25 +31,24 @@ def _assert_same(left, right):
 
 
 def run_both(build):
-    """Build a one-function module, run it on every tier, assert they
-    agree on everything observable, and return the closure result."""
+    """Build a one-function module, run it on every path, assert they
+    agree on everything observable, and return the reference result."""
     module = Module("ops_edge")
     fn = module.add_function(Function("main"))
     b = IRBuilder(fn, fn.add_block("entry"))
     build(b)
     b.ret()
     module.finalize()
-    closure = ExecutionEngine(module, tier=TIER_CLOSURE).run()
-    codegen_engine = ExecutionEngine(module, tier=TIER_CODEGEN)
-    assert codegen_engine.codegen_fallbacks == 0
+    reference = ReferenceEngine(module).run()
+    codegen_engine = ExecutionEngine(module)
     codegen = codegen_engine.run()
-    _assert_same(closure, codegen)
+    _assert_same(reference, codegen)
     if HAVE_NUMPY:
-        _run_batch(module, closure, codegen_engine)
-    return closure
+        _run_batch(module, reference, codegen_engine)
+    return reference
 
 
-def _run_batch(module, closure, codegen_engine):
+def _run_batch(module, reference, codegen_engine):
     """The same case through the batch tier's numpy paths.
 
     A fault-free uniform group takes the scalar fast paths, so the
@@ -60,7 +59,7 @@ def _run_batch(module, closure, codegen_engine):
     same injection) and in the clean lanes (vs the golden run), i.e.
     numpy dtype semantics must not leak into visible results.
     """
-    batch_engine = ExecutionEngine(module, tier=TIER_BATCH)
+    batch_engine = ExecutionEngine(module)
     target = next(
         (inst for inst in module.instructions() if inst.has_result), None
     )
@@ -70,7 +69,7 @@ def _run_batch(module, closure, codegen_engine):
     group = batch_engine.batch_runner().run_group(trials)
     for trial, lane_result in zip(trials, group.results):
         expected = (
-            closure if trial is None
+            reference if trial is None
             else codegen_engine.run(injection=trial)
         )
         _assert_same(lane_result, expected)

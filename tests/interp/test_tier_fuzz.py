@@ -5,8 +5,9 @@ widths, phi nodes after mem2reg, loops, division/remainder ops that can
 trap under injection, NaN-prone float arithmetic, loads and stores) and
 this suite locks all tiers together over them: for each module the
 golden run *and* a full fault-injection campaign must be bit-identical
-across the closure tier, the closure tier with stride-1 checkpointing,
-the codegen tier, and the batch tier with and without checkpointing.
+across the reference engine (every block on the closure steps), the
+reference engine with stride-1 checkpointing, the codegen tier, and the
+batch tier with and without checkpointing.
 
 A failing seed is shrunk to a minimal statement subset with
 :func:`repro.ir.fuzz.shrink_case` and persisted under
@@ -29,6 +30,7 @@ import pytest
 
 from repro.fi.campaign import FaultInjector
 from repro.interp.batch import HAVE_NUMPY
+from repro.interp.engine import ReferenceEngine
 from repro.interp.result import OK
 from repro.ir.fuzz import FuzzCase, build_fuzz_module, shrink_case
 from repro.ir.instructions import BinOp, Phi
@@ -46,11 +48,12 @@ CAMPAIGN_SEED = 11
 #: straddle group boundaries — the shapes most likely to hide bugs.
 BATCH_LANES = 7
 
-#: (tier, checkpoint, checkpoint_stride) configurations under test.
+#: (tier, checkpoint, checkpoint_stride) configurations under test;
+#: the "reference" tier is codegen's on a :class:`ReferenceEngine`.
 #: Stride 1 snapshots at every opportunity, maximizing resume coverage.
 TIERS = [
-    ("closure", False, 0),
-    ("closure", True, 1),
+    ("reference", False, 0),
+    ("reference", True, 1),
     ("codegen", True, 0),
 ]
 if HAVE_NUMPY:
@@ -60,9 +63,12 @@ if HAVE_NUMPY:
 def tier_fingerprint(module, tier, checkpoint, stride):
     """Everything observable about one tier's run of ``module``: golden
     outcome/outputs/trace shape plus full campaign outcome counts."""
+    reference = tier == "reference"
     injector = FaultInjector(
-        module, interp_tier=tier, checkpoint=checkpoint,
-        checkpoint_stride=stride, batch_lanes=BATCH_LANES,
+        module, engine=ReferenceEngine(module) if reference else None,
+        interp_tier="codegen" if reference else tier,
+        checkpoint=checkpoint, checkpoint_stride=stride,
+        batch_lanes=BATCH_LANES,
     )
     golden = injector.engine.golden()
     counts = injector.campaign(CAMPAIGN_RUNS, seed=CAMPAIGN_SEED).counts

@@ -7,8 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.interp import ExecutionEngine
 from repro.interp import engine as engine_mod
+from repro.interp.engine import ReferenceEngine
 from repro.interp.errors import InterpreterBug
 from repro.ir import I32, FunctionBuilder, Module
 from repro.ir.instructions import Branch, Store
@@ -17,29 +17,29 @@ from tests.conftest import cached_module, cached_profile
 
 
 class TestAgreementWithEngine:
-    """The profile variant against the closure tier, an independent
-    implementation of the same IR semantics."""
+    """The profile variant against the closure steps (the reference
+    engine), an independent implementation of the same IR semantics."""
 
     def test_outputs_match(self, accumulator_module):
         profile, outputs = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
+        golden = ReferenceEngine(accumulator_module).golden()
         assert outputs == golden.outputs
 
     def test_dynamic_count_matches(self, accumulator_module):
         profile, _ = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
+        golden = ReferenceEngine(accumulator_module).golden()
         assert profile.dynamic_count == golden.dynamic_count
 
     def test_instruction_counts_match(self, accumulator_module):
         profile, _ = ProfilingInterpreter(accumulator_module).run()
-        golden = ExecutionEngine(accumulator_module, tier="closure").golden()
+        golden = ReferenceEngine(accumulator_module).golden()
         assert profile.inst_counts == golden.instruction_counts()
 
     @pytest.mark.parametrize("name", ["pathfinder", "nw", "libquantum"])
     def test_benchmarks_agree(self, name):
         module = cached_module(name)
         profile, outputs = cached_profile(name)
-        golden = ExecutionEngine(module, tier="closure").golden()
+        golden = ReferenceEngine(module).golden()
         assert outputs == golden.outputs
         assert profile.dynamic_count == golden.dynamic_count
 
@@ -184,7 +184,7 @@ class TestProfileContracts:
         with pytest.raises(InterpreterBug, match="budget exceeded"):
             ProfilingInterpreter(accumulator_module, max_dynamic=10).run()
 
-    @pytest.mark.parametrize("tier", ["closure", "codegen", "batch"])
+    @pytest.mark.parametrize("tier", ["codegen", "batch"])
     def test_interpreter_tier_does_not_reach_profiling(self, monkeypatch,
                                                        tier):
         module = cached_module("pathfinder")

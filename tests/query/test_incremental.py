@@ -14,6 +14,7 @@ Three guarantees, from strongest to broadest:
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -180,10 +181,14 @@ class TestRemodelSpeedup:
         assert report.touched_functions == {"laplacian"}
         pprofile, _ = ProfilingInterpreter(protected).run()
 
+        # Collect before each timed run, so a full collection of the
+        # suite's heap cannot land inside the ~20 ms warm run.
+        gc.collect()
         started = time.perf_counter()
         cold_map = _model(protected, pprofile, shared=False).sdc_map()
         cold_seconds = time.perf_counter() - started
 
+        gc.collect()
         started = time.perf_counter()
         warm_map = _model(protected, pprofile, shared=True).sdc_map()
         warm_seconds = time.perf_counter() - started

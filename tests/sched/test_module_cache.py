@@ -89,14 +89,14 @@ class TestReuse:
         assert again.fingerprint == first.fingerprint
 
     def test_default_settings_after_other_settings(self, empty_cache):
-        closure = run_store_campaign(
+        batch = run_store_campaign(
             20, 731, spec=PATHFINDER,
-            settings=CampaignSettings(interp_tier="closure",
+            settings=CampaignSettings(interp_tier="batch",
                                       checkpoint=False),
         )
         default = run_store_campaign(20, 732, spec=PATHFINDER)
-        assert closure.interp_tier == "closure"
-        assert not closure.checkpointed
+        assert batch.interp_tier == "batch"
+        assert not batch.checkpointed
         assert default.interp_tier == resolve_tier(None)
         assert default.checkpointed
 

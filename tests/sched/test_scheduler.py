@@ -9,6 +9,8 @@ a queue slot at all.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.fi import FaultInjector
@@ -145,6 +147,27 @@ class TestExecution:
         assert scheduler.counters["failed"] == 1
 
 
+class TestStop:
+    def test_stop_fails_queued_jobs_and_wakes_waiters(self):
+        """A client waiting on a job still queued at stop() returns at
+        once instead of holding shutdown for its whole wait timeout."""
+        scheduler = Scheduler(max_pending=4)  # never started
+        job = scheduler.submit(request(runs=10, seed=63))
+        waiter = threading.Thread(target=job.wait, args=(30.0,),
+                                  daemon=True)
+        waiter.start()
+        scheduler.stop(timeout=5.0)
+        waiter.join(2.0)
+        assert not waiter.is_alive()
+        assert job.status == "failed"
+        assert "stopped before the job ran" in job.error
+        assert scheduler.counters["failed"] == 1
+        # Dropped from the coalescing index: a repeat submit is refused
+        # by the closed queue instead of joining the failed job.
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.submit(request(runs=10, seed=63))
+
+
 class TestWireForm:
     def test_from_payload_roundtrip(self):
         req = CampaignRequest.from_payload({
@@ -170,3 +193,7 @@ class TestWireForm:
                 "benchmark": BENCH, "runs": 10,
                 "ir_text": print_module(cached_module("nw")),
             })
+        with pytest.raises(ValueError):  # no longer a tier
+            CampaignRequest.from_payload(
+                {"benchmark": BENCH, "runs": 10, "interp_tier": "closure"}
+            )

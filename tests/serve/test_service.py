@@ -150,6 +150,9 @@ class TestProtocol:
         with pytest.raises(ServiceError) as exc:
             client.analyze(both)
         assert exc.value.status == 400
+        with pytest.raises(ServiceError) as exc:
+            client.submit(campaign_payload(interp_tier="closure"))
+        assert exc.value.status == 400
 
     @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
                              ids=MALFORMED_REQUESTS.keys())
