@@ -14,7 +14,10 @@ Three phases, selectable with ``--only`` (default: all):
    the same spec twice.  Both submits must be admission-time store hits
    (``cached``, zero trials executed) returning the CLI run's counts
    bit-for-bit, and the daemon's ``/v1/stats`` must expose the
-   scheduler and store counters the nightly job tracks.
+   scheduler and store counters the nightly job tracks.  Then the
+   stored entry is rewritten with a negative count: a fresh daemon's
+   next submit must recompute it (not ``cached``, the serial counts),
+   and the submit after that must be a store hit again.
 
 3. **reuse** — one daemon takes interleaved submits over two
    benchmarks, so it serves each campaign from the module and injector
@@ -45,6 +48,8 @@ import time
 from pathlib import Path
 
 from repro.bench import build_module
+from repro.cache import ArtifactCache, campaign_key, module_fingerprint
+from repro.cache.artifacts import CAMPAIGN_KIND
 from repro.fi.campaign import FaultInjector
 from repro.interp.codegen import resolve_tier
 from repro.serve import ServiceError
@@ -188,6 +193,18 @@ def store_replay(runs: int, seed: int, bench_json: str | None) -> None:
         store = stats["store"]["counters"]
         check("lock_contention" in store and "partial_shards_written"
               in store, "store-level counters exposed via /v1/stats")
+        corrupt_entry(cache_dir, runs, seed)
+        daemon = Daemon(cache_dir)
+        try:
+            client = daemon.client()
+            jobs = [client.submit(payload(runs, seed, 1), wait=True)
+                    for _attempt in (1, 2)]
+        finally:
+            daemon.stop()
+        check(not jobs[0]["cached"] and jobs[0]["result"]["counts"] == serial,
+              "a corrupt store entry is recomputed, with the serial counts")
+        check(jobs[1]["cached"] and jobs[1]["result"]["counts"] == serial,
+              "the recomputed entry replays from the store")
         if bench_json:
             Path(bench_json).write_text(json.dumps({
                 "benchmark": BENCH, "runs": runs, "seed": seed,
@@ -197,6 +214,21 @@ def store_replay(runs: int, seed: int, bench_json: str | None) -> None:
                 "store_counters": store,
             }, indent=2, sort_keys=True) + "\n")
             print(f"wrote {bench_json}")
+
+
+def corrupt_entry(cache_dir: str, runs: int, seed: int) -> None:
+    """Rewrite the stored campaign entry with a negative SDC count
+    (the total unchanged), as a damaged store would hold it."""
+    store = ArtifactCache(cache_dir)
+    key = campaign_key(module_fingerprint(build_module(BENCH, SCALE)),
+                       runs, seed)
+    entry = store.load(CAMPAIGN_KIND, key)
+    check(entry is not None, "the CLI-computed entry is in the store")
+    counts = entry["counts"]
+    counts["benign"] += counts["sdc"] + 1
+    counts["sdc"] = -1
+    check(store.store(CAMPAIGN_KIND, key, entry),
+          "rewrote the stored entry with a negative count")
 
 
 def reuse(runs: int, seed: int) -> None:

@@ -316,9 +316,10 @@ def shard_key(campaign: str, start: int, count: int) -> str:
 
     Scoped under the campaign key (which already covers the module
     fingerprint, seed, run budget and stopping rule) plus the shard's
-    exact run range: a re-run that plans the same range — any process,
-    any machine — replays the stored counts instead of re-injecting,
-    so a killed worker's completed shards are never lost.  Payload
-    (de)serialization lives on :class:`repro.sched.spec.ShardResult`.
+    exact run range: a re-run that plans the same range, in any process
+    that shares the store, replays the stored counts instead of
+    re-injecting, so a killed worker's completed shards are never lost.
+    The payload is the shard's :class:`repro.fi.campaign.CampaignResult`
+    wire form.
     """
     return combine_key("shard", campaign, start, count)

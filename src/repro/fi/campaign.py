@@ -13,7 +13,8 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import add
 
 from ..interp.codegen import TIER_BATCH, resolve_tier
 from ..interp.engine import ExecutionEngine, Injection
@@ -31,27 +32,58 @@ CAUGHT = "detected"
 OUTCOMES = (SDC, CRASHED, HUNG, BENIGN, CAUGHT)
 
 
+def _add_counts(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    merged = dict(a)
+    for outcome, n in b.items():
+        merged[outcome] = merged.get(outcome, 0) + n
+    return merged
+
+
+def _either(a, b):
+    """OR for flags; the first non-empty value for the tier name."""
+    return a or b
+
+
+def _stat(default=None, merge=None, *, factory=None, stored=True):
+    """A :class:`CampaignResult` field whose metadata says how
+    :meth:`CampaignResult.absorb` combines two results' values
+    (``merge``; None for fields a campaign driver sets after merging)
+    and whether the wire form carries it (``stored``).  Plain fields
+    are neither merged nor stored."""
+    metadata = {"merge": merge, "stored": stored}
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class CampaignResult:
-    """Aggregated outcome counts of one FI campaign.
+    """Aggregated outcome counts of one FI campaign, or of one seed
+    range of it (a span or shard, see :mod:`repro.sched`).
 
-    ``counts``/``wall_seconds``/``cpu_seconds`` are additive under
-    :meth:`merge`; the remaining fields describe the campaign that
-    produced the result (how many runs were requested, whether the
-    confidence-interval stopping rule fired, how many rounds ran, how
-    many workers executed it) and are set by the campaign driver after
-    merging, not by ``merge`` itself.
+    Each field's declaration is the one statement of how results
+    combine and travel: :meth:`absorb` (and :meth:`merge`, built on it)
+    merges the fields declared with a ``merge`` rule, :meth:`to_dict`
+    writes the ``stored`` ones, and :meth:`from_dict` reads them back.
+    The remaining fields describe the campaign that produced the result
+    (whether the confidence-interval stopping rule fired, how many
+    rounds ran, how many workers executed it) and are set by the
+    campaign driver after merging, not by ``merge`` itself.
+
+    Invariant: ``total`` equals the runs ``completed_ranges`` covers.
     """
 
-    counts: dict[str, int] = field(default_factory=lambda: {o: 0 for o in OUTCOMES})
+    counts: dict[str, int] = _stat(
+        merge=_add_counts, factory=lambda: {o: 0 for o in OUTCOMES}
+    )
     #: End-to-end elapsed time observed by the campaign driver.
-    wall_seconds: float = 0.0
+    wall_seconds: float = _stat(0.0, add, stored=False)
     #: Summed per-run execution time across all workers (== wall_seconds
     #: for a serial campaign).
-    cpu_seconds: float = 0.0
-    runs_requested: int = 0
-    stopped_early: bool = False
-    rounds: int = 0
+    cpu_seconds: float = _stat(0.0, add)
+    runs_requested: int = _stat(0)
+    stopped_early: bool = _stat(False)
+    rounds: int = _stat(0)
     workers: int = 1
     #: True when a parallel campaign lost its worker pool and fell back
     #: to in-process serial execution (no counts are ever lost).
@@ -62,45 +94,46 @@ class CampaignResult:
     #: Interpreter throughput: dynamic instructions actually executed
     #: (trials + golden capture passes) and instructions *not* executed
     #: because trials forked from golden-prefix snapshots or took over
-    #: the golden suffix.  Additive under :meth:`merge`, like the counts.
-    dynamic_instructions: int = 0
-    skipped_instructions: int = 0
+    #: the golden suffix.
+    dynamic_instructions: int = _stat(0, add)
+    skipped_instructions: int = _stat(0, add)
     #: Trials that rejoined the golden run and took over its suffix
-    #: instead of executing it.  Additive under :meth:`merge`.
-    converged_trials: int = 0
+    #: instead of executing it.
+    converged_trials: int = _stat(0, add)
     #: Estimated bytes held by the snapshot sets built for this result
     #: (counted once per capture pass, summed across workers).
-    snapshot_bytes: int = 0
+    snapshot_bytes: int = _stat(0, add)
     #: True when at least part of the campaign ran in checkpoint mode.
-    checkpointed: bool = False
+    checkpointed: bool = _stat(False, _either)
     #: True when a checkpoint path failed and trials fell back to cold
     #: full runs (counts are bit-identical either way).
-    checkpoint_degraded: bool = False
+    checkpoint_degraded: bool = _stat(False, _either)
     #: Interpreter tier that executed the campaign ("codegen" or
     #: "batch"); empty for results that never ran (e.g. bare merges).
-    interp_tier: str = ""
+    interp_tier: str = _stat("", _either)
     #: Always 0: generated code has no fallback.  Kept because the
     #: repository benchmark's tracer (``perfbench/tracer.py``) reads it.
     codegen_fallbacks: int = 0
-    #: Batch tier statistics: the lane count groups ran with (gauge,
-    #: merged by max), lanes that left lockstep and drained on the
-    #: scalar tier, and whole groups that failed and re-ran their
-    #: trials scalar (counts are bit-identical either way).
-    batch_lanes: int = 0
-    batch_divergences: int = 0
-    batch_fallbacks: int = 0
+    #: Batch tier statistics: the lane count groups ran with (a gauge),
+    #: lanes that left lockstep and drained on the scalar tier, and
+    #: whole groups that failed and re-ran their trials scalar (counts
+    #: are bit-identical either way).
+    batch_lanes: int = _stat(0, max)
+    batch_divergences: int = _stat(0, add)
+    batch_fallbacks: int = _stat(0, add)
     #: Reconvergence observability: divergent branches whose sides were
     #: re-merged in lockstep (``batch_reconverged``), lanes that left
     #: lockstep for the scalar drain anyway (``batch_drains``), and the
     #: dynamic instructions those drained lanes executed scalar
     #: (``drain_instructions`` ⊆ ``dynamic_instructions``).
-    batch_reconverged: int = 0
-    batch_drains: int = 0
-    drain_instructions: int = 0
-    #: Seed ranges (start, count) whose counts this result includes —
-    #: set by the shard scheduler, so an interrupted campaign can report
-    #: exactly which runs completed (see ``repro.sched.executor``).
-    completed_ranges: list = field(default_factory=list)
+    batch_reconverged: int = _stat(0, add)
+    batch_drains: int = _stat(0, add)
+    drain_instructions: int = _stat(0, add)
+    #: Seed ranges (start, count) whose counts this result includes:
+    #: ``run_span`` sets its own, merging concatenates them and the
+    #: campaign driver coalesces them, so an interrupted campaign can
+    #: report exactly which runs completed (see ``repro.sched.executor``).
+    completed_ranges: list = _stat(merge=add, factory=list)
     #: True when the campaign was cut short (KeyboardInterrupt) and the
     #: counts cover only ``completed_ranges``; never cached.
     interrupted: bool = False
@@ -157,108 +190,69 @@ class CampaignResult:
         p = self.probability(outcome)
         return confidence_z * math.sqrt(p * (1.0 - p) / n)
 
+    def absorb(self, other: "CampaignResult") -> None:
+        """Merge ``other`` into this result in place, each field by the
+        ``merge`` rule its declaration names; fields without one (those
+        a campaign driver sets) keep their values."""
+        for name, merge in _MERGED:
+            setattr(self, name,
+                    merge(getattr(self, name), getattr(other, name)))
+
     def merge(self, other: "CampaignResult") -> "CampaignResult":
+        """A new result merging both, by :meth:`absorb`."""
         merged = CampaignResult()
-        for outcome in OUTCOMES:
-            merged.counts[outcome] = self.counts[outcome] + other.counts[outcome]
-        merged.wall_seconds = self.wall_seconds + other.wall_seconds
-        merged.cpu_seconds = self.cpu_seconds + other.cpu_seconds
-        merged.dynamic_instructions = (
-            self.dynamic_instructions + other.dynamic_instructions
-        )
-        merged.skipped_instructions = (
-            self.skipped_instructions + other.skipped_instructions
-        )
-        merged.converged_trials = (
-            self.converged_trials + other.converged_trials
-        )
-        merged.snapshot_bytes = self.snapshot_bytes + other.snapshot_bytes
-        merged.checkpointed = self.checkpointed or other.checkpointed
-        merged.checkpoint_degraded = (
-            self.checkpoint_degraded or other.checkpoint_degraded
-        )
-        merged.interp_tier = self.interp_tier or other.interp_tier
-        merged.batch_lanes = max(self.batch_lanes, other.batch_lanes)
-        merged.batch_divergences = (
-            self.batch_divergences + other.batch_divergences
-        )
-        merged.batch_fallbacks = self.batch_fallbacks + other.batch_fallbacks
-        merged.batch_reconverged = (
-            self.batch_reconverged + other.batch_reconverged
-        )
-        merged.batch_drains = self.batch_drains + other.batch_drains
-        merged.drain_instructions = (
-            self.drain_instructions + other.drain_instructions
-        )
+        merged.absorb(self)
+        merged.absorb(other)
         return merged
 
-    # -- artifact-cache serialization ----------------------------------
+    # -- wire form (result store, shard checkpoints, job results) --------
 
     def to_dict(self) -> dict:
-        """JSON-safe form for the artifact cache (see repro.cache)."""
-        return {
-            "counts": dict(self.counts),
-            "cpu_seconds": self.cpu_seconds,
-            "runs_requested": self.runs_requested,
-            "stopped_early": self.stopped_early,
-            "rounds": self.rounds,
-            "dynamic_instructions": self.dynamic_instructions,
-            "skipped_instructions": self.skipped_instructions,
-            "converged_trials": self.converged_trials,
-            "snapshot_bytes": self.snapshot_bytes,
-            "checkpointed": self.checkpointed,
-            "checkpoint_degraded": self.checkpoint_degraded,
-            "interp_tier": self.interp_tier,
-            "batch_lanes": self.batch_lanes,
-            "batch_divergences": self.batch_divergences,
-            "batch_fallbacks": self.batch_fallbacks,
-            "batch_reconverged": self.batch_reconverged,
-            "batch_drains": self.batch_drains,
-            "drain_instructions": self.drain_instructions,
-            "completed_ranges": [list(r) for r in self.completed_ranges],
-        }
+        """JSON-safe form of the stored fields (see repro.cache)."""
+        payload = {f.name: getattr(self, f.name) for f in _STORED}
+        payload["counts"] = dict(self.counts)
+        payload["completed_ranges"] = [list(r) for r in self.completed_ranges]
+        return payload
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignResult":
-        """Rebuild a cached campaign; marks the result ``from_cache``.
+        """Rebuild a stored result; marks it ``from_cache``.
 
-        Wall-clock and worker metadata describe the run that *produced*
-        the counts, not the cache read, so they reset to the trivial
-        values of a zero-cost replay.
+        Raises ValueError unless the counts are non-negative ints of
+        known outcomes that sum to the runs ``completed_ranges`` covers,
+        so a corrupt entry is recomputed rather than served or merged.
+        Statistics an older entry lacks load as their defaults;
+        wall-clock and worker metadata describe the run that *produced*
+        the counts, not the read, so they keep the trivial values of a
+        zero-cost replay.
         """
-        counts = {outcome: 0 for outcome in OUTCOMES}
-        for outcome, n in data["counts"].items():
-            if outcome not in counts:
+        if not isinstance(data, dict) or "completed_ranges" not in data:
+            raise ValueError("not a campaign payload with completed_ranges")
+        counts = dict(data["counts"])
+        for outcome, n in counts.items():
+            if outcome not in OUTCOMES:
                 raise ValueError(f"unknown campaign outcome {outcome!r}")
-            counts[outcome] = int(n)
-        result = cls(
-            counts=counts,
-            cpu_seconds=float(data["cpu_seconds"]),
-            runs_requested=int(data["runs_requested"]),
-            stopped_early=bool(data["stopped_early"]),
-            rounds=int(data["rounds"]),
-            # Throughput fields describe the producing run; entries
-            # written before they existed replay as zeros.
-            dynamic_instructions=int(data.get("dynamic_instructions", 0)),
-            skipped_instructions=int(data.get("skipped_instructions", 0)),
-            converged_trials=int(data.get("converged_trials", 0)),
-            snapshot_bytes=int(data.get("snapshot_bytes", 0)),
-            checkpointed=bool(data.get("checkpointed", False)),
-            checkpoint_degraded=bool(data.get("checkpoint_degraded", False)),
-            interp_tier=str(data.get("interp_tier", "")),
-            batch_lanes=int(data.get("batch_lanes", 0)),
-            batch_divergences=int(data.get("batch_divergences", 0)),
-            batch_fallbacks=int(data.get("batch_fallbacks", 0)),
-            batch_reconverged=int(data.get("batch_reconverged", 0)),
-            batch_drains=int(data.get("batch_drains", 0)),
-            drain_instructions=int(data.get("drain_instructions", 0)),
-            completed_ranges=[
-                (int(s), int(c))
-                for s, c in data.get("completed_ranges", [])
-            ],
-        )
-        result.from_cache = True
+            if type(n) is not int or n < 0:
+                raise ValueError(f"malformed campaign count {outcome}={n!r}")
+        ranges = [(int(start), int(count))
+                  for start, count in data["completed_ranges"]]
+        total = sum(counts.values())
+        covered = sum(count for _start, count in ranges)
+        if total != covered:
+            raise ValueError(f"campaign counts sum to {total}, not {covered}")
+        result = cls(counts={o: counts.get(o, 0) for o in OUTCOMES},
+                     completed_ranges=ranges, from_cache=True)
+        for f in _STORED:
+            if f.name in data and f.default is not MISSING:
+                setattr(result, f.name, type(f.default)(data[f.name]))
         return result
+
+
+#: (name, rule) of every field :meth:`CampaignResult.absorb` merges.
+_MERGED = tuple((f.name, f.metadata["merge"]) for f in fields(CampaignResult)
+                if f.metadata.get("merge") is not None)
+#: Fields the wire form carries, in wire order.
+_STORED = tuple(f for f in fields(CampaignResult) if f.metadata.get("stored"))
 
 
 class FaultInjector:
@@ -293,10 +287,6 @@ class FaultInjector:
         #: Lanes per lockstep group on the batch tier; <= 0 picks the
         #: tier's default.  Irrelevant (and harmless) on codegen.
         self.batch_lanes = batch_lanes
-        self.batch_divergences = 0
-        self.batch_fallbacks = 0
-        self.batch_reconverged = 0
-        self.batch_drains = 0
         self._capture = None
         # ``golden`` may be a cached GoldenSummary (see repro.cache),
         # skipping the fault-free reference execution entirely — the
@@ -489,14 +479,16 @@ class FaultInjector:
         Each run draws from its own substream (see :mod:`repro.fi.seeds`),
         so a span's counts depend only on the campaign seed and the run
         indices it covers — never on which process executes it or what
-        ran before it.  Campaign drivers partition [0, n) into spans.
+        ran before it.  Campaign drivers partition [0, n) into spans and
+        merge the results, each of which names its own range in
+        ``completed_ranges``.
 
         All injections are sampled up front (so counts cannot depend on
         execution order), then — in checkpoint mode — sorted by their
         fork point so consecutive trials restore from the same snapshot
         while its memory image is hot in cache.
         """
-        result = CampaignResult()
+        result = CampaignResult(completed_ranges=[(start, count)])
         started = time.perf_counter()
         trials = [
             self.sample_injection(rng_for(campaign_seed, run_index))
@@ -568,7 +560,6 @@ class FaultInjector:
                         trials, budget=self.hang_budget
                     )
             except Exception:
-                self.batch_fallbacks += 1
                 result.batch_fallbacks += 1
                 for snap, injection in chunk:
                     self._execute_trial(injection, capture, snap, result)
@@ -577,11 +568,8 @@ class FaultInjector:
                 result.counts[self._classify(trial_result)] += 1
             result.dynamic_instructions += group.executed
             result.skipped_instructions += group.skipped
-            self.batch_divergences += group.divergences
             result.batch_divergences += group.divergences
-            self.batch_reconverged += group.reconverged
             result.batch_reconverged += group.reconverged
-            self.batch_drains += group.drains
             result.batch_drains += group.drains
             result.drain_instructions += group.drain_executed
 

@@ -9,10 +9,13 @@ counts are byte-identical by construction:
 * :mod:`~repro.sched.plan` — deterministic run-range sharding
   (:class:`ShardPlan`), independent of worker placement;
 * :mod:`~repro.sched.shard` — :func:`run_shard`, the one entrypoint a
-  worker (local pool process or remote-style) executes, and
+  pool worker or the serial path executes, which returns the shard's
+  own :class:`~repro.fi.campaign.CampaignResult`, and
   :data:`MODULE_CACHE`, the per-process modules and injectors by spec;
-* :mod:`~repro.sched.executor` — the campaign driver with store-backed
-  partial-shard checkpoints and interrupt-safe teardown;
+* :mod:`~repro.sched.executor` — the campaign driver, which merges
+  shard results with :meth:`~repro.fi.campaign.CampaignResult.absorb`,
+  with store-backed partial-shard checkpoints and interrupt-safe
+  teardown;
 * :mod:`~repro.sched.queue` / :mod:`~repro.sched.scheduler` — bounded
   priority queue, request coalescing and the service dispatcher.
 """
@@ -27,7 +30,7 @@ from .plan import ShardPlan, ShardRange, coalesce_ranges
 from .queue import INTERACTIVE, NIGHTLY, JobQueue, QueueFull, resolve_priority
 from .scheduler import CampaignRequest, Job, Scheduler
 from .shard import MODULE_CACHE, ModuleCache, run_shard
-from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
+from .spec import CampaignSettings, ModuleSpec, ShardSpec
 
 __all__ = [
     "CampaignExecutor",
@@ -45,7 +48,6 @@ __all__ = [
     "Scheduler",
     "ShardPlan",
     "ShardRange",
-    "ShardResult",
     "ShardSpec",
     "campaign_request_key",
     "coalesce_ranges",

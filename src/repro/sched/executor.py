@@ -44,7 +44,7 @@ from ..fi.campaign import CampaignResult, FaultInjector
 from ..stats.confidence import wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
 from .shard import MODULE_CACHE, run_shard
-from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
+from .spec import CampaignSettings, ModuleSpec, ShardSpec
 
 
 class CampaignInterrupted(KeyboardInterrupt):
@@ -104,14 +104,8 @@ class CampaignExecutor:
 
     def _shard_spec(self, module_spec: ModuleSpec,
                     rng: ShardRange, seed: int) -> ShardSpec:
-        settings = self.settings
-        return ShardSpec(
-            module=module_spec, start=rng.start, count=rng.count, seed=seed,
-            checkpoint=settings.checkpoint,
-            checkpoint_stride=settings.checkpoint_stride,
-            interp_tier=settings.interp_tier,
-            batch_lanes=settings.batch_lanes,
-        )
+        return ShardSpec(module=module_spec, start=rng.start,
+                         count=rng.count, seed=seed, settings=self.settings)
 
     def _interval_tight(self, result) -> bool:
         settings = self.settings
@@ -132,7 +126,9 @@ class CampaignExecutor:
             return None
         return shard_key(self._store_key, rng.start, rng.count)
 
-    def _load_shard(self, rng: ShardRange) -> ShardResult | None:
+    def _load_shard(self, rng: ShardRange) -> CampaignResult | None:
+        """The range's checkpoint, or None; one that does not load or
+        covers other runs than the planned range is dropped."""
         key = self._shard_store_key(rng)
         if key is None:
             return None
@@ -140,16 +136,17 @@ class CampaignExecutor:
         if payload is None:
             return None
         try:
-            shard = ShardResult.from_dict(payload)
-            if shard.start != rng.start or shard.count != rng.count:
-                raise ValueError("shard range mismatch")
+            shard = CampaignResult.from_dict(payload)
         except (KeyError, TypeError, ValueError):
+            shard = None
+        planned = [(rng.start, rng.count)]
+        if shard is None or shard.completed_ranges != planned:
             self._store.remove(SHARD_KIND, key)
             return None
         self._store.bump_counters(partial_shards_resumed=1)
         return shard
 
-    def _store_shard(self, rng: ShardRange, shard: ShardResult) -> None:
+    def _store_shard(self, rng: ShardRange, shard: CampaignResult) -> None:
         key = self._shard_store_key(rng)
         if key is None:
             return
@@ -166,36 +163,6 @@ class CampaignExecutor:
                 SHARD_KIND, shard_key(self._store_key, start, count)
             )
         self._checkpointed_shards.clear()
-
-    # -- merging ---------------------------------------------------------
-
-    @staticmethod
-    def _merge_shard(result, shard: ShardResult, *,
-                     resumed: bool = False) -> None:
-        for outcome, n in shard.counts.items():
-            result.counts[outcome] = result.counts.get(outcome, 0) + n
-        result.cpu_seconds += shard.cpu_seconds
-        perf = shard.perf
-        result.dynamic_instructions += perf.get("dynamic_instructions", 0)
-        result.skipped_instructions += perf.get("skipped_instructions", 0)
-        result.converged_trials += perf.get("converged_trials", 0)
-        result.snapshot_bytes += perf.get("snapshot_bytes", 0)
-        result.checkpointed |= bool(perf.get("checkpointed", False))
-        result.checkpoint_degraded |= bool(
-            perf.get("checkpoint_degraded", False)
-        )
-        result.interp_tier = result.interp_tier or perf.get("interp_tier", "")
-        result.batch_lanes = max(
-            result.batch_lanes, perf.get("batch_lanes", 0)
-        )
-        result.batch_divergences += perf.get("batch_divergences", 0)
-        result.batch_fallbacks += perf.get("batch_fallbacks", 0)
-        result.batch_reconverged += perf.get("batch_reconverged", 0)
-        result.batch_drains += perf.get("batch_drains", 0)
-        result.drain_instructions += perf.get("drain_instructions", 0)
-        result.completed_ranges.append((shard.start, shard.count))
-        if resumed:
-            result.shards_resumed += 1
 
     # -- execution -----------------------------------------------------
 
@@ -223,7 +190,8 @@ class CampaignExecutor:
                 for rng in plan:
                     cached = self._load_shard(rng)
                     if cached is not None:
-                        self._merge_shard(result, cached, resumed=True)
+                        result.absorb(cached)
+                        result.shards_resumed += 1
                     else:
                         todo.append(rng)
                 if todo and use_pool and pool is None:
@@ -288,7 +256,7 @@ class CampaignExecutor:
         shard_spec = self._shard_spec(self._spec or ModuleSpec(), rng, seed)
         shard = run_shard(shard_spec, injector=self.injector)
         self._store_shard(rng, shard)
-        self._merge_shard(result, shard)
+        result.absorb(shard)
 
     def _make_pool(self, workers: int):
         try:
@@ -328,7 +296,7 @@ class CampaignExecutor:
                     leftover.append(rng)
                 else:
                     self._store_shard(rng, shard)
-                    self._merge_shard(result, shard)
+                    result.absorb(shard)
                     merged.add(rng.index)
             if leftover:
                 # A failed task usually means a worker-side failure that
@@ -346,7 +314,7 @@ class CampaignExecutor:
                 except Exception:
                     continue
                 self._store_shard(rng, shard)
-                self._merge_shard(result, shard)
+                result.absorb(shard)
             raise
         return leftover, broken
 

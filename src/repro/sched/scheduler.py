@@ -136,7 +136,6 @@ class Job:
             body = self.result.to_dict()
             body["total"] = self.result.total
             body["from_cache"] = self.result.from_cache
-            body["stopped_early"] = self.result.stopped_early
             body["shards_resumed"] = self.result.shards_resumed
             payload["result"] = body
         return payload
@@ -269,12 +268,8 @@ class Scheduler:
         else:
             job.resolve(JOB_DONE, result=result)
             self.counters["completed"] += 1
-            self.counters["batch_reconverged"] += getattr(
-                result, "batch_reconverged", 0
-            )
-            self.counters["batch_drains"] += getattr(
-                result, "batch_drains", 0
-            )
+            self.counters["batch_reconverged"] += result.batch_reconverged
+            self.counters["batch_drains"] += result.batch_drains
         finally:
             with self._lock:
                 if self._active.get(job.key) is job:

@@ -4,11 +4,13 @@ per-process cache of the modules and injectors campaigns run on.
 ``run_shard(spec)`` takes the module named by the shard's
 :class:`~repro.sched.spec.ModuleSpec` and its
 :class:`~repro.fi.campaign.FaultInjector` from :data:`MODULE_CACHE`,
-executes the shard's run range, and returns a picklable/JSON-safe
-:class:`~repro.sched.spec.ShardResult`.  The local ``multiprocessing``
-pool, the serial fallback in the executor, and independent remote-style
-workers all funnel through this function, which is what makes their
-merged counts bit-identical by construction.
+executes the shard's run range under the campaign's settings, and
+returns that range's own picklable
+:class:`~repro.fi.campaign.CampaignResult`.  The local
+``multiprocessing`` pool and the serial path in the executor both
+funnel through this function, which is what makes their merged counts
+bit-identical by construction; the executor merges what it returns
+with :meth:`CampaignResult.absorb`, the one merge.
 
 :class:`ModuleCache` keys on the spec alone, so a long-lived process
 (the daemon, a pool worker) materializes, fingerprints and compiles
@@ -31,9 +33,9 @@ from ..cache import (
     module_fingerprint,
     store_golden_summary,
 )
-from ..fi.campaign import FaultInjector
+from ..fi.campaign import CampaignResult, FaultInjector
 from ..ir.module import Module
-from .spec import ModuleSpec, ShardResult, ShardSpec
+from .spec import ModuleSpec, ShardSpec
 
 #: Most IR instructions the cache keeps resident, summed over entries.
 #: The 11 benchmarks total 1,457 at every scale; a request's printed IR
@@ -177,43 +179,20 @@ MODULE_CACHE = ModuleCache()
 os.register_at_fork(after_in_child=MODULE_CACHE._after_fork)
 
 
-def span_perf(result) -> dict:
-    """Throughput facts a shard ships back alongside its counts."""
-    return {
-        "dynamic_instructions": result.dynamic_instructions,
-        "skipped_instructions": result.skipped_instructions,
-        "converged_trials": result.converged_trials,
-        "snapshot_bytes": result.snapshot_bytes,
-        "checkpointed": result.checkpointed,
-        "checkpoint_degraded": result.checkpoint_degraded,
-        "interp_tier": result.interp_tier,
-        "batch_lanes": result.batch_lanes,
-        "batch_divergences": result.batch_divergences,
-        "batch_fallbacks": result.batch_fallbacks,
-        "batch_reconverged": result.batch_reconverged,
-        "batch_drains": result.batch_drains,
-        "drain_instructions": result.drain_instructions,
-    }
-
-
-def run_shard(spec: ShardSpec, injector=None) -> ShardResult:
-    """Execute one shard and return its counts + throughput facts.
+def run_shard(spec: ShardSpec, injector=None) -> CampaignResult:
+    """Execute one shard and return its seed range's result, whose
+    ``completed_ranges`` is ``[(spec.start, spec.count)]``.
 
     With no ``injector`` the per-process cache supplies one (building
     it on first use); passing an injector runs the shard on it directly
-    — the serial in-driver path.  Either way the shard's own settings
+    — the serial in-driver path.  Either way the campaign's settings
     are applied, and ``interp_tier=None`` selects the default tier.
     """
     if injector is None:
         injector = MODULE_CACHE.injector(spec.module)
-    injector.configure_checkpoints(spec.checkpoint, spec.checkpoint_stride)
-    injector.configure_tier(spec.interp_tier)
-    injector.configure_batch(spec.batch_lanes)
-    span = injector.run_span(spec.start, spec.count, spec.seed)
-    return ShardResult(
-        start=spec.start,
-        count=spec.count,
-        counts=dict(span.counts),
-        cpu_seconds=span.cpu_seconds,
-        perf=span_perf(span),
-    )
+    settings = spec.settings
+    injector.configure_checkpoints(settings.checkpoint,
+                                   settings.checkpoint_stride)
+    injector.configure_tier(settings.interp_tier)
+    injector.configure_batch(settings.batch_lanes)
+    return injector.run_span(spec.start, spec.count, spec.seed)

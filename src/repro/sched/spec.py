@@ -1,20 +1,20 @@
 """Picklable specifications shared by every campaign entry point.
 
 These are the nouns of the scheduler layer: what module to run
-(:class:`ModuleSpec`), how to run it (:class:`CampaignSettings`), one
-shard of work (:class:`ShardSpec`) and its outcome
-(:class:`ShardResult`).  All four are plain data — a shard can cross a
-``multiprocessing`` pipe, an HTTP request body, or a JSON checkpoint in
-the shared result store without losing anything, which is what lets the
-CLI pool, the service daemon and independent "remote" workers execute
-the same campaign and merge bit-identical counts.
+(:class:`ModuleSpec`), how to run it (:class:`CampaignSettings`) and
+one shard of work (:class:`ShardSpec`).  All three are plain frozen
+data that pickles across a ``multiprocessing`` pipe; a shard's outcome
+is the :class:`~repro.fi.campaign.CampaignResult` of its seed range,
+whose JSON wire form doubles as a partial-campaign checkpoint in the
+shared result store.  That is what lets the CLI pool and the service
+daemon execute the same campaign and merge bit-identical counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..fi.campaign import OUTCOMES, SDC
+from ..fi.campaign import SDC
 from ..ir.module import Module
 from ..stats.confidence import Z_95
 
@@ -52,37 +52,25 @@ class ModuleSpec:
         from ..ir.parser import parse_module
         return parse_module(self.ir_text)
 
-    # -- wire form (the service protocol) -------------------------------
-
-    def to_dict(self) -> dict:
-        payload: dict = {}
-        if self.benchmark is not None:
-            payload["benchmark"] = self.benchmark
-            payload["scale"] = self.scale
-            payload["input_seed"] = self.input_seed
-        if self.ir_text is not None:
-            payload["ir_text"] = self.ir_text
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSpec":
-        return cls(
-            benchmark=data.get("benchmark"),
-            scale=str(data.get("scale", "default")),
-            input_seed=int(data.get("input_seed", 0)),
-            ir_text=data.get("ir_text"),
-        )
-
     @classmethod
     def from_request(cls, data: dict) -> "ModuleSpec":
         """The spec of a service request, which must name exactly one
-        of a benchmark and IR; raises ValueError otherwise."""
-        spec = cls.from_dict(data)
-        if spec.benchmark is None and spec.ir_text is None:
+        of a benchmark and IR, as a string; raises ValueError
+        otherwise."""
+        benchmark, ir_text = data.get("benchmark"), data.get("ir_text")
+        for name, value in (("benchmark", benchmark), ("ir_text", ir_text)):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+        if benchmark is None and ir_text is None:
             raise ValueError("request names neither a benchmark nor IR")
-        if spec.benchmark is not None and spec.ir_text is not None:
+        if benchmark is not None and ir_text is not None:
             raise ValueError("request names both a benchmark and IR")
-        return spec
+        return cls(
+            benchmark=benchmark,
+            scale=str(data.get("scale", "default")),
+            input_seed=int(data.get("input_seed", 0)),
+            ir_text=ir_text,
+        )
 
 
 @dataclass(frozen=True)
@@ -149,101 +137,19 @@ class CampaignSettings:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One self-contained unit of campaign work.
+    """One self-contained unit of campaign work: runs
+    ``[start, start+count)`` of campaign ``seed`` under the campaign's
+    own settings.
 
     ``run_shard(spec)`` is the single execution entrypoint: the local
-    pool workers, the serial fallback and remote-style workers all call
-    it, and because every run index owns its seed substream the returned
-    counts depend only on ``(module, seed, [start, start+count))`` —
-    never on where or when the shard executed.
+    pool workers and the serial path both call it, and because every
+    run index owns its seed substream the returned counts depend only
+    on ``(module, seed, [start, start+count))`` — never on where or
+    when the shard executed.
     """
 
     module: ModuleSpec
     start: int
     count: int
     seed: int
-    checkpoint: bool = True
-    checkpoint_stride: int = 0
-    interp_tier: str | None = None
-    batch_lanes: int = 0
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.count
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module.to_dict(),
-            "start": self.start,
-            "count": self.count,
-            "seed": self.seed,
-            "checkpoint": self.checkpoint,
-            "checkpoint_stride": self.checkpoint_stride,
-            "interp_tier": self.interp_tier,
-            "batch_lanes": self.batch_lanes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardSpec":
-        return cls(
-            module=ModuleSpec.from_dict(data["module"]),
-            start=int(data["start"]),
-            count=int(data["count"]),
-            seed=int(data["seed"]),
-            checkpoint=bool(data.get("checkpoint", True)),
-            checkpoint_stride=int(data.get("checkpoint_stride", 0)),
-            interp_tier=data.get("interp_tier"),
-            batch_lanes=int(data.get("batch_lanes", 0)),
-        )
-
-
-@dataclass
-class ShardResult:
-    """Counts and throughput facts one executed shard ships back.
-
-    JSON-safe via :meth:`to_dict`, so a completed shard doubles as a
-    partial-campaign checkpoint in the shared result store: a killed
-    worker's finished shards replay from disk instead of re-executing.
-    """
-
-    start: int
-    count: int
-    counts: dict[str, int] = field(default_factory=dict)
-    cpu_seconds: float = 0.0
-    perf: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "count": self.count,
-            "counts": dict(self.counts),
-            "cpu_seconds": self.cpu_seconds,
-            "perf": dict(self.perf),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardResult":
-        """Rebuild a shard; raises ValueError unless its counts are
-        non-negative ints of known outcomes summing to ``count``, so a
-        corrupt checkpoint is recomputed rather than merged."""
-        count = int(data["count"])
-        counts = dict(data["counts"])
-        for outcome, n in counts.items():
-            if outcome not in OUTCOMES:
-                raise ValueError(f"unknown shard outcome {outcome!r}")
-            if type(n) is not int or n < 0:
-                raise ValueError(f"malformed shard count {outcome}={n!r}")
-        if sum(counts.values()) != count:
-            raise ValueError(
-                f"shard counts sum to {sum(counts.values())}, not {count}"
-            )
-        perf = data.get("perf", {})
-        if not isinstance(perf, dict):
-            raise ValueError("malformed shard perf block")
-        return cls(
-            start=int(data["start"]),
-            count=count,
-            counts=counts,
-            cpu_seconds=float(data["cpu_seconds"]),
-            perf=perf,
-        )
+    settings: CampaignSettings = field(default_factory=CampaignSettings)

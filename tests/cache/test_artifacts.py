@@ -129,7 +129,7 @@ class TestModelResults:
 
 class TestCampaignArtifacts:
     def test_result_roundtrip(self):
-        result = CampaignResult()
+        result = CampaignResult(completed_ranges=[(0, 20)])
         result.counts[SDC] = 7
         result.counts["benign"] = 13
         result.cpu_seconds = 1.5
@@ -147,6 +147,29 @@ class TestCampaignArtifacts:
         data["counts"]["mystery"] = 1
         with pytest.raises(ValueError, match="unknown campaign outcome"):
             CampaignResult.from_dict(data)
+
+    #: A batch-tier campaign entry with every stored key, as existing
+    #: result stores hold it (pathfinder, test scale, 40 runs, seed 3).
+    STORED_ENTRY = {
+        "counts": {"sdc": 19, "crash": 10, "hang": 0, "benign": 11,
+                   "detected": 0},
+        "cpu_seconds": 0.0314, "runs_requested": 40,
+        "stopped_early": False, "rounds": 1,
+        "dynamic_instructions": 10918, "skipped_instructions": 85577,
+        "converged_trials": 0, "snapshot_bytes": 3351024,
+        "checkpointed": True, "checkpoint_degraded": False,
+        "interp_tier": "batch", "batch_lanes": 8, "batch_divergences": 10,
+        "batch_fallbacks": 0, "batch_reconverged": 8, "batch_drains": 0,
+        "drain_instructions": 0, "completed_ranges": [[0, 40]],
+    }
+
+    def test_stored_entry_loads_every_field(self):
+        restored = CampaignResult.from_dict(self.STORED_ENTRY)
+        for name, value in self.STORED_ENTRY.items():
+            if name == "completed_ranges":
+                value = [tuple(r) for r in value]
+            assert getattr(restored, name) == value, name
+        assert restored.to_dict() == self.STORED_ENTRY
 
     def test_key_ignores_parallelism_without_stopping_rule(self):
         fp = "a" * 64

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fi import FaultInjector
-from repro.sched import ModuleSpec, ShardSpec, run_shard
+from repro.sched import CampaignSettings, ModuleSpec, ShardSpec, run_shard
 from repro.sched import shard as sched_shard
 from repro.interp import engine_build_count
 from repro.interp.codegen import resolve_tier
@@ -30,8 +30,10 @@ def shard(spec, start, count, seed=1, checkpoint=True, stride=0,
           tier=None, lanes=0):
     return ShardSpec(
         module=spec, start=start, count=count, seed=seed,
-        checkpoint=checkpoint, checkpoint_stride=stride,
-        interp_tier=tier, batch_lanes=lanes,
+        settings=CampaignSettings(
+            checkpoint=checkpoint, checkpoint_stride=stride,
+            interp_tier=tier, batch_lanes=lanes,
+        ),
     )
 
 
@@ -72,8 +74,8 @@ class TestWorkerReuse:
         spec = ModuleSpec.from_benchmark("pathfinder", "test")
         batch = run_shard(shard(spec, 0, 20, tier="batch"))
         default = run_shard(shard(spec, 20, 20))
-        assert batch.perf["interp_tier"] == "batch"
-        assert default.perf["interp_tier"] == resolve_tier(None)
+        assert batch.interp_tier == "batch"
+        assert default.interp_tier == resolve_tier(None)
 
     def test_new_module_revision_recompiles(self, fresh_worker):
         before = engine_build_count()

@@ -128,23 +128,26 @@ class TestCheckpointResume:
         assert replay.shards_resumed == 0
 
     def test_corrupt_shard_checkpoint_is_recomputed(self):
-        """A JSON-valid shard entry with an unknown outcome and counts
-        that overshoot its range is dropped and recomputed, not merged."""
+        """A JSON-valid shard entry that is not a campaign payload
+        covering its planned range is dropped and recomputed, not
+        merged: counts of an unknown outcome that overshoot the range,
+        and the older per-shard form (a ``perf`` block, no ranges) even
+        when its counts are consistent."""
         spec = ModuleSpec.from_benchmark(BENCH, "test")
         module = spec.materialize()
         key = campaign_key(module_fingerprint(module), 100, 7)
         cache = get_cache()
-        cache.remove(CAMPAIGN_KIND, key)
-        cache.store(SHARD_KIND, shard_key(key, 0, 50), {
-            "start": 0, "count": 50, "counts": {"sdc": 49, "bogus": 7},
-            "cpu_seconds": 0.0, "perf": {},
-        })
-        result = run_store_campaign(
-            100, seed=7, spec=spec,
-            settings=CampaignSettings(chunk_size=50),
-        )
-        assert result.total == 100
-        assert result.shards_resumed == 0
-        assert result.counts == FaultInjector(module).campaign(
-            100, seed=7
-        ).counts
+        clean = FaultInjector(module).campaign(100, seed=7).counts
+        for counts in ({"sdc": 49, "bogus": 7}, {"sdc": 10, "benign": 40}):
+            cache.remove(CAMPAIGN_KIND, key)
+            cache.store(SHARD_KIND, shard_key(key, 0, 50), {
+                "start": 0, "count": 50, "counts": counts,
+                "cpu_seconds": 0.0, "perf": {},
+            })
+            result = run_store_campaign(
+                100, seed=7, spec=spec,
+                settings=CampaignSettings(chunk_size=50),
+            )
+            assert result.total == 100
+            assert result.shards_resumed == 0, counts
+            assert result.counts == clean

@@ -8,14 +8,11 @@ Three guarantees, from strongest to broadest:
 * bit-identity — on every figure-harness benchmark, an incremental
   re-model after selective duplication and after an opt-pipeline run
   agrees bit-for-bit with a cold rebuild of the same module;
-* speed — the warm protection-loop re-model is at least 2x faster
-  than the cold rebuild it replaces.
+* work — the warm protection-loop re-model recomputes at most a
+  quarter of the queries the cold rebuild it replaces recomputes.
 """
 
 from __future__ import annotations
-
-import gc
-import time
 
 import pytest
 
@@ -158,13 +155,16 @@ class TestIncrementalBitIdentity:
         )
 
 
-class TestRemodelSpeedup:
-    def test_warm_remodel_twice_as_fast(self):
+class TestRemodelWork:
+    #: The expensive per-function queries a re-model recomputes on a miss.
+    COUNTED_QUERIES = ("model.tuples", "model.fs", "model.weighting")
+
+    def test_warm_remodel_quarter_of_cold_work(self):
         # hercules at "small" scale: the hot ``main`` stays untouched;
         # only the tiny ``laplacian`` helper is protected, so the warm
-        # re-model reuses nearly all of the expensive work.  The cold
-        # build runs first so the one-time per-module memoizations
-        # (local index, profile slices) are charged to neither side.
+        # re-model reuses nearly all of the expensive work.  Work is
+        # counted as query misses, not seconds, so a scheduling stall
+        # cannot fail the check.
         reset_query_stores()
         module = build_module("hercules", "small")
         profile, _ = ProfilingInterpreter(module).run()
@@ -181,19 +181,15 @@ class TestRemodelSpeedup:
         assert report.touched_functions == {"laplacian"}
         pprofile, _ = ProfilingInterpreter(protected).run()
 
-        # Collect before each timed run, so a full collection of the
-        # suite's heap cannot land inside the ~20 ms warm run.
-        gc.collect()
-        started = time.perf_counter()
-        cold_map = _model(protected, pprofile, shared=False).sdc_map()
-        cold_seconds = time.perf_counter() - started
-
-        gc.collect()
-        started = time.perf_counter()
-        warm_map = _model(protected, pprofile, shared=True).sdc_map()
-        warm_seconds = time.perf_counter() - started
+        cold = _model(protected, pprofile, shared=False)
+        cold_map = cold.sdc_map()
+        warm = _model(protected, pprofile, shared=True)
+        warm_map = warm.sdc_map()
 
         assert warm_map == cold_map
-        assert warm_seconds * 2 <= cold_seconds, (
-            f"warm {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s"
-        )
+        for name in self.COUNTED_QUERIES:
+            cold_misses = cold.queries.stats.misses(name)
+            warm_misses = warm.queries.stats.misses(name)
+            assert warm_misses * 4 <= cold_misses, (
+                f"{name}: warm {warm_misses} misses vs cold {cold_misses}"
+            )

@@ -13,7 +13,9 @@ import threading
 
 import pytest
 
-from repro.fi import FaultInjector
+from repro.cache import campaign_key, get_cache, module_fingerprint
+from repro.cache.artifacts import CAMPAIGN_KIND
+from repro.fi import CampaignResult, FaultInjector
 from repro.ir.printer import print_module
 from repro.sched import (
     INTERACTIVE,
@@ -122,6 +124,35 @@ class TestCacheHit:
         assert job.result.from_cache
         assert scheduler.counters["cache_hits"] == 1
 
+    def test_corrupt_campaign_entry_is_recomputed(self):
+        """A stored campaign entry whose counts are negative, not ints,
+        or short of its ranges is neither served nor admitted as a hit:
+        the campaign recomputes and overwrites it."""
+        spec = ModuleSpec.from_benchmark(BENCH, "test")
+        module = spec.materialize()
+        key = campaign_key(module_fingerprint(module), 100, 7)
+        clean = FaultInjector(module).campaign(100, seed=7).counts
+        cache = get_cache()
+        for counts in ({"sdc": -1, "benign": 101},
+                       {"sdc": True, "benign": "99"},
+                       {"sdc": 2, "benign": 8}):
+            cache.store(CAMPAIGN_KIND, key, {
+                "counts": counts, "cpu_seconds": 0.0, "runs_requested": 100,
+                "stopped_early": False, "rounds": 1,
+                "completed_ranges": [[0, 100]],
+            })
+            scheduler = Scheduler(max_pending=4)  # never started
+            try:
+                job = scheduler.submit(request(runs=100, seed=7))
+                assert not job.cached, counts
+            finally:
+                scheduler.stop(timeout=5.0)
+            result = run_store_campaign(100, seed=7, spec=spec)
+            assert not result.from_cache, counts
+            assert result.counts == clean
+            stored = CampaignResult.from_dict(cache.load(CAMPAIGN_KIND, key))
+            assert stored.counts == clean
+
 
 class TestExecution:
     def test_dispatched_job_matches_serial_counts(self, scheduler):
@@ -197,3 +228,7 @@ class TestWireForm:
             CampaignRequest.from_payload(
                 {"benchmark": BENCH, "runs": 10, "interp_tier": "closure"}
             )
+        for module in ({"ir_text": 5}, {"ir_text": ["x"]},
+                       {"benchmark": 3}):
+            with pytest.raises(ValueError):  # not a string
+                CampaignRequest.from_payload({**module, "runs": 10})

@@ -1,29 +1,29 @@
 """Cross-"machine" shard merging: the distributed determinism lock.
 
-The service shards campaign seed ranges across worker processes — and,
-via the deterministic seed-substream protocol, across machines.  These
-tests emulate the distributed case honestly: each "machine" is an
-independent ``run_shard`` invocation on a cold worker cache, fed a
-:class:`ShardSpec` that round-tripped through its JSON wire form, with
-its :class:`ShardResult` round-tripped back.  Merged counts must be
-bit-identical to the serial and local-pool runs, and the Wilson-CI
-early-stop decision computed from merged counts must be consistent
-regardless of sharding.
+The service shards campaign seed ranges across worker processes, and
+the deterministic seed-substream protocol makes any such partition
+merge to the same counts.  These tests emulate independent workers:
+each "machine" is a ``run_shard`` invocation on a cold worker cache,
+fed a pickled :class:`ShardSpec` (as a pool worker receives it), with
+its :class:`CampaignResult` round-tripped back through the JSON wire
+form of the result store.  Merged counts must be bit-identical to the
+serial and local-pool runs, and the Wilson-CI early-stop decision
+computed from merged counts must be consistent regardless of sharding.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
-from repro.fi import FaultInjector
+from repro.fi import CampaignResult, FaultInjector
 from repro.sched import (
     CampaignExecutor,
     CampaignSettings,
     ModuleSpec,
     ShardPlan,
-    ShardResult,
     ShardSpec,
     run_shard,
 )
@@ -36,25 +36,23 @@ SEED = 9
 BENCH = "pathfinder"
 
 
-def remote_run_shard(spec: ShardSpec) -> ShardResult:
-    """One shard on an emulated remote machine.
+def remote_run_shard(spec: ShardSpec) -> CampaignResult:
+    """One shard on an emulated independent worker.
 
-    Cold injector cache (a different host shares no process state) and
-    JSON wire forms in both directions, exactly as the service protocol
-    ships them.
+    Cold injector cache (a fresh worker shares no process state), the
+    spec pickled as a pool worker receives it, and the result
+    round-tripped through the JSON form a shard checkpoint stores.
     """
     sched_shard.MODULE_CACHE.clear()
-    wire_spec = ShardSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    result = run_shard(wire_spec)
-    return ShardResult.from_dict(json.loads(json.dumps(result.to_dict())))
+    result = run_shard(pickle.loads(pickle.dumps(spec)))
+    return CampaignResult.from_dict(json.loads(json.dumps(result.to_dict())))
 
 
 def merge_counts(shards) -> dict[str, int]:
-    merged: dict[str, int] = {}
+    merged = CampaignResult()
     for shard in shards:
-        for outcome, n in shard.counts.items():
-            merged[outcome] = merged.get(outcome, 0) + n
-    return merged
+        merged.absorb(shard)
+    return merged.counts
 
 
 def run_on_machines(machines: int,
@@ -139,13 +137,26 @@ class TestWilsonConsistency:
         assert serial.stopped_early  # the rule fires well before 400
 
 
+class TestRunShard:
+    def test_returns_its_span_as_a_campaign_result(self):
+        spec = ShardSpec(module=ModuleSpec.from_benchmark(BENCH, "test"),
+                         start=40, count=30, seed=SEED)
+        result = run_shard(spec)
+        assert isinstance(result, CampaignResult)
+        assert result.completed_ranges == [(40, 30)]
+        assert result.counts == FaultInjector(cached_module(BENCH)).run_span(
+            40, 30, SEED
+        ).counts
+
+
 class TestShardPayload:
-    GOOD = {"start": 0, "count": 5, "counts": {"sdc": 2, "benign": 3},
-            "cpu_seconds": 0.1, "perf": {}}
+    GOOD = {"counts": {"sdc": 2, "benign": 3}, "cpu_seconds": 0.1,
+            "completed_ranges": [[0, 5]]}
 
     def test_valid_payload_loads(self):
-        shard = ShardResult.from_dict(self.GOOD)
-        assert shard.counts == {"sdc": 2, "benign": 3}
+        shard = CampaignResult.from_dict(self.GOOD)
+        assert shard.counts["sdc"] == 2 and shard.counts["benign"] == 3
+        assert shard.completed_ranges == [(0, 5)]
 
     def test_corrupt_counts_refused(self):
         for counts in (
@@ -154,7 +165,14 @@ class TestShardPayload:
             {"sdc": 2.0, "benign": 3},   # not an int
             {"sdc": "2", "benign": 3},
             {"sdc": True, "benign": 4},
-            {"sdc": 2, "benign": 4},     # sums past count
+            {"sdc": 2, "benign": 4},     # sums past the ranges
+            {"sdc": 1, "benign": 3},     # falls short of the ranges
         ):
             with pytest.raises(ValueError):
-                ShardResult.from_dict({**self.GOOD, "counts": counts})
+                CampaignResult.from_dict({**self.GOOD, "counts": counts})
+
+    def test_missing_ranges_refused(self):
+        payload = dict(self.GOOD)
+        del payload["completed_ranges"]
+        with pytest.raises(ValueError):
+            CampaignResult.from_dict(payload)

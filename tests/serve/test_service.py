@@ -153,6 +153,13 @@ class TestProtocol:
         with pytest.raises(ServiceError) as exc:
             client.submit(campaign_payload(interp_tier="closure"))
         assert exc.value.status == 400
+        for body in ({"ir_text": 5, "runs": 10}, {"ir_text": ["x"]},
+                     {"benchmark": 3, "runs": 10}):
+            for send in (client.submit, client.analyze):
+                with pytest.raises(ServiceError) as exc:
+                    send(body)  # a module named by a non-string
+                assert exc.value.status == 400, body
+        assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
                              ids=MALFORMED_REQUESTS.keys())
