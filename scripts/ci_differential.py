@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Differential CI checks for the caching and checkpointing layers.
 
-Three phases, selectable with ``--only`` (default: all):
+Six phases, selectable with ``--only`` (default: all):
 
 1. **fig5 replay** — run fig5 against an empty artifact cache (cold),
    then again in the same process (warm).  The warm run must render
@@ -41,6 +41,13 @@ Three phases, selectable with ``--only`` (default: all):
    codegen by the geomean speedup threshold.  Requires numpy (skipped
    with a notice when absent — the tier then degrades to codegen).
 
+6. **tuples** — derive the model tuples of the registered benchmarks at
+   ``default`` scale, the scale of perfbench's ``predict``: each operand
+   of every binop, compare and cast, plus every select arm.
+   Tuples from hoisted evaluators, batched flips and closed forms must
+   equal the per-flip reference enumeration's in all three fields, and
+   must be derived at least 1.5x faster (best of 3 each).
+
 Exits non-zero with a one-line reason on the first failed check.
 """
 
@@ -53,12 +60,15 @@ import time
 
 from repro.bench import BENCHMARK_NAMES, build_module
 from repro.cache.disk import configure_cache
+from repro.core.config import trident_config
 from repro.core.simple_models import create_model
+from repro.core.tuples import ReferenceTupleDeriver, TupleDeriver
 from repro.fi import FaultInjector
 from repro.harness.context import QUICK, Workspace
 from repro.harness.fig5 import run_fig5
 from repro.interp import TIER_CODEGEN, ExecutionEngine
 from repro.interp.engine import ReferenceEngine
+from repro.ir.instructions import BinOp, Cast, FCmp, ICmp, Select
 from repro.opt.pipeline import optimize
 from repro.profiling import ProfilingInterpreter
 from repro.protection.duplication import (
@@ -383,6 +393,62 @@ def batch_tier(speedup: float, runs: int) -> None:
     )
 
 
+def _tuple_pairs(module):
+    """Binop, compare and cast operands, and select arms: the tuples
+    that enumerate flips."""
+    for inst in module.instructions():
+        if isinstance(inst, (BinOp, ICmp, FCmp, Cast)):
+            indices = range(len(inst.operands))
+        elif isinstance(inst, Select):
+            indices = (1, 2)
+        else:
+            continue
+        for index in indices:
+            yield inst, index
+
+
+def tuple_reference(speedup: float = 1.5) -> None:
+    config = trident_config()
+    programs = []
+    for name in BENCHMARK_NAMES:
+        module = build_module(name, "default")
+        profile, _ = ProfilingInterpreter(module).run()
+        programs.append((profile, list(_tuple_pairs(module))))
+
+    def derive(deriver_class):
+        tuples = []
+        for profile, pairs in programs:
+            deriver = deriver_class(profile, config)
+            for inst, index in pairs:
+                derived = deriver.tuple_for(inst, index)
+                tuples.append((derived.propagation, derived.masking,
+                               derived.crash))
+        return tuples
+
+    seconds = {}
+    derived = {}
+    for deriver_class in (ReferenceTupleDeriver, TupleDeriver):
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            derived[deriver_class] = derive(deriver_class)
+            best = min(best, time.perf_counter() - started)
+        seconds[deriver_class] = best
+    fast, reference = derived[TupleDeriver], derived[ReferenceTupleDeriver]
+    mismatched = sum(1 for got, want in zip(fast, reference) if got != want)
+    check(mismatched == 0,
+          f"{len(fast)} tuples identical to the per-flip reference "
+          f"({mismatched} differ)")
+    ratio = seconds[ReferenceTupleDeriver] / seconds[TupleDeriver]
+    check(
+        ratio >= speedup,
+        f"tuples derived {ratio:.2f}x faster than the reference "
+        f"({seconds[TupleDeriver] * 1e3:.0f} ms against "
+        f"{seconds[ReferenceTupleDeriver] * 1e3:.0f} ms; "
+        f"need >={speedup:g}x)",
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -393,7 +459,7 @@ def main() -> None:
     parser.add_argument(
         "--only", action="append",
         choices=("fig5", "remodel", "fi-checkpoint", "interp-codegen",
-                 "batch-tier"),
+                 "batch-tier", "tuples"),
         default=None,
         help="run only the named phase (repeatable; default: all)",
     )
@@ -412,7 +478,7 @@ def main() -> None:
     print(f"artifact cache: {cache_dir}")
 
     phases = args.only or ["fig5", "remodel", "fi-checkpoint",
-                           "interp-codegen", "batch-tier"]
+                           "interp-codegen", "batch-tier", "tuples"]
     if "fig5" in phases:
         fig5_replay(args.fig5_speedup)
     if "remodel" in phases:
@@ -424,6 +490,8 @@ def main() -> None:
                        args.interp_campaign_runs)
     if "batch-tier" in phases:
         batch_tier(args.batch_tier_speedup, args.batch_campaign_runs)
+    if "tuples" in phases:
+        tuple_reference()
     print("differential check passed")
 
 

@@ -75,7 +75,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--model", choices=MODEL_NAMES, default="trident")
     analyze.add_argument("--samples", type=_positive_int, default=3000,
                          help="dynamic instances to sample (paper: 3000)")
-    analyze.add_argument("--top", type=int, default=10,
+    analyze.add_argument("--top", type=_non_negative_int, default=10,
                          help="how many SDC-prone instructions to list")
     analyze.add_argument("--opt-level", type=int, default=0,
                          choices=(0, 1, 2),
@@ -198,6 +198,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 

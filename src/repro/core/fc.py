@@ -22,6 +22,7 @@ from ..ir.function import Function
 from ..ir.instructions import Branch, Store
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
+from ..query.engine import MISS
 from .config import TridentConfig
 
 
@@ -57,8 +58,6 @@ class ControlFlowSubModel:
         engine = self.engine
         if engine is None:
             return self._compute(branch)
-        from ..query.engine import MISS
-
         home, local = engine.index.local(branch.iid)
         view = engine.view(self.QUERY, home)
         stored = view.get(local)

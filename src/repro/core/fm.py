@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from ..ir.instructions import Branch, Output, Store
 from ..ir.module import Module
-from ..profiling.profile import ProgramProfile
+from ..profiling.profile import ProgramProfile, StoreGroups
+from ..query.engine import CALLGRAPH_DEP, MISS
 from .config import TridentConfig
 from .fc import ControlFlowSubModel
 from .masking import output_masking_factor
@@ -47,6 +48,7 @@ from .propagation import (
     EV_STORE_ADDR,
     ForwardPropagator,
 )
+from .weighting import ExecutionWeigher
 
 #: Fixed-point iteration cap; the per-output reach map is monotone and
 #: bounded by 1, converging geometrically for sub-1 cycle weights.
@@ -85,8 +87,6 @@ class MemorySubModel:
                  control_model: ControlFlowSubModel,
                  propagator: ForwardPropagator,
                  weigher=None, engine=None):
-        from .weighting import ExecutionWeigher
-
         self.module = module
         self.profile = profile
         self.config = config
@@ -94,6 +94,7 @@ class MemorySubModel:
         self.propagator = propagator
         self.engine = engine
         self.weigher = weigher or ExecutionWeigher(module, profile, engine)
+        self._groups: StoreGroups | None = None
         #: store iid -> {output iid -> reach probability}
         self._memo: dict[int, dict[int, float]] = {}
         self._load_terms: dict[int, list[_Contribution]] = {}
@@ -160,12 +161,20 @@ class MemorySubModel:
             self._factors[sink] = factor
         return factor
 
+    def _store_groups(self) -> StoreGroups:
+        """The profile's store statistics, grouped once per model."""
+        if self._groups is None:
+            self._groups = StoreGroups(self.profile)
+        return self._groups
+
     def _edges_of(self, store_iid: int) -> list[tuple[int, float]]:
         edges = self._store_edges.get(store_iid)
         if edges is None:
             edges = [
                 (load_iid, weight)
-                for load_iid, weight in self.profile.loads_reading(store_iid)
+                for load_iid, weight in self._store_groups().loads_reading(
+                    store_iid
+                )
                 if weight > self.config.epsilon
             ]
             self._store_edges[store_iid] = edges
@@ -301,8 +310,6 @@ class MemorySubModel:
         engine = self.engine
         if engine is None:
             return False
-        from ..query.engine import MISS
-
         adopted: list[tuple[int, str, list, dict | None]] = []
         for iid in members:
             home, local = engine.index.local(iid)
@@ -361,8 +368,6 @@ class MemorySubModel:
         result = self.propagator.propagate(load)
         fns: set = set(result.functions)
         if result.callgraph:
-            from ..query.engine import CALLGRAPH_DEP
-
             fns.add(CALLGRAPH_DEP)
         for event in result.events:
             terminal = event.instruction
@@ -432,7 +437,9 @@ class MemorySubModel:
         contributions sum; loads within one set observed the same
         corrupted value, so their reach probabilities union.
         """
-        distribution = self.profile.reader_set_distribution(store_iid)
+        distribution = self._store_groups().reader_set_distribution(
+            store_iid
+        )
         if not distribution:
             return {}
         result: dict[int, float] = {}

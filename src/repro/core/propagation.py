@@ -27,6 +27,8 @@ from ..ir.instructions import (
     Branch,
     Call,
     Detect,
+    FCmp,
+    ICmp,
     Instruction,
     Output,
     Ret,
@@ -34,8 +36,9 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Value
+from ..query.engine import CALLGRAPH_DEP, MISS
 from .config import TridentConfig
-from .tuples import TupleDeriver
+from .tuples import TupleDeriver, cmp_feeds_only_minmax_selects
 
 #: Terminal event kinds.
 EV_STORE = "store"
@@ -111,8 +114,6 @@ class ForwardPropagator:
         site = engine.index.to_local.get(getattr(origin, "iid", -1))
         if site is None:
             return self._propagate(origin)
-        from ..query.engine import CALLGRAPH_DEP, MISS
-
         home, local = site
         view = engine.view(self.query, home)
         stored = view.get(local)
@@ -269,9 +270,6 @@ class ForwardPropagator:
         # min/max cluster: when the comparison exists only to drive
         # selects over this same value, the joint select-arm tuples carry
         # the whole effect — the value→cmp edge would double count it.
-        from .tuples import cmp_feeds_only_minmax_selects
-        from ..ir.instructions import FCmp, ICmp
-
         if (self.config.model_minmax_joint
                 and isinstance(user, (ICmp, FCmp))
                 and cmp_feeds_only_minmax_selects(user, value)):

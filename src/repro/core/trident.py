@@ -24,6 +24,7 @@ from ..ir.instructions import Branch, Output, Store
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
 from ..profiling.profiler import ProfilingInterpreter
+from ..query.engine import CALLGRAPH_DEP, MISS, QueryEngine
 from .config import TridentConfig, trident_config
 from .fc import ControlFlowSubModel
 from .fm import MemorySubModel
@@ -54,8 +55,6 @@ class Trident:
     def __init__(self, module: Module, profile: ProgramProfile,
                  config: TridentConfig | None = None, *,
                  shared_queries: bool = True):
-        from ..query.engine import QueryEngine
-
         if not module.is_finalized:
             raise ValueError("finalize the module before modeling")
         self.module = module
@@ -152,8 +151,6 @@ class Trident:
 
     def _query_sdc(self, iid: int) -> float:
         """instruction_sdc via the persisted ``model.sdc`` query store."""
-        from ..query.engine import MISS
-
         engine = self.queries
         site = engine.index.to_local.get(iid)
         if site is None:
@@ -170,8 +167,6 @@ class Trident:
         )
 
     def _compute_sdc(self, iid: int) -> float:
-        from ..query.engine import CALLGRAPH_DEP
-
         inst = self.module.instruction(iid)
         self._scratch_deps: set = set()
         if not inst.has_result:

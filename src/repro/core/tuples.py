@@ -13,6 +13,23 @@ covers the paper's cmp, logic and cast masking rules exactly (e.g. the
 ``cmp sgt $1, 0`` example of Fig. 2b yields 1/32) and also the divisor-
 becomes-zero crash case.
 
+That enumeration defines the tuples.  :class:`TupleDeriver` gets the
+same counts for less work (DESIGN.md §5):
+
+* the opcode dispatch is resolved once per (instruction, operand) into
+  an evaluator over the ``interp/ops.py`` helpers, and only division
+  and remainder, the ops that can trap, pay a ``try`` per flip;
+* all flips of an operand come from one
+  :func:`~repro.ir.bitutils.flip_bits_typed` call, which packs and
+  unpacks a float's flips in one ``struct`` round trip;
+* add, sub, xor, and, or, mul, the value operand of a shift, zext, sext
+  and trunc count a sample's propagated flips in closed form when every
+  operand of the sample is a canonical integer of its width; any other
+  sample enumerates.
+
+:class:`ReferenceTupleDeriver` keeps the per-flip enumeration as the
+oracle that the tests and CI compare every tuple against, bit for bit.
+
 Instructions without profiled samples — and opcode families the paper
 treats as transparent — default to (1, 0, 0), the paper's heuristic.
 """
@@ -30,7 +47,12 @@ from ..interp.ops import (
     eval_icmp,
     eval_int_binop,
 )
-from ..ir.bitutils import flip_bit_typed
+from ..ir.bitutils import (
+    flip_bit_typed,
+    flip_bits_typed,
+    popcount,
+    trailing_zeros,
+)
 from ..ir.instructions import (
     BinOp,
     Branch,
@@ -43,6 +65,8 @@ from ..ir.instructions import (
     Select,
     Store,
 )
+from ..ir.values import Constant
+from ..query.engine import MISS
 from .config import TridentConfig
 
 
@@ -71,8 +95,6 @@ def _same_operand(a, b) -> bool:
     equal constants keeps cluster detection — and therefore the model's
     numbers — invariant under a textual round trip.
     """
-    from ..ir.values import Constant
-
     return a is b or (isinstance(a, Constant) and a == b)
 
 
@@ -122,6 +144,13 @@ def _values_equal(a, b) -> bool:
     return a == b
 
 
+def _masked_count(results: list, original) -> int:
+    """How many results :func:`_values_equal` finds equal to ``original``."""
+    if original != original:  # NaN: only a NaN result shows no difference
+        return sum(1 for result in results if result != result)
+    return results.count(original)
+
+
 def _evaluate(inst: Instruction, operands: list):
     """Re-evaluate a pure instruction on concrete operand values."""
     if isinstance(inst, BinOp):
@@ -138,6 +167,114 @@ def _evaluate(inst: Instruction, operands: list):
     if isinstance(inst, Cast):
         return eval_cast(inst.op, operands[0], inst.value.type, inst.type)
     raise TypeError(f"cannot re-evaluate {inst.opcode}")
+
+
+def _evaluator(inst: Instruction):
+    """:func:`_evaluate` with its dispatch resolved: a function of the
+    instruction's operand values, positionally."""
+    if isinstance(inst, BinOp):
+        op, bits = inst.op, inst.type.bits
+        if inst.type.is_float:
+            return lambda a, b: eval_float_binop(op, a, b, bits)
+        return lambda a, b: eval_int_binop(op, a, b, bits)
+    if isinstance(inst, ICmp):
+        predicate, bits = inst.predicate, inst.lhs.type.bits
+        return lambda a, b: eval_icmp(predicate, a, b, bits)
+    if isinstance(inst, FCmp):
+        predicate = inst.predicate
+        return lambda a, b: eval_fcmp(predicate, a, b)
+    if isinstance(inst, Cast):
+        op, source, target = inst.op, inst.value.type, inst.type
+        return lambda value: eval_cast(op, value, source, target)
+    raise TypeError(f"cannot re-evaluate {inst.opcode}")
+
+
+#: The integer ops that can trap: only their flips need a ``try``.
+_TRAPPING_OPS = frozenset({"sdiv", "udiv", "srem", "urem"})
+
+#: A flip's result when its evaluation trapped (a crash).
+_TRAP = object()
+
+
+def _trap_as_result(evaluate):
+    """``evaluate`` returning :data:`_TRAP` where it would trap."""
+    def guarded(*operands):
+        try:
+            return evaluate(*operands)
+        except ArithmeticTrap:
+            return _TRAP
+    return guarded
+
+
+def _flip_results(evaluate, operands: list, operand_index: int,
+                  flips: list) -> list:
+    """``evaluate`` with each flip in place of one operand."""
+    if len(operands) == 1:
+        return [evaluate(flipped) for flipped in flips]
+    a, b = operands
+    if operand_index == 0:
+        return [evaluate(flipped, b) for flipped in flips]
+    return [evaluate(a, flipped) for flipped in flips]
+
+
+#: Closed forms (DESIGN.md §5): how many of the ``bits`` single-bit flips
+#: of one binop operand change the result, given the other operand.
+_BINOP_RULES = {
+    "add": lambda other, bits: bits,
+    "sub": lambda other, bits: bits,
+    "xor": lambda other, bits: bits,
+    "and": lambda other, bits: popcount(other),
+    "or": lambda other, bits: bits - popcount(other),
+    "mul": lambda other, bits: bits - trailing_zeros(other) if other else 0,
+}
+#: The shifted value's flips, given the shift amount.
+_SHIFT_RULE = lambda amount, bits: bits - amount % bits
+
+
+def _canonical(value, bits: int) -> bool:
+    """Is ``value`` an int (not a bool) in ``[0, 2**bits)``?"""
+    return type(value) is int and 0 <= value < (1 << bits)
+
+
+def _closed_form(inst: Instruction, operand_index: int):
+    """A counter of one sample's propagated flips in closed form, or None.
+
+    The counter returns the enumeration's count of result-changing
+    flips of the operand, or None for a sample that is not made of
+    canonical integers, which must enumerate.  None when the operand
+    has no closed form: shift amounts, division and remainder,
+    compares, float ops, float casts and bitcast.
+    """
+    if isinstance(inst, Cast):
+        source, target = inst.value.type.bits, inst.type.bits
+        if not inst.value.type.is_integer:
+            return None
+        if inst.op == "zext" or (inst.op == "sext" and target >= source):
+            count = source
+        elif inst.op == "trunc":
+            count = min(source, target)
+        else:
+            return None
+        return lambda sample: (count if _canonical(sample[0], source)
+                               else None)
+    if not isinstance(inst, BinOp) or inst.type.is_float:
+        return None
+    op, bits = inst.op, inst.type.bits
+    if op in ("shl", "lshr", "ashr"):
+        rule = _SHIFT_RULE if operand_index == 0 else None
+    else:
+        rule = _BINOP_RULES.get(op)
+    if rule is None:
+        return None
+    other = 1 - operand_index
+
+    def count(sample):
+        if (len(sample) < 2 or not _canonical(sample[0], bits)
+                or not _canonical(sample[1], bits)):
+            return None
+        return rule(sample[other], bits)
+
+    return count
 
 
 class TupleDeriver:
@@ -171,7 +308,6 @@ class TupleDeriver:
         engine = self.engine
         if engine is None:
             return self._derive(inst, operand_index)
-        from ..query.engine import MISS
         home, local = engine.index.local(inst.iid)
         view = engine.view(self.QUERY, home)
         stored = view.get((local, operand_index))
@@ -205,33 +341,42 @@ class TupleDeriver:
         samples = self.profile.samples(inst.iid)
         if not samples:
             return self._fallback(inst, operand_index)
-        samples = samples[: self.config.tuple_samples]
         operand_type = inst.operands[operand_index].type
         bits = operand_type.bits
-        propagated = masked = crashed = trials = 0
-        for sample in samples:
-            operands = list(sample)
-            if len(operands) <= operand_index:
+        closed_form = _closed_form(inst, operand_index)
+        evaluate = _evaluator(inst)
+        arity = 1 if isinstance(inst, Cast) else 2
+        can_trap = isinstance(inst, BinOp) and inst.op in _TRAPPING_OPS
+        evaluate_flip = _trap_as_result(evaluate) if can_trap else evaluate
+        propagated = crashed = trials = 0
+        for sample in samples[: self.config.tuple_samples]:
+            if len(sample) <= operand_index:
                 continue
+            count = closed_form(sample) if closed_form else None
+            if count is not None:
+                propagated += count
+                trials += bits
+                continue
+            operands = [sample[i] for i in range(arity)]
             try:
-                original = _evaluate(inst, operands)
+                original = evaluate(*operands)
             except ArithmeticTrap:
                 continue  # fault-free run cannot have trapped here
-            faulty = list(operands)
-            for bit in range(bits):
-                faulty[operand_index] = flip_bit_typed(
-                    operands[operand_index], bit, operand_type
-                )
-                trials += 1
-                try:
-                    result = _evaluate(inst, faulty)
-                except ArithmeticTrap:
-                    crashed += 1
-                    continue
-                if _values_equal(result, original):
-                    masked += 1
-                else:
-                    propagated += 1
+            flips = flip_bits_typed(operands[operand_index], operand_type)
+            results = _flip_results(evaluate_flip, operands, operand_index,
+                                    flips)
+            traps = results.count(_TRAP) if can_trap else 0
+            trials += len(results)
+            crashed += traps
+            propagated += (len(results) - traps
+                           - _masked_count(results, original))
+        return self._counted_tuple(inst, operand_index, propagated, crashed,
+                                   trials)
+
+    def _counted_tuple(self, inst: Instruction, operand_index: int,
+                       propagated: int, crashed: int,
+                       trials: int) -> PropTuple:
+        """The tuple of flip counts (the fallback when nothing was flipped)."""
         if trials == 0:
             return self._fallback(inst, operand_index)
         extra_mask = self._fdiv_masking(inst, operand_index)
@@ -327,31 +472,99 @@ class TupleDeriver:
         samples = self.profile.samples(cmp.iid)
         if not samples:
             return None
-        samples = samples[: self.config.tuple_samples]
         true_is_lhs = _same_operand(inst.true_value, cmp.lhs)
         corrupted_arm = inst.operands[operand_index]
         position = 0 if _same_operand(corrupted_arm, cmp.lhs) else 1
-        operand_type = corrupted_arm.type
-        bits = operand_type.bits
-        is_float = isinstance(cmp, FCmp)
+        compare = _evaluator(cmp)
 
         def evaluate(a, b):
-            if is_float:
-                chosen = eval_fcmp(cmp.predicate, a, b)
-            else:
-                chosen = eval_icmp(cmp.predicate, a, b,
-                                   cmp.lhs.type.bits)
+            chosen = compare(a, b)
             true_value = a if true_is_lhs else b
             false_value = b if true_is_lhs else a
             return true_value if chosen else false_value
 
+        propagated, trials = self._joint_counts(
+            evaluate, samples[: self.config.tuple_samples], position,
+            corrupted_arm.type,
+        )
+        if trials == 0:
+            return None
+        p = propagated / trials
+        return PropTuple(p, 1.0 - p, 0.0)
+
+    def _joint_counts(self, evaluate, samples, position: int,
+                      operand_type) -> tuple[int, int]:
+        """(propagated, trials) of flipping one compared operand of a
+        min/max pair."""
+        propagated = trials = 0
+        for sample in samples:
+            if len(sample) < 2:
+                continue
+            operands = [sample[0], sample[1]]
+            original = evaluate(*operands)
+            flips = flip_bits_typed(operands[position], operand_type)
+            results = _flip_results(evaluate, operands, position, flips)
+            trials += len(results)
+            propagated += len(results) - _masked_count(results, original)
+        return propagated, trials
+
+
+class ReferenceTupleDeriver(TupleDeriver):
+    """The per-flip enumeration that defines the tuples, kept as the oracle.
+
+    Every sample and bit goes through :func:`flip_bit_typed` and
+    :func:`_evaluate`'s dispatch, with no closed form; a min/max pair's
+    flips are evaluated and compared one at a time.  The tests and
+    CI's ``tuples`` phase require :class:`TupleDeriver` to equal it on
+    every (instruction, operand) pair, all three fields compared with
+    ``==``.  Like :class:`~repro.interp.engine.ReferenceEngine`, no
+    production path uses it, and it never reads a query store.
+    """
+
+    def __init__(self, profile, config: TridentConfig):
+        super().__init__(profile, config)
+
+    def _empirical(self, inst: Instruction, operand_index: int) -> PropTuple:
+        samples = self.profile.samples(inst.iid)
+        if not samples:
+            return self._fallback(inst, operand_index)
+        samples = samples[: self.config.tuple_samples]
+        operand_type = inst.operands[operand_index].type
+        bits = operand_type.bits
+        propagated = crashed = trials = 0
+        for sample in samples:
+            operands = list(sample)
+            if len(operands) <= operand_index:
+                continue
+            try:
+                original = _evaluate(inst, operands)
+            except ArithmeticTrap:
+                continue  # fault-free run cannot have trapped here
+            faulty = list(operands)
+            for bit in range(bits):
+                faulty[operand_index] = flip_bit_typed(
+                    operands[operand_index], bit, operand_type
+                )
+                trials += 1
+                try:
+                    result = _evaluate(inst, faulty)
+                except ArithmeticTrap:
+                    crashed += 1
+                    continue
+                if not _values_equal(result, original):
+                    propagated += 1
+        return self._counted_tuple(inst, operand_index, propagated, crashed,
+                                   trials)
+
+    def _joint_counts(self, evaluate, samples, position: int,
+                      operand_type) -> tuple[int, int]:
         propagated = trials = 0
         for sample in samples:
             if len(sample) < 2:
                 continue
             a, b = sample[0], sample[1]
             original = evaluate(a, b)
-            for bit in range(bits):
+            for bit in range(operand_type.bits):
                 flipped = flip_bit_typed(
                     (a, b)[position], bit, operand_type
                 )
@@ -359,7 +572,4 @@ class TupleDeriver:
                 trials += 1
                 if not _values_equal(evaluate(*faulty), original):
                     propagated += 1
-        if trials == 0:
-            return None
-        p = propagated / trials
-        return PropTuple(p, 1.0 - p, 0.0)
+        return propagated, trials

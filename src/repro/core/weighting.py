@@ -23,6 +23,7 @@ from ..analysis.dominators import compute_postdominators
 from ..ir.instructions import Instruction
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
+from ..query.engine import MISS
 
 
 class ExecutionWeigher:
@@ -46,8 +47,6 @@ class ExecutionWeigher:
         engine = self.engine
         if engine is None:
             return self._weight(origin, terminal)
-        from ..query.engine import MISS
-
         home, origin_local = engine.index.local(origin.iid)
         terminal_ref = engine.index.symbolize(terminal.iid, home)
         view = engine.view(self.QUERY, home)

@@ -75,9 +75,39 @@ def flip_bit_typed(value, bit: int, value_type: Type):
     raise ValueError(f"cannot flip bits of a {value_type} value")
 
 
+#: struct codes of a float width's (bit pattern, value) pair.
+_FLOAT_CODES = {32: ("I", "f"), 64: ("Q", "d")}
+
+
+def flip_bits_typed(value, value_type: Type) -> list:
+    """Every single-bit flip of a register value, low bit first.
+
+    Equals ``[flip_bit_typed(value, bit, value_type) for bit in
+    range(value_type.bits)]``; a float's flips share one ``struct``
+    pack/unpack pair instead of a round trip per bit.  Fault injection
+    keeps :func:`flip_bit_typed`: a trial flips one bit.
+    """
+    bits = value_type.bits
+    if isinstance(value_type, FloatType):
+        pattern_code, value_code = _FLOAT_CODES[bits]
+        pattern = float_to_bits(float(value), bits)
+        packed = struct.pack(f"<{bits}{pattern_code}",
+                             *[pattern ^ (1 << bit) for bit in range(bits)])
+        return list(struct.unpack(f"<{bits}{value_code}", packed))
+    if isinstance(value_type, (IntType, PointerType)):
+        value = int(value)
+        return [value ^ (1 << bit) for bit in range(bits)]
+    return [flip_bit_typed(value, bit, value_type) for bit in range(bits)]
+
+
 def popcount(value: int) -> int:
     """Number of set bits."""
     return bin(value & ((1 << 128) - 1)).count("1")
+
+
+def trailing_zeros(value: int) -> int:
+    """Number of trailing zero bits of a positive integer."""
+    return (value & -value).bit_length() - 1
 
 
 def truncate_float(value: float, float_type: FloatType) -> float:

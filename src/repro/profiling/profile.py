@@ -110,42 +110,16 @@ class ProgramProfile:
         return sum(samples) / len(samples)
 
     def loads_reading(self, store_iid: int) -> list[tuple[int, float]]:
-        """(load_iid, weight) edges out of a store in the pruned graph.
-
-        The weight is the fraction of the store's dynamic instances whose
-        value that load observed — the aggregate dependency between the
-        symmetric loops of Sec. IV-E.
-        """
-        total = self.store_instances.get(store_iid, 0)
-        if total == 0:
-            return []
-        edges = []
-        for (s_iid, l_iid), count in self.mem_edges.items():
-            if s_iid == store_iid:
-                edges.append((l_iid, min(1.0, count / total)))
-        return edges
+        """(load_iid, weight) edges out of a store in the pruned graph
+        (see :meth:`StoreGroups.loads_reading`)."""
+        return StoreGroups(self).loads_reading(store_iid)
 
     def reader_set_distribution(
         self, store_iid: int,
     ) -> list[tuple[frozenset, float]]:
-        """Distribution over which load sets observe one store instance.
-
-        Returns (reader set, fraction of instances) pairs; the empty set
-        (instances overwritten or never read) is included, so fractions
-        sum to 1 for any store with recorded instances.
-        """
-        total = self.store_instances.get(store_iid, 0)
-        if total == 0:
-            return []
-        out = []
-        seen = 0
-        for (s_iid, readers), count in self.store_reader_sets.items():
-            if s_iid == store_iid:
-                out.append((readers, count / total))
-                seen += count
-        if seen < total:  # instances still live at a function exit
-            out.append((frozenset(), (total - seen) / total))
-        return out
+        """Distribution over which load sets observe one store instance
+        (see :meth:`StoreGroups.reader_set_distribution`)."""
+        return StoreGroups(self).reader_set_distribution(store_iid)
 
     def silent_store_fraction(self, store_iid: int) -> float:
         """Fraction of a store's instances that rewrote the same value."""
@@ -160,3 +134,59 @@ class ProgramProfile:
         if total == 0:
             return 0.0
         return self.store_instances_read.get(store_iid, 0) / total
+
+
+class StoreGroups:
+    """A profile's memory edges and reader sets, grouped by store once.
+
+    fm reads every store's statistics once per fixed-point iteration;
+    grouping the profile once per model replaces a scan of the whole
+    profile per read.  Each group keeps the profile's insertion order,
+    which fixes fm's summation order.  A snapshot: build it after the
+    profile is complete.
+    """
+
+    def __init__(self, profile: ProgramProfile):
+        self._instances = profile.store_instances
+        self._edges: dict[int, list[tuple[int, int]]] = {}
+        for (store_iid, load_iid), count in profile.mem_edges.items():
+            self._edges.setdefault(store_iid, []).append((load_iid, count))
+        self._reader_sets: dict[int, list[tuple[frozenset, int]]] = {}
+        for (store_iid, readers), count in profile.store_reader_sets.items():
+            self._reader_sets.setdefault(store_iid, []).append(
+                (readers, count)
+            )
+
+    def loads_reading(self, store_iid: int) -> list[tuple[int, float]]:
+        """(load_iid, weight) edges out of a store in the pruned graph.
+
+        The weight is the fraction of the store's dynamic instances whose
+        value that load observed — the aggregate dependency between the
+        symmetric loops of Sec. IV-E.
+        """
+        total = self._instances.get(store_iid, 0)
+        if total == 0:
+            return []
+        return [(load_iid, min(1.0, count / total))
+                for load_iid, count in self._edges.get(store_iid, ())]
+
+    def reader_set_distribution(
+        self, store_iid: int,
+    ) -> list[tuple[frozenset, float]]:
+        """Distribution over which load sets observe one store instance.
+
+        Returns (reader set, fraction of instances) pairs; the empty set
+        (instances overwritten or never read) is included, so fractions
+        sum to 1 for any store with recorded instances.
+        """
+        total = self._instances.get(store_iid, 0)
+        if total == 0:
+            return []
+        out = []
+        seen = 0
+        for readers, count in self._reader_sets.get(store_iid, ()):
+            out.append((readers, count / total))
+            seen += count
+        if seen < total:  # instances still live at a function exit
+            out.append((frozenset(), (total - seen) / total))
+        return out

@@ -288,7 +288,9 @@ def analyze_request(body: dict) -> dict:
     model_name = str(body.get("model", "trident"))
     if model_name not in MODEL_NAMES:
         raise ValueError(f"unknown model {model_name!r}")
-    samples = int(body.get("samples", 3000))
+    samples = body.get("samples", 3000)
+    if type(samples) is not int:  # bools, floats and strings are refused
+        raise TypeError(f"samples must be a JSON integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     module = spec.materialize()

@@ -107,6 +107,19 @@ class TestCli:
                     "--samples", samples)
         assert "must be at least 1" in capsys.readouterr().err
 
+    def test_negative_top_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "pathfinder", "--scale", "test",
+                    "--samples", "200", "--top", "-3")
+        assert exc.value.code == 2
+        assert "must be at least 0, got -3" in capsys.readouterr().err
+
+    def test_top_zero_lists_no_instruction(self):
+        text = run_cli("analyze", "pathfinder", "--scale", "test",
+                       "--samples", "200", "--top", "0")
+        listing = text.split("top 0 SDC-prone instructions:\n")[1]
+        assert not re.search(r"^ +\d+\.\d\d%  ", listing, re.MULTILINE)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")

@@ -4,6 +4,9 @@ These are the acceptance tests of the reproduction — each asserts one
 qualitative result of the evaluation (Sec. V/VI/VII).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import EpvfModel, PvfModel
@@ -81,6 +84,30 @@ class TestFig5Claims:
             p["trident"] for _n, _c, p in evaluation
         ) / len(evaluation)
         assert abs(trident_mean - fi_mean) < 0.15
+
+
+#: Per-model MAE of the ``evaluation`` fixture, committed as a baseline.
+ACCURACY_BASELINE = (Path(__file__).resolve().parents[2]
+                     / "benchmarks" / "results" / "accuracy.json")
+#: How far an intended change may move a model's MAE before the
+#: baseline must be re-measured and committed with it.
+ACCURACY_BAND = 0.01
+
+
+class TestAccuracyBand:
+    """Orderings alone would let TRIDENT's MAE double unnoticed: keep
+    every model's MAE within a band of the committed baseline."""
+
+    @pytest.mark.parametrize("key", ["trident", "fs+fc", "fs", "epvf",
+                                     "pvf"])
+    def test_mae_within_band_of_baseline(self, evaluation, key):
+        baseline = json.loads(ACCURACY_BASELINE.read_text())["mae"][key]
+        fi = [c.sdc_probability for _n, c, _p in evaluation]
+        mae = mean_absolute_error([p[key] for _n, _c, p in evaluation], fi)
+        assert abs(mae - baseline) <= ACCURACY_BAND, (
+            f"{key} MAE {mae:.4f} is outside {baseline:.4f} "
+            f"± {ACCURACY_BAND}"
+        )
 
 
 class TestFig9Claims:

@@ -1,6 +1,7 @@
 """Unit and property tests for bit-level helpers."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,16 +11,18 @@ from repro.ir.bitutils import (
     flip_bit_float,
     flip_bit_int,
     flip_bit_typed,
+    flip_bits_typed,
     float_to_bits,
     format_with_precision,
     from_signed,
     mask,
     popcount,
     to_signed,
+    trailing_zeros,
     truncate_float,
     wrap_unsigned,
 )
-from repro.ir.types import F32, F64, I32
+from repro.ir.types import F32, F64, I32, VOID, IntType, PointerType
 
 
 class TestMaskAndWrap:
@@ -105,6 +108,58 @@ class TestFormatting:
         assert popcount(0) == 0
         assert popcount(0xFF) == 8
         assert popcount(1 << 40) == 1
+
+    def test_trailing_zeros(self):
+        assert trailing_zeros(1) == 0
+        assert trailing_zeros(12) == 2
+        assert trailing_zeros(1 << 63) == 63
+
+
+def one_by_one(value, value_type):
+    return [flip_bit_typed(value, bit, value_type)
+            for bit in range(value_type.bits)]
+
+
+def encodings(values):
+    """Each float's IEEE-754 double encoding: equality bit for bit."""
+    return [struct.pack("<d", value) for value in values]
+
+
+F32_MAX = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
+
+
+class TestBatchedFlips:
+    @pytest.mark.parametrize("value_type", [F32, F64], ids=str)
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan,
+        2.0 ** -149, 2.0 ** -140, 5e-324, 2.0 ** -1030, F32_MAX, -F32_MAX,
+    ])
+    def test_float_flips_match_bit_for_bit(self, value_type, value):
+        batched = flip_bits_typed(value, value_type)
+        assert len(batched) == value_type.bits
+        assert encodings(batched) == encodings(one_by_one(value, value_type))
+
+    def test_float_value_overflowing_f32_raises_like_one_by_one(self):
+        with pytest.raises(OverflowError):
+            flip_bit_typed(1e300, 0, F32)
+        with pytest.raises(OverflowError):
+            flip_bits_typed(1e300, F32)
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_int_flips_match_at_every_width(self, bits):
+        value_type = IntType(bits)
+        for value in (0, mask(bits), 1 << (bits - 1), 0x5A5A5A5A & mask(bits)):
+            assert (flip_bits_typed(value, value_type)
+                    == one_by_one(value, value_type))
+
+    def test_pointer_and_non_canonical_values(self):
+        pointer = PointerType(I32)
+        assert flip_bits_typed(0x1000, pointer) == one_by_one(0x1000, pointer)
+        for value in (True, 2.75, 1 << 40):
+            assert flip_bits_typed(value, I32) == one_by_one(value, I32)
+
+    def test_void_has_no_flips(self):
+        assert flip_bits_typed(0, VOID) == one_by_one(0, VOID) == []
 
 
 # -- property-based -----------------------------------------------------------

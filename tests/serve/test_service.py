@@ -159,6 +159,11 @@ class TestProtocol:
                 with pytest.raises(ServiceError) as exc:
                     send(body)  # a module named by a non-string
                 assert exc.value.status == 400, body
+        for samples in (True, 2.5, "12"):
+            body = {"benchmark": BENCH, "scale": "test", "samples": samples}
+            with pytest.raises(ServiceError) as exc:
+                client.analyze(body)  # a sample count not a JSON integer
+            assert exc.value.status == 400, body
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
