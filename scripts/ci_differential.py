@@ -21,10 +21,14 @@ Six phases, selectable with ``--only`` (default: all):
    where they rejoin the golden run) on two benchmarks with different
    outcome mixes.  Counts must be bit-identical, trials must actually
    skip prefix work, and the checkpointed campaign must hit the speedup
-   threshold.  Three more campaigns are checked for counts only:
-   hotspot after mem2reg (phis at snapshot points), hotspot at stride 1
-   and sad.  Every checkpointed campaign must have trials that
-   rejoined, so the phase cannot pass with convergence off.
+   threshold.  More campaigns are checked for counts only: hotspot at
+   stride 1, then a sweep of every registered benchmark at ``test``
+   scale, at O0 and after mem2reg at O2 (phis at snapshot points), with
+   ``SWEEP_RUNS`` runs each (about 15 s on a 2-vCPU machine), where
+   every golden snapshot must also hold ``main`` alone on the stack
+   (hercules is the one benchmark with a callee).  Every checkpointed
+   campaign must run checkpointed and have trials that rejoined, so the
+   phase cannot pass with checkpointing degraded or convergence off.
 
 4. **interp-codegen** — golden runs on every registered benchmark and
    checkpointed FI campaigns on two of them, the generated code against
@@ -48,12 +52,15 @@ Six phases, selectable with ``--only`` (default: all):
    equal the per-flip reference enumeration's in all three fields, and
    must be derived at least 1.5x faster (best of 3 each).
 
-Exits non-zero with a one-line reason on the first failed check.
+Exits non-zero with a one-line reason on the first failed check.  The
+default artifact cache is a fresh temporary directory, removed when the
+run ends; a ``--cache-dir`` is left in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import tempfile
 import time
@@ -188,19 +195,48 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
         f"(best {max(speedups):.2f}x)",
     )
 
-    hotspot = build_module("hotspot", "test")
-    for label, module, stride in (("hotspot O2", optimize(hotspot, 2)[0], 0),
-                                  ("hotspot stride 1", hotspot, 1),
-                                  ("sad", build_module("sad", "test"), 0)):
-        cold = FaultInjector(module, checkpoint=False).run_span(0, runs, 1)
-        warm = FaultInjector(module, checkpoint=True,
-                             checkpoint_stride=stride).run_span(0, runs, 1)
-        check(
-            warm.counts == cold.counts and warm.checkpointed
-            and not warm.checkpoint_degraded,
-            f"{label}: checkpointed counts bit-identical to cold runs",
-        )
-        check_converged(label, warm, runs)
+    counts_only("hotspot stride 1", build_module("hotspot", "test"), runs,
+                stride=1)
+    checkpoint_sweep()
+
+
+#: Runs per campaign of the fi-checkpoint phase's all-benchmark sweep.
+SWEEP_RUNS = 1000
+
+
+def checkpoint_sweep() -> None:
+    """Counts only, on every benchmark at ``test`` scale and O0 and O2,
+    and every golden snapshot holds main alone on the stack."""
+    started = time.perf_counter()
+    for name in BENCHMARK_NAMES:
+        module = build_module(name, "test")
+        for level, variant in ((0, module), (2, optimize(module, 2)[0])):
+            label = f"{name} O{level}"
+            warm = counts_only(label, variant, SWEEP_RUNS)
+            snapshots = warm.checkpoints().snapshots
+            check(
+                all(len(s.frames) == 1 for s in snapshots),
+                f"{label}: all {len(snapshots)} golden snapshots hold "
+                f"main alone",
+            )
+    print(f"   sweep of {len(BENCHMARK_NAMES)} benchmarks at {SWEEP_RUNS} "
+          f"runs: {time.perf_counter() - started:.1f}s")
+
+
+def counts_only(label: str, module, runs: int, stride: int = 0):
+    """A cold and a checkpointed campaign on ``module``: identical
+    counts, run checkpointed, with trials that rejoined.  Returns the
+    checkpointed injector."""
+    cold = FaultInjector(module, checkpoint=False).run_span(0, runs, 1)
+    warm = FaultInjector(module, checkpoint=True, checkpoint_stride=stride)
+    result = warm.run_span(0, runs, 1)
+    check(
+        result.counts == cold.counts and result.checkpointed
+        and not result.checkpoint_degraded,
+        f"{label}: checkpointed counts bit-identical to cold runs",
+    )
+    check_converged(label, result, runs)
+    return warm
 
 
 def check_converged(label: str, result, runs: int) -> None:
@@ -449,12 +485,31 @@ def tuple_reference(speedup: float = 1.5) -> None:
     )
 
 
+def run_phases(args) -> None:
+    phases = args.only or ["fig5", "remodel", "fi-checkpoint",
+                           "interp-codegen", "batch-tier", "tuples"]
+    if "fig5" in phases:
+        fig5_replay(args.fig5_speedup)
+    if "remodel" in phases:
+        one_function_edit(args.remodel_speedup)
+    if "fi-checkpoint" in phases:
+        fi_checkpoint(args.fi_checkpoint_speedup, args.fi_checkpoint_runs)
+    if "interp-codegen" in phases:
+        interp_codegen(args.interp_codegen_speedup,
+                       args.interp_campaign_runs)
+    if "batch-tier" in phases:
+        batch_tier(args.batch_tier_speedup, args.batch_campaign_runs)
+    if "tuples" in phases:
+        tuple_reference()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--cache-dir", default=None,
         help="artifact cache root (default: a fresh temp dir, so the "
-             "cold half of the differential is actually cold)",
+             "cold half of the differential is actually cold, removed "
+             "when the run ends)",
     )
     parser.add_argument(
         "--only", action="append",
@@ -474,24 +529,13 @@ def main() -> None:
     args = parser.parse_args()
 
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-diff-")
-    configure_cache(cache_dir)
-    print(f"artifact cache: {cache_dir}")
-
-    phases = args.only or ["fig5", "remodel", "fi-checkpoint",
-                           "interp-codegen", "batch-tier", "tuples"]
-    if "fig5" in phases:
-        fig5_replay(args.fig5_speedup)
-    if "remodel" in phases:
-        one_function_edit(args.remodel_speedup)
-    if "fi-checkpoint" in phases:
-        fi_checkpoint(args.fi_checkpoint_speedup, args.fi_checkpoint_runs)
-    if "interp-codegen" in phases:
-        interp_codegen(args.interp_codegen_speedup,
-                       args.interp_campaign_runs)
-    if "batch-tier" in phases:
-        batch_tier(args.batch_tier_speedup, args.batch_campaign_runs)
-    if "tuples" in phases:
-        tuple_reference()
+    try:
+        configure_cache(cache_dir)
+        print(f"artifact cache: {cache_dir}")
+        run_phases(args)
+    finally:  # a failed check exits through SystemExit
+        if args.cache_dir is None:
+            shutil.rmtree(cache_dir, ignore_errors=True)
     print("differential check passed")
 
 

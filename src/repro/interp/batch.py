@@ -637,7 +637,7 @@ class BatchRunner:
                 if snapshot is None:
                     self._bcall(sim, engine._compiled["main"], [], -1)
                 else:
-                    self._bresume_frame(sim, snapshot, 0)
+                    self._bresume_frame(sim, snapshot)
                 self._finish_live(sim, OK, "")
             except _AllLanesDone:
                 pass
@@ -1318,55 +1318,19 @@ class BatchRunner:
                 fetch = block.term_payload
                 return fetch(frame) if fetch is not None else None
 
-    def _bloop_from(self, sim: _GroupState, compiled, frame, cblock,
-                    start: int, record):
-        """Finish a mid-block resumed frame, then rejoin the main loop."""
-        steps = self._block_steps(compiled, cblock)
-        for index in range(start, len(steps)):
-            steps[index](sim, frame)
-        kind = cblock.term_kind
-        if kind == _T_JUMP:
-            block = cblock.term_payload
-        elif kind == _T_CBR:
-            block = self._branch_target(sim, frame, cblock, compiled,
-                                        record)
-            if sim.just_merged:
-                sim.just_merged = False
-                return self._bloop(sim, compiled, frame, block, None,
-                                   record)
-        else:  # _T_RET
-            fetch = cblock.term_payload
-            return fetch(frame) if fetch is not None else None
-        return self._bloop(sim, compiled, frame, block, cblock, record)
-
-    def _bresume_frame(self, sim: _GroupState, snapshot: Snapshot,
-                       depth: int):
-        """Rebuild one suspended activation record in lockstep form
-        (mirrors engine._resume_frame: callee first, then the call's
-        return value placement, then the rest of the block)."""
-        frec = snapshot.frames[depth]
+    def _bresume_frame(self, sim: _GroupState, snapshot: Snapshot):
+        """Restore the one frame of a golden snapshot (``main`` at the
+        head of a block function) and run it in lockstep."""
+        (frec,) = snapshot.frames
         compiled = frec.compiled
         sim.call_depth += 1
         frame = _Frame(compiled.n_slots)
         frame.slots[:] = frec.slots
         frame.allocas.update(frec.allocas)
         frame.owned.extend(frec.owned)
-        record = [compiled, frame, frec.cblock, frec.previous,
-                  frec.step_index]
+        record = [compiled, frame, frec.cblock, frec.previous, -1]
         sim.records.append(record)
         try:
-            if depth + 1 < len(snapshot.frames):
-                value = self._bresume_frame(sim, snapshot, depth + 1)
-                cblock = frec.cblock
-                inst = cblock.step_insts[frec.step_index]
-                if inst.has_result:
-                    lanes_armed = sim.armed.get(inst.iid)
-                    if lanes_armed:
-                        value = self._binject(sim, value, inst.type,
-                                              lanes_armed)
-                    frame.slots[compiled.slot_of[id(inst)]] = value
-                return self._bloop_from(sim, compiled, frame, cblock,
-                                        frec.step_index + 1, record)
             return self._bloop(sim, compiled, frame, frec.cblock,
                                frec.previous, record)
         finally:

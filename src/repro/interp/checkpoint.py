@@ -8,13 +8,13 @@ dynamic-instruction indices, and every trial restores the nearest
 snapshot at-or-before its injection point and executes only the
 remaining suffix — the FastFlip insight applied at execution level.
 
-Snapshots are taken between the codegen tier's block functions (at
-the head of one, after the phi moves of the edge into it), which makes
-the capture points cheap to test for and gives a simple occurrence
-invariant: at a capture point, an instruction's completed-execution
-count is its home block's count in ``block_counts``, plus the pending
-block's phis, minus the suspended mid-block frames that have not yet
-passed it (see :meth:`GoldenCapture.prefix_occurrence`).
+Snapshots are taken at the heads of ``main``'s block functions (after
+the phi moves of the edge into one) while ``main`` is alone on the
+stack, so a snapshot holds one frame.  That makes the capture points
+cheap to test for and gives a simple occurrence invariant: at a
+capture point, an instruction's completed-execution count is its home
+block's count in ``block_counts``, plus one for a phi of the pending
+block (see :meth:`GoldenCapture.prefix_occurrence`).
 
 A snapshot is immutable once captured and shared read-only by every
 trial that forks from it; :meth:`GoldenCapture.resume` materializes
@@ -25,8 +25,8 @@ no wall-clock or RNG, so a restored suffix replays exactly what a cold
 run would have executed.
 
 The same determinism lets a trial end early: once its fault has fired,
-a trial whose whole state equals a later main-only snapshot has
-rejoined the golden run, and the rest of it is the golden suffix
+a trial whose whole state equals a later snapshot has rejoined the
+golden run, and the rest of it is the golden suffix
 (:attr:`GoldenCapture.rejoin_points`, ``ExecutionEngine._rejoin``).
 """
 
@@ -67,12 +67,13 @@ def merge_block_counts(shared: list, delta) -> list:
 class FrameSnap:
     """One suspended activation record inside a snapshot.
 
-    ``step_index`` is the position (in the block's step list) of the
-    call instruction this frame is suspended at, or -1 for the innermost
-    frame, which resumes at the top of ``cblock``.  ``previous`` is the
-    block it enters from, whose phi moves are still pending, or None
-    when no phi moves are pending (a golden capture snapshots after
-    them).
+    ``step_index`` is -1 for the innermost frame, which resumes at the
+    top of ``cblock``; ``previous`` is the block it enters from, whose
+    phi moves are still pending, or None when none are.  A golden
+    snapshot holds one such frame, ``main``'s, with no moves pending.
+    Only a batch lane that leaves lockstep inside a callee has outer
+    frames; each is suspended at the call instruction at position
+    ``step_index`` of its block's step list.
     """
 
     __slots__ = ("compiled", "slots", "allocas", "owned", "cblock",
@@ -92,7 +93,7 @@ class FrameSnap:
 class Snapshot:
     """Resumable image of one point of the golden execution.
 
-    Everything a run needs: the frame stack (slots, alloca maps, owned
+    Everything a run needs: the frames (slots, alloca maps, owned
     stack addresses, resume positions), the memory image (cells,
     validity set, stack cursor, footprint), the output-buffer length,
     the per-block execution counts, and the dynamic-instruction index.
@@ -143,9 +144,8 @@ class GoldenCapture:
     The capture also serves the other end of a trial: a trial whose
     state equals a later snapshot's *rejoins* the golden run there and
     takes over its suffix (``ExecutionEngine._rejoin``).  Rejoin points
-    are the snapshots with ``main`` alone on the stack whose golden
-    suffix is longer than the state a check compares, so a check can
-    save more than it costs.
+    are the snapshots whose golden suffix is longer than the state a
+    check compares, so a check can save more than it costs.
     """
 
     __slots__ = ("engine", "result", "snapshots", "stride", "total_bytes",
@@ -162,7 +162,7 @@ class GoldenCapture:
         total = result.dynamic_count
         self.rejoin_points = [
             s for s in snapshots
-            if len(s.frames) == 1 and total - s.dynamic_count
+            if total - s.dynamic_count
             > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
         ]
         #: Their dynamic counts, ascending (the capture order).
@@ -173,30 +173,18 @@ class GoldenCapture:
     def prefix_occurrence(self, snapshot: Snapshot, iid: int) -> int:
         """Completed executions of instruction ``iid`` before ``snapshot``.
 
-        Base count: the home block's entry in the snapshot's
-        ``block_counts`` (incremented when a block iteration *starts*).
-        Corrections:
-
-        * every suspended mid-block frame sitting in the home block at
-          a step index <= the instruction's position represents a
-          started iteration that has **not** yet produced this
-          instruction's result — including the suspended call itself;
-        * the innermost frame's pending iteration is not counted in
-          ``block_counts`` at the capture point, but the phi moves of
-          the edge into it have run, so a phi of that block has
-          executed once more.
+        The home block's entry in the snapshot's ``block_counts``
+        (incremented when a block iteration *starts*), with one
+        correction: ``main``'s pending iteration is not counted yet at
+        the capture point, but the phi moves of the edge into it have
+        run, so a phi of that block has executed once more.
         """
         home = self.engine.instruction_home(iid)
         if home is None:
             return 0
         block, position = home
         count = snapshot.block_counts[self.engine.block_ordinal(block)]
-        frames = snapshot.frames
-        for index in range(len(frames) - 1):
-            frame = frames[index]
-            if frame.cblock.block is block and position >= frame.step_index:
-                count -= 1
-        if position < 0 and frames[-1].cblock.block is block:
+        if position < 0 and snapshot.frames[0].cblock.block is block:
             count += 1
         return count
 

@@ -39,9 +39,8 @@ and return the local index of the next block, or ``-1`` after ``ret``
 (the return value parks in ``state.ret_value``).  Each is compiled on
 its own, which peaks at a fraction of the memory of one ``compile()``
 over a whole function.  The driver loop lives in
-:meth:`repro.interp.engine.ExecutionEngine._cg_run`; a call passes its
-iid to ``state.call``, so the capture pass knows which call a caller
-is suspended in.
+:meth:`repro.interp.engine.ExecutionEngine._cg_run`; a call goes
+through the run's dispatch, ``state.call``.
 """
 
 from __future__ import annotations
@@ -606,7 +605,7 @@ class _FunctionCodegen:
         if compiled is None:
             raise InterpreterBug(f"unknown callee {callee}")
         target = self.bind(compiled)
-        return f"state.call({target}, [{args}], state, {inst.iid})"
+        return f"state.call({target}, [{args}], state)"
 
     def output_expr(self, inst: Output) -> str:
         value_type = inst.value.type

@@ -4,9 +4,10 @@ The engine executes generated code (:mod:`repro.interp.codegen`): each
 basic block becomes one Python function, generated on the engine's
 first run.  This is what makes LLFI-style fault-injection campaigns
 (many thousands of complete executions) tractable in pure Python.  It
-also compiles every instruction into a small Python closure ("step"):
-a frame resumed inside a block finishes that block on its steps, and
-:class:`ReferenceEngine` runs every block on them as the tests'
+also compiles every instruction into a small Python closure ("step").
+A batch lane that leaves lockstep inside a callee drains with its
+caller suspended mid-block, and the caller finishes that block on its
+steps; :class:`ReferenceEngine` runs every block on them as the tests'
 independent oracle for the generated code.
 
 Fault injection is built in: a run can be armed with an
@@ -215,9 +216,8 @@ class _State:
         self.occurrence = 0
         self.activated = False
         self.call_depth = 0
-        #: Call dispatch: the engine's ``_call`` for plain runs,
-        #: ``_profile_call`` when profiling, or ``_capture_call`` during
-        #: an instrumented golden pass.
+        #: Call dispatch: the engine's ``_call``, or ``_profile_call``
+        #: when profiling.
         self.call = None
         #: Return-value mailbox of the generated block functions.
         self.ret_value = None
@@ -235,16 +235,11 @@ class _State:
 class _CaptureState(_State):
     """Extra bookkeeping for the snapshot-capturing golden pass."""
 
-    __slots__ = ("records", "next_capture", "stride", "snapshots",
-                 "max_snapshots")
+    __slots__ = ("next_capture", "stride", "snapshots", "max_snapshots")
 
     def __init__(self, memory: MemoryState, budget: int, stride: int,
                  max_snapshots: int, n_blocks: int = 0):
         super().__init__(memory, budget, n_blocks)
-        #: Shadow stack of [compiled, frame, call iid] records, innermost
-        #: last; the call iid names the call an outer frame is
-        #: currently suspended in.
-        self.records: list = []
         self.stride = stride
         self.next_capture = stride
         self.snapshots: list[Snapshot] = []
@@ -298,9 +293,9 @@ class _CompiledBlock:
     def __init__(self, block):
         self.block = block
         self.steps = []
-        #: Source instruction of each step, parallel to ``steps`` — the
-        #: checkpoint layer maps a suspended step index back to the call
-        #: instruction whose return value a resumed frame must place.
+        #: Source instruction of each step, parallel to ``steps`` — a
+        #: batch lane drained inside a callee maps its caller's step
+        #: index back to the call whose return value the caller places.
         self.step_insts = []
         self.term_kind = _T_RET
         self.term_payload = None
@@ -552,8 +547,7 @@ class ExecutionEngine:
     # Interpretation loop
     # ------------------------------------------------------------------
 
-    def _call(self, compiled: _CompiledFunction, args: list, state: _State,
-              caller_iid: int = -1):
+    def _call(self, compiled: _CompiledFunction, args: list, state: _State):
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
         state.call_depth += 1
@@ -567,7 +561,7 @@ class ExecutionEngine:
             state.memory.free(frame.owned)
 
     def _profile_call(self, compiled: _CompiledFunction, args: list,
-                      state: _ProfileState, caller_iid: int = -1):
+                      state: _ProfileState):
         """:meth:`_call` on the profile variant's block functions."""
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
@@ -652,10 +646,12 @@ class ExecutionEngine:
     def capture(self, stride: int, max_snapshots: int = 256) -> GoldenCapture:
         """One instrumented golden run capturing resumable snapshots.
 
-        The run executes the fast variant.  Snapshots are taken between
-        block functions, the first one at or after dynamic index
-        ``stride`` and then every ``stride`` instructions, up to
-        ``max_snapshots``.  Raises :class:`InterpreterBug` if code
+        The run executes the fast variant.  Snapshots are taken at the
+        heads of ``main``'s block functions, while ``main`` is alone on
+        the stack: the first one at or after dynamic index ``stride``
+        and then every ``stride`` instructions, up to ``max_snapshots``.
+        A point of the schedule reached inside a callee is taken at
+        ``main``'s next head.  Raises :class:`InterpreterBug` if code
         generation fails or the fault-free program does not complete
         (the same contract as :meth:`golden`).
         """
@@ -664,9 +660,17 @@ class ExecutionEngine:
         self._generate()
         state = _CaptureState(MemoryState(self.layout), self.max_dynamic,
                               stride, max_snapshots, self._n_blocks)
-        state.call = self._capture_call
+        state.call = self._call
+        state.call_depth = 1  # main's frame
+        main = self._compiled["main"]
+        frame = _Frame(main.n_slots)
+        table = main.cg_fast
+        index = main.entry.local_index
         try:
-            self._capture_call(self._compiled["main"], [], state)
+            while index >= 0:
+                if state.dynamic_count >= state.next_capture:
+                    self._take_snapshot(state, main, frame, index)
+                index = table[index](state, frame)
         except (MemoryFault, ArithmeticTrap, StackOverflow, HangFault,
                 DetectionTrap) as fault:
             raise InterpreterBug(
@@ -675,54 +679,18 @@ class ExecutionEngine:
         return GoldenCapture(self, self._result(state), state.snapshots,
                              stride, state.block_counts)
 
-    def _capture_call(self, compiled: _CompiledFunction, args: list,
-                      state: _CaptureState, caller_iid: int = -1):
-        """:meth:`_call` on the fast variant's block functions, keeping
-        the shadow stack and testing the snapshot schedule before each
-        block function, after the phi moves of the edge into it."""
-        if state.call_depth >= self.stack_limit:
-            raise StackOverflow(f"call depth exceeded {self.stack_limit}")
-        state.call_depth += 1
-        frame = _Frame(compiled.n_slots)
-        frame.slots[: compiled.n_args] = args
-        records = state.records
-        if records:
-            records[-1][2] = caller_iid  # caller now suspended in this call
-        records.append([compiled, frame, -1])
-        table = compiled.cg_fast
-        index = compiled.entry.local_index
-        try:
-            while index >= 0:
-                if state.dynamic_count >= state.next_capture:
-                    self._take_snapshot(state, index)
-                index = table[index](state, frame)
-            return state.ret_value
-        finally:
-            records.pop()
-            state.call_depth -= 1
-            state.memory.free(frame.owned)
-
-    def _take_snapshot(self, state: _CaptureState, index: int) -> None:
-        """Snapshot with the innermost frame at the head of its block
-        function ``index``.  Outer frames resume at the home block and
-        step position of the call they are suspended in, which a
-        superblock does not hide."""
-        records = state.records
-        frames = []
-        for depth, (compiled, frame, call_iid) in enumerate(records):
-            if depth < len(records) - 1:
-                block, position = self.instruction_home(call_iid)
-                cblock = compiled.blocks[block]
-            else:
-                cblock, position = list(compiled.blocks.values())[index], -1
-            frames.append(FrameSnap(
-                compiled, tuple(frame.slots), dict(frame.allocas),
-                tuple(frame.owned), cblock, None, position,
-            ))
+    def _take_snapshot(self, state: _CaptureState, compiled, frame,
+                       index: int) -> None:
+        """Snapshot with ``main`` alone on the stack, at the head of its
+        block function ``index``."""
         memory = state.memory
         state.snapshots.append(Snapshot(
             dynamic_count=state.dynamic_count,
-            frames=tuple(frames),
+            frames=(FrameSnap(
+                compiled, tuple(frame.slots), dict(frame.allocas),
+                tuple(frame.owned), list(compiled.blocks.values())[index],
+                None, -1,
+            ),),
             cells=dict(memory.cells),
             valid=set(memory.valid),
             stack_cursor=memory.stack_cursor,
@@ -816,12 +784,13 @@ class ExecutionEngine:
     def _resume_frame(self, snapshot: Snapshot, depth: int, state: _State):
         """Rebuild one activation record and continue its execution.
 
-        Outer frames are suspended at a call step: the callee (the next
-        frame) resumes first, then its return value is placed exactly
-        as the call step would have (injection hook included) and the
-        block's remaining steps run.  The innermost frame resumes at
-        the top of its block, entered from ``previous`` (None: no phi
-        moves are pending).
+        The innermost frame resumes at the top of its block, entered
+        from ``previous`` (None: no phi moves are pending); a golden
+        snapshot holds only that frame, ``main``'s.  Outer frames come
+        from batch lanes drained inside a callee and are suspended at a
+        call step: the callee (the next frame) resumes first, then its
+        return value is placed exactly as the call step would have
+        (injection hook included) and the block's remaining steps run.
         """
         frec = snapshot.frames[depth]
         compiled = frec.compiled
@@ -1171,11 +1140,10 @@ class ExecutionEngine:
 
         compiled_map = self._compiled
 
-        # ``state.call`` is the run's call dispatch (``_State.call``);
-        # the iid names the call the caller is suspended in.
+        # ``state.call`` is the run's call dispatch (``_State.call``).
         def step(state, frame):
             args = [fetch(frame) for fetch in fetches]
-            value = state.call(compiled_map[callee], args, state, iid)
+            value = state.call(compiled_map[callee], args, state)
             if has_result:
                 if state.inject_iid == iid:
                     value = inject(state, value, result_type)
@@ -1235,9 +1203,11 @@ class ReferenceEngine(ExecutionEngine):
     The tests' independent oracle for the generated code: it differs
     from :class:`ExecutionEngine` only in dispatch, and the steps share
     nothing with the codegen templates but :mod:`repro.interp.ops`.
-    Its runs generate no code.  Capture still generates and runs the
-    fast variant, so a trial can resume from its snapshots, but a trial
-    never tests a rejoin point.  Nothing in the package constructs one.
+    Its runs generate no code.  Capture still generates the fast
+    variant and runs ``main``'s block functions on it (callees on the
+    closure loop), so a trial can resume from its snapshots at
+    ``main``'s heads, but a trial never tests a rejoin point.  Nothing
+    in the package constructs one.
     """
 
     def _prepare_dispatch(self) -> None:

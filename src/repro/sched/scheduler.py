@@ -32,7 +32,7 @@ from ..interp.codegen import resolve_tier
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
 from .shard import MODULE_CACHE
-from .spec import CampaignSettings, ModuleSpec
+from .spec import CampaignSettings, ModuleSpec, json_field
 
 __all__ = ["CampaignRequest", "Job", "Scheduler", "QueueFull"]
 
@@ -58,28 +58,32 @@ class CampaignRequest:
         """Build a request from the JSON wire form (see repro.serve).
 
         Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
-        payloads; the HTTP layer maps those to 400 responses.
+        payloads, including a value of the wrong JSON type (see
+        :func:`~repro.sched.spec.json_field`); the HTTP layer maps those
+        to 400 responses.
         """
         spec = ModuleSpec.from_request(payload)
-        runs = int(payload["runs"])
+        runs = json_field(payload, "runs", int)
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
-        halfwidth = payload.get("ci_halfwidth")
+        halfwidth = json_field(payload, "ci_halfwidth", float, None)
         tier = payload.get("interp_tier")
         if tier is not None:
             resolve_tier(tier)  # raises ValueError on an unknown tier
         settings = CampaignSettings(
-            workers=max(1, int(payload.get("workers", default_workers))),
+            workers=max(1, json_field(payload, "workers", int,
+                                      default_workers)),
             ci_halfwidth=float(halfwidth) if halfwidth is not None else None,
-            checkpoint=bool(payload.get("checkpoint", True)),
-            checkpoint_stride=int(payload.get("checkpoint_stride", 0)),
+            checkpoint=json_field(payload, "checkpoint", bool, True),
+            checkpoint_stride=json_field(payload, "checkpoint_stride", int,
+                                         0),
             interp_tier=tier,
-            batch_lanes=int(payload.get("batch_lanes", 0)),
+            batch_lanes=json_field(payload, "batch_lanes", int, 0),
         )
         return cls(
             spec=spec,
             runs=runs,
-            seed=int(payload.get("seed", 0)),
+            seed=json_field(payload, "seed", int, 0),
             settings=settings,
             priority=resolve_priority(payload.get("priority", "interactive")),
         )

@@ -21,6 +21,29 @@ from ..stats.confidence import Z_95
 #: Outcome the stopping rule watches by default.
 DEFAULT_CI_OUTCOME = SDC
 
+_REQUIRED = object()
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean",
+               str: "string"}
+
+
+def json_field(data: dict, name: str, kind: type, default=_REQUIRED):
+    """``data[name]`` of a service request, or ``default`` when absent.
+
+    Refused with a TypeError unless its JSON type is ``kind``: ``int``
+    is an integer (not a boolean), ``float`` any number but a boolean,
+    and null passes only where the default is None.  Nothing is
+    coerced, so ``"12"`` or ``2.5`` never runs as 12 or 2 trials.
+    """
+    value = data[name] if default is _REQUIRED else data.get(name, default)
+    if value is None and default is None:
+        return value
+    accepted = (int, float) if kind is float else (kind,)
+    if type(value) not in accepted:
+        raise TypeError(
+            f"{name} must be a JSON {_JSON_NAMES[kind]}, got {value!r}"
+        )
+    return value
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -56,7 +79,8 @@ class ModuleSpec:
     def from_request(cls, data: dict) -> "ModuleSpec":
         """The spec of a service request, which must name exactly one
         of a benchmark and IR, as a string; raises ValueError
-        otherwise."""
+        otherwise, and TypeError on a scale or input seed of the wrong
+        JSON type."""
         benchmark, ir_text = data.get("benchmark"), data.get("ir_text")
         for name, value in (("benchmark", benchmark), ("ir_text", ir_text)):
             if value is not None and not isinstance(value, str):
@@ -67,8 +91,8 @@ class ModuleSpec:
             raise ValueError("request names both a benchmark and IR")
         return cls(
             benchmark=benchmark,
-            scale=str(data.get("scale", "default")),
-            input_seed=int(data.get("input_seed", 0)),
+            scale=json_field(data, "scale", str, "default"),
+            input_seed=json_field(data, "input_seed", int, 0),
             ir_text=ir_text,
         )
 

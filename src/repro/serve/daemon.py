@@ -283,14 +283,12 @@ def analyze_request(body: dict) -> dict:
     )
     from ..core.simple_models import MODEL_NAMES, create_model
     from ..profiling.profiler import ProfilingInterpreter
-    from ..sched.spec import ModuleSpec
+    from ..sched.spec import ModuleSpec, json_field
     spec = ModuleSpec.from_request(body)
     model_name = str(body.get("model", "trident"))
     if model_name not in MODEL_NAMES:
         raise ValueError(f"unknown model {model_name!r}")
-    samples = body.get("samples", 3000)
-    if type(samples) is not int:  # bools, floats and strings are refused
-        raise TypeError(f"samples must be a JSON integer, got {samples!r}")
+    samples = json_field(body, "samples", int, 3000)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     module = spec.materialize()

@@ -4,10 +4,11 @@ A lockstep group restores *once* from the snapshot nearest the earliest
 lane's fork point and replays the shared suffix for every lane; the
 contract is that each lane's result is bit-identical to (a) a cold
 scalar run with the same injection and (b) the reference engine's
-checkpointed resume.  Stride 1 snapshots at every opportunity — the
-capture schedule then lands on mid-block suspended frames, inside loop
-bodies, which is the hardest restore shape; a stride beyond the trace
-length degenerates to cold starts and must change nothing.
+checkpointed resume.  Stride 1 snapshots at every head of main's block
+functions, inside loop bodies; a stride beyond the trace length
+degenerates to cold starts and must change nothing.  A golden snapshot
+holds main alone, so a frame suspended at a call step comes only from
+a lane that leaves lockstep inside a callee.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import pytest
 
 from repro.fi.campaign import FaultInjector
-from repro.interp.batch import HAVE_NUMPY
-from repro.interp.codegen import TIER_BATCH
+from repro.interp.batch import HAVE_NUMPY, BatchRunner
+from repro.interp.codegen import TIER_BATCH, TIER_CODEGEN
 from repro.interp.engine import ExecutionEngine, Injection, ReferenceEngine
 from repro.ir import I32, Module
 from repro.ir.dsl import FunctionBuilder
+from tests.interp.test_checkpoint import build_calling_module
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="batch tier requires numpy"
@@ -27,8 +29,8 @@ pytestmark = pytest.mark.skipif(
 
 
 def loop_module():
-    """Nested loops around a branchy accumulator, so snapshots suspend
-    frames mid-block and injections can fork deep into the trace."""
+    """Nested loops around a branchy accumulator, so snapshots land
+    inside loop bodies and injections can fork deep into the trace."""
     module = Module("batch_ckpt")
     f = FunctionBuilder(module, "main")
     acc = f.local("acc", I32, 0)
@@ -55,8 +57,8 @@ def loop_module():
 
 
 def test_group_resume_from_midblock_snapshots():
-    """Restore a group from a stride-1 snapshot (suspended mid-loop
-    frames) and check every lane against a cold scalar run."""
+    """Restore a group from a stride-1 snapshot (inside the nested
+    loops) and check every lane against a cold scalar run."""
     module, probe = loop_module()
     engine = ExecutionEngine(module)
     capture = engine.capture(stride=1)
@@ -116,3 +118,30 @@ def test_checkpointed_equals_cold_batch_campaign():
     assert warm.counts == cold.counts
     # Stride-1 restores skip golden-prefix work the cold runs execute.
     assert warm.skipped_instructions > cold.skipped_instructions
+
+
+@pytest.mark.parametrize("lanes", [8, 64])
+def test_lanes_drain_from_inside_a_callee(monkeypatch, lanes):
+    """Golden snapshots hold main alone, but a lane can leave lockstep
+    inside a callee: it drains through a synthesized snapshot with the
+    caller suspended at its call step, which the scalar engine resumes
+    callee first and then finishes the caller's block on its steps."""
+    module = build_calling_module()
+    depths = []
+    lane_snapshot = BatchRunner._lane_snapshot
+
+    def recording(self, sim, lane, succ_cblock, from_cblock):
+        snapshot = lane_snapshot(self, sim, lane, succ_cblock, from_cblock)
+        depths.append(len(snapshot.frames))
+        return snapshot
+
+    monkeypatch.setattr(BatchRunner, "_lane_snapshot", recording)
+    codegen = FaultInjector(module, interp_tier=TIER_CODEGEN).campaign(
+        300, seed=5
+    )
+    batch = FaultInjector(
+        module, interp_tier=TIER_BATCH, checkpoint=True, batch_lanes=lanes,
+    ).campaign(300, seed=5)
+    assert batch.counts == codegen.counts
+    assert batch.checkpointed and batch.batch_fallbacks == 0
+    assert max(depths, default=0) > 1, "no lane drained inside the callee"

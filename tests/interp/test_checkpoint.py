@@ -32,8 +32,9 @@ def assert_same_run(left, right) -> None:
 
 
 def build_calling_module(rounds: int = 6, inner: int = 8) -> Module:
-    """main loops over a looping callee, so snapshots captured inside
-    the callee carry a suspended mid-block caller frame."""
+    """main loops over a looping callee, so most points of a short
+    capture schedule are reached inside the callee, and a batch lane
+    can leave lockstep there."""
     module = Module("calls")
     g = FunctionBuilder(module, "scale", arg_types=[I32], arg_names=["n"],
                         return_type=I32)
@@ -104,16 +105,40 @@ class TestCapture:
         capture = engine.capture(stride=1, max_snapshots=5)
         assert len(capture.snapshots) == 5
 
-    def test_capture_suspends_caller_frames(self):
-        engine = ExecutionEngine(build_calling_module())
-        capture = engine.capture(stride=3)
-        deep = [s for s in capture.snapshots if len(s.frames) > 1]
-        assert deep, "no snapshot landed inside the callee"
-        for snapshot in deep:
-            # Every outer frame records the call step it is parked at;
-            # only the innermost resumes at the top of its block loop.
-            assert all(f.step_index >= 0 for f in snapshot.frames[:-1])
-            assert snapshot.frames[-1].step_index == -1
+    @pytest.mark.parametrize("build, stride", [
+        (build_calling_module, 3),
+        (lambda: cached_module("hercules"), 26),  # the campaign stride
+    ], ids=["calls", "hercules"])
+    def test_snapshots_hold_main_alone(self, build, stride):
+        """Snapshots are taken only while main is alone on the stack.  A
+        point of the schedule reached inside a callee is deferred to
+        main's next block-function head, not dropped."""
+        engine = ExecutionEngine(build())
+        main = engine._compiled["main"]
+        capture = engine.capture(stride)
+        assert capture.snapshots
+        for snapshot in capture.snapshots:
+            (frame,) = snapshot.frames
+            assert frame.compiled is main
+            assert frame.cblock in main.blocks.values()
+            assert frame.step_index == -1 and frame.previous is None
+        # A stride-1 capture snapshots every head of main but the first
+        # (at count 0); the stride-``stride`` schedule takes the first
+        # head at or past each of its points.
+        heads = [s.dynamic_count
+                 for s in engine.capture(1, 10**6).snapshots]
+        expected, due = [], stride
+        for count in heads:
+            if count >= due:
+                expected.append(count)
+                due = count + stride
+        assert [s.dynamic_count for s in capture.snapshots] == expected
+        total = capture.result.dynamic_count
+        assert capture.rejoin_points == [
+            s for s in capture.snapshots
+            if total - s.dynamic_count
+            > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
+        ]
 
 
 class TestFaultFreeResume:

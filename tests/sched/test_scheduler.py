@@ -33,6 +33,15 @@ from tests.conftest import cached_module
 
 BENCH = "pathfinder"
 
+#: Request fields of the wrong JSON type.  Coerced, ``"runs": 2.5``
+#: would run 2 trials and ``"checkpoint": "false"`` would checkpoint;
+#: the wire form refuses each of them.
+WRONG_JSON_TYPES = (
+    {"runs": True}, {"runs": 2.5}, {"runs": "12"}, {"seed": "7"},
+    {"workers": 1.9}, {"checkpoint": "false"}, {"ci_halfwidth": True},
+    {"input_seed": "3"}, {"scale": 5},
+)
+
 
 def request(runs=40, seed=21, benchmark=BENCH, **settings) -> CampaignRequest:
     return CampaignRequest(
@@ -210,6 +219,22 @@ class TestWireForm:
         assert req.settings.workers == 2
         assert req.priority == NIGHTLY
 
+    def test_from_payload_takes_every_json_type(self):
+        req = CampaignRequest.from_payload({
+            "benchmark": BENCH, "scale": "test", "input_seed": 2,
+            "runs": 25, "seed": 3, "workers": 1, "checkpoint": False,
+            "checkpoint_stride": 37, "batch_lanes": 8, "ci_halfwidth": 1,
+        })
+        assert req.spec == ModuleSpec.from_benchmark(BENCH, "test", 2)
+        assert req.settings.checkpoint is False
+        assert req.settings.checkpoint_stride == 37
+        assert req.settings.batch_lanes == 8
+        assert req.settings.ci_halfwidth == 1.0
+        req = CampaignRequest.from_payload(
+            {"benchmark": BENCH, "runs": 25, "ci_halfwidth": None}
+        )
+        assert req.settings.ci_halfwidth is None
+
     def test_from_payload_rejects_garbage(self):
         with pytest.raises((KeyError, TypeError, ValueError)):
             CampaignRequest.from_payload({"runs": 10})  # no module
@@ -232,3 +257,8 @@ class TestWireForm:
                        {"benchmark": 3}):
             with pytest.raises(ValueError):  # not a string
                 CampaignRequest.from_payload({**module, "runs": 10})
+        for field in WRONG_JSON_TYPES:
+            with pytest.raises(TypeError):
+                CampaignRequest.from_payload(
+                    {"benchmark": BENCH, "runs": 10, **field}
+                )

@@ -27,6 +27,7 @@ from repro.ir.printer import print_module
 from repro.sched import ModuleSpec, run_store_campaign
 from repro.serve import ServiceClient, ServiceDaemon, ServiceError, protocol
 from tests.conftest import build_straightline_module, cached_module
+from tests.sched.test_scheduler import WRONG_JSON_TYPES
 
 BENCH = "pathfinder"
 RUNS = 60
@@ -164,6 +165,15 @@ class TestProtocol:
             with pytest.raises(ServiceError) as exc:
                 client.analyze(body)  # a sample count not a JSON integer
             assert exc.value.status == 400, body
+        for field in WRONG_JSON_TYPES:  # refused, never coerced
+            with pytest.raises(ServiceError) as exc:
+                client.submit(campaign_payload(**field))
+            assert exc.value.status == 400, field
+        for field in ({"input_seed": "3"}, {"scale": 5}):
+            with pytest.raises(ServiceError) as exc:
+                client.analyze({"benchmark": BENCH, "scale": "test",
+                                **field})
+            assert exc.value.status == 400, field
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize("request_bytes", MALFORMED_REQUESTS.values(),
