@@ -35,7 +35,9 @@ Six phases, selectable with ``--only`` (default: all):
    the reference engine (every block on the closure steps).  Outcomes,
    outputs, block counts and campaign counts must be bit-identical, and
    the generated code must hit the golden-run speedup threshold (plus a
-   measurable campaign speedup on top of checkpointing).
+   measurable campaign speedup on top of checkpointing).  Then counts
+   only: a checkpointed campaign of ``CODEGEN_SWEEP_RUNS`` runs on every
+   registered benchmark at ``test`` scale, at O0 and O2, on both engines.
 
 5. **batch-tier** — FI campaigns on every registered benchmark, batch
    tier vs codegen tier.  Campaign counts must be bit-identical at 1,
@@ -316,6 +318,38 @@ def interp_codegen(speedup: float, runs: int) -> None:
         f"codegen campaigns are measurably faster on top of checkpointing "
         f"(best {max(campaign_speedups):.2f}x)",
     )
+    codegen_sweep()
+
+
+#: Runs per campaign of the interp-codegen phase's all-benchmark sweep.
+CODEGEN_SWEEP_RUNS = 300
+
+
+def codegen_sweep() -> None:
+    """Counts only: checkpointed campaigns on every benchmark at
+    ``test`` scale and O0 and O2, generated code against the reference
+    engine, the templates' one independent oracle."""
+    started = time.perf_counter()
+    for name in BENCHMARK_NAMES:
+        module = build_module(name, "test")
+        for level, variant in ((0, module), (2, optimize(module, 2)[0])):
+            results = [
+                FaultInjector(variant, engine=engine,
+                              interp_tier=TIER_CODEGEN)
+                .run_span(0, CODEGEN_SWEEP_RUNS, 1)
+                for engine in (ReferenceEngine(variant),
+                               ExecutionEngine(variant))
+            ]
+            check(
+                results[0].counts == results[1].counts
+                and all(result.checkpointed
+                        and not result.checkpoint_degraded
+                        for result in results),
+                f"{name} O{level}: checkpointed codegen campaign counts "
+                f"bit-identical to the reference",
+            )
+    print(f"   sweep of {len(BENCHMARK_NAMES)} benchmarks at "
+          f"{CODEGEN_SWEEP_RUNS} runs: {time.perf_counter() - started:.1f}s")
 
 
 #: Benchmarks dense enough in straight-line arithmetic for lockstep

@@ -413,23 +413,6 @@ class MemorySubModel:
     # Fixed-point evaluation
     # ------------------------------------------------------------------
 
-    def _sinks_of(self, store_iid: int, values) -> set[int]:
-        sinks: set[int] = set()
-        for load_iid, _weight in self._edges_of(store_iid):
-            for term in self._terms_of(load_iid):
-                if term.kind == "out":
-                    sinks.add(term.ref)
-                else:
-                    # Explicit None check: an SCC member's (possibly
-                    # still-empty) in-flight value must never fall back
-                    # to a finalized memo entry mid-iteration.
-                    reach = values.get(term.ref)
-                    if reach is None:
-                        reach = self._memo.get(term.ref)
-                    if reach:
-                        sinks.update(reach)
-        return sinks
-
     def _evaluate_store(self, store_iid: int, values) -> dict[int, float]:
         """One fixed-point update: per-sink reach of one store.
 
@@ -442,11 +425,16 @@ class MemorySubModel:
         )
         if not distribution:
             return {}
+        sinks: set[int] = set()
+        totals = {
+            load_iid: self._load_totals(load_iid, values, sinks)
+            for load_iid, _w in self._edges_of(store_iid)
+        }
         result: dict[int, float] = {}
-        for sink in self._sinks_of(store_iid, values):
+        for sink in sinks:
             contributions = {
-                load_iid: min(1.0, self._load_total(load_iid, sink, values))
-                for load_iid, _w in self._edges_of(store_iid)
+                load_iid: min(1.0, by_sink.get(sink, 0.0))
+                for load_iid, by_sink in totals.items()
             }
             total = 0.0
             for readers, fraction in distribution:
@@ -458,15 +446,31 @@ class MemorySubModel:
                 result[sink] = min(1.0, total)
         return result
 
-    def _load_total(self, load_iid: int, sink: int, values) -> float:
-        total = 0.0
+    def _load_totals(self, load_iid: int, values,
+                     sinks: set[int]) -> dict[int, float]:
+        """Every sink's total over one load's terms, in one pass in term
+        order, adding each sink the load can reach to ``sinks``.
+
+        A sink's total adds the same nonzero terms in the same order as
+        a pass per sink would; a term that misses the sink would add
+        only 0.0 to a non-negative sum, so the totals are bit-identical.
+        """
+        totals: dict[int, float] = {}
         for term in self._terms_of(load_iid):
             if term.kind == "out":
-                if term.ref == sink:
-                    total += term.weight
-            else:
-                reach = values.get(term.ref)
-                if reach is None:
-                    reach = self._memo.get(term.ref, {})
-                total += term.weight * reach.get(sink, 0.0)
-        return total
+                sinks.add(term.ref)
+                totals[term.ref] = totals.get(term.ref, 0.0) + term.weight
+                continue
+            # Explicit None check: an SCC member's (possibly still-empty)
+            # in-flight value must never fall back to a finalized memo
+            # entry mid-iteration.
+            reach = values.get(term.ref)
+            if reach is None:
+                reach = self._memo.get(term.ref)
+            if reach:
+                sinks.update(reach)
+                weight = term.weight
+                for sink, probability in reach.items():
+                    totals[sink] = (totals.get(sink, 0.0)
+                                    + weight * probability)
+        return totals

@@ -6,12 +6,20 @@ per operand fetch.  This module eliminates that dispatch by translating
 every compiled block — and straight-line *superblocks* along
 unconditional-jump chains — into a single Python function generated as
 source, ``compile()``'d and ``exec``'d once per engine, on its first
-run.  Operands become direct ``slots[i]`` subscripts or embedded
-literals, common operations are inlined (masked adds, unsigned
-compares, direct float arithmetic), and rare or trap-raising operations
-call the exact helpers of :mod:`repro.interp.ops`, so results stay
-bit-identical with the closure steps (which the tests run through
-:class:`repro.interp.engine.ReferenceEngine`) by construction.
+run.  A value whose every user is a non-phi instruction of its own
+block (:func:`block_locals`) lives in a Python local ``v<slot>``; it is
+dead at every block boundary, so its frame slot stays ``None``.  Other
+operands are ``slots[i]`` subscripts or embedded literals.  Common
+operations are inlined: masked adds, compares (signed ones as
+``(a ^ S) OP (b ^ S)`` with ``S = 1 << (bits - 1)``), sign extension
+as ``(x ^ S) - S``, direct float arithmetic with one-call f32
+rounding (:func:`round_f32`), and loads and stores straight on the
+run's ``memory.cells`` and ``memory.valid``, which a block function
+that accesses memory binds once (they stay the same objects for a
+whole run).  Rare or trap-raising operations call the exact helpers of
+:mod:`repro.interp.ops`.  Results stay bit-identical with the closure
+steps, which the tests run through
+:class:`repro.interp.engine.ReferenceEngine`.
 
 Three specializations are generated from the same block templates:
 
@@ -30,8 +38,9 @@ A function the generator cannot translate raises
 A generated function's *covered* iid set records exactly which
 instructions the inject variant guards; the engine dispatches through a
 per-``inject_iid`` table that selects the inject variant only for
-functions covering the armed iid, so occurrence bookkeeping is
-identical to the closure steps' while the common path stays clean.
+functions covering the armed iid, and only until the fault fires, so
+occurrence bookkeeping is identical to the closure steps' while the
+common path stays clean.
 
 Block functions have the signature ``(state, frame) -> int``: they
 execute one (super)block iteration — successor phi moves included —
@@ -45,8 +54,9 @@ through the run's dispatch, ``state.call``.
 
 from __future__ import annotations
 
+from struct import Struct
 
-from ..ir.bitutils import mask, to_signed, truncate_float
+from ..ir.bitutils import mask, to_signed
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -60,13 +70,14 @@ from ..ir.instructions import (
     Instruction,
     Load,
     Output,
+    Phi,
     Ret,
     Select,
     Store,
 )
 from ..ir.types import FloatType, IntType
 from ..ir.values import Argument, Constant, GlobalVariable
-from .errors import DetectionTrap, HangFault, InterpreterBug
+from .errors import DetectionTrap, HangFault, InterpreterBug, MemoryFault
 from .intrinsics import call_intrinsic, is_intrinsic
 from .ops import (
     eval_cast,
@@ -92,7 +103,6 @@ TIER_ENV = "REPRO_INTERP_TIER"
 CHAIN_LIMIT = 16
 
 _MASK64 = mask(64)
-_F32 = FloatType(32)
 
 
 def resolve_tier(tier: str | None = None) -> str:
@@ -109,8 +119,22 @@ def resolve_tier(tier: str | None = None) -> str:
     return tier
 
 
-def _truncate_f32(value: float) -> float:
-    return truncate_float(value, _F32)
+_F32 = Struct("<f")
+_pack_f32, _unpack_f32 = _F32.pack, _F32.unpack
+_INF = float("inf")
+
+
+def round_f32(value: float) -> float:
+    """A float rounded to single precision, in one call: equal to
+    ``truncate_float(value, FloatType(32))`` bit for bit.  A NaN passes
+    through unchanged, payload included (packing it would narrow the
+    payload), and a finite value beyond the f32 range rounds to ±inf."""
+    if value != value:
+        return value
+    try:
+        return _unpack_f32(_pack_f32(value))[0]
+    except OverflowError:
+        return _INF if value > 0 else -_INF
 
 
 _ICMP_UNSIGNED = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
@@ -252,12 +276,34 @@ def generate_profile_function(engine, compiled):
     return _FunctionCodegen(engine, compiled).build(PROFILE)[0]
 
 
+def block_locals(function) -> frozenset:
+    """ids of the instructions of ``function`` whose value is dead at
+    every block boundary: it has a result, it is not a phi, and every
+    user is a non-phi instruction of its own block.  Generated code
+    keeps such a value in a Python local, never in its frame slot."""
+    escaping = set()
+    for inst in function.instructions():
+        for operand in inst.operands:
+            if isinstance(operand, Instruction) and (
+                    isinstance(inst, Phi) or inst.parent is not operand.parent):
+                escaping.add(id(operand))
+    return frozenset(
+        id(inst) for inst in function.instructions()
+        if inst.has_result and not isinstance(inst, Phi)
+        and id(inst) not in escaping
+    )
+
+
 class _FunctionCodegen:
     def __init__(self, engine, compiled):
         self.engine = engine
         self.compiled = compiled
+        self.local = block_locals(compiled.function)
         self.variant = FAST
         self.lines: list[str] = []
+        #: Whether the block function being emitted binds the memory's
+        #: cells and validity set yet.
+        self.uses_memory = False
         self._bound: dict[int, str] = {}
         self.namespace = {
             "_ib": eval_int_binop,
@@ -265,14 +311,14 @@ class _FunctionCodegen:
             "_icmp": eval_icmp,
             "_fcmp": eval_fcmp,
             "_cast": eval_cast,
-            "_sgn": to_signed,
-            "_f32": _truncate_f32,
+            "_f32": round_f32,
             "_intr": call_intrinsic,
             "_fmt": format_output,
             "_rl": reinterpret_loaded,
             "_inj": engine._maybe_inject,
             "_Hang": HangFault,
             "_Det": DetectionTrap,
+            "_MF": MemoryFault,
             "_keep": _keep,
             "_cp": _crash_prob,
             "_read": _read,
@@ -292,6 +338,12 @@ class _FunctionCodegen:
             self.namespace[name] = obj
         return name
 
+    def home(self, inst) -> str:
+        """Where a step's value lives: ``v<slot>``, a Python local, for
+        a block-local value, else its frame slot."""
+        index = self.compiled.slot_of[id(inst)]
+        return f"v{index}" if id(inst) in self.local else f"slots[{index}]"
+
     def expr(self, value) -> str:
         """Side-effect-free source expression for an operand."""
         if isinstance(value, Constant):
@@ -306,13 +358,25 @@ class _FunctionCodegen:
         if isinstance(value, Argument):
             return f"slots[{value.index}]"
         if isinstance(value, Instruction):
-            return f"slots[{self.compiled.slot_of[id(value)]}]"
+            return self.home(value)
         raise InterpreterBug(f"cannot fetch {value!r}")
 
+    # With ``S = 1 << (bits - 1)``, ``(x ^ S) - S == to_signed(x, bits)``
+    # for every Python int ``x``, so ``x ^ S`` orders values as signed.
+
     def signed_expr(self, value, bits: int) -> str:
+        """An integer operand as a signed value: ``(x ^ S) - S``."""
         if isinstance(value, Constant) and not isinstance(value.value, float):
             return repr(to_signed(value.value, bits))
-        return f"_sgn({self.expr(value)}, {bits})"
+        bias = 1 << (bits - 1)
+        return f"(({self.expr(value)} ^ {bias}) - {bias})"
+
+    def biased_expr(self, value, bits: int) -> str:
+        """``x ^ S``, which orders integer operands as signed values."""
+        bias = 1 << (bits - 1)
+        if isinstance(value, Constant) and not isinstance(value.value, float):
+            return repr(value.value ^ bias)
+        return f"({self.expr(value)} ^ {bias})"
 
     # -- whole-function assembly --------------------------------------
 
@@ -335,6 +399,7 @@ class _FunctionCodegen:
     def emit_block_fn(self, cblock, name: str) -> set:
         """One block function: superblock body + phi moves + dispatch."""
         self.lines = [f"def {name}(state, frame):", "    slots = frame.slots"]
+        self.uses_memory = False
         if self.variant == PROFILE:
             self.lines += _PROFILE_HEADER
         w = self.lines.append
@@ -453,8 +518,9 @@ class _FunctionCodegen:
     def emit_step(self, inst, covered: set) -> None:
         w = self.lines.append
         if isinstance(inst, Store):
-            w(f"    state.memory.store({self.expr(inst.pointer)}, "
-              f"{self.expr(inst.value)})")
+            for line in self.access_lines(inst.pointer, "store"):
+                w(f"    {line}")
+            w(f"    _c[{self.expr(inst.pointer)}] = {self.expr(inst.value)}")
             return
         if isinstance(inst, Output):
             w(f"    state.outputs.append({self.output_expr(inst)})")
@@ -462,30 +528,36 @@ class _FunctionCodegen:
         if isinstance(inst, Detect):
             self.emit_detect(inst)
             return
-        pre, value = self.value_expr(inst)
-        for line in pre:
-            w(f"    {line}")
         if not inst.has_result:
             # Void user call: execute for effect only.
-            w(f"    {value}")
+            w(f"    {self.call_expr(inst)}")
             return
-        dest = self.compiled.slot_of[id(inst)]
-        if self.variant != INJECT:
-            w(f"    slots[{dest}] = {value}")
+        dest = self.home(inst)
+        guard = self.variant == INJECT
+        # A value computed in several lines, or guarded, goes through a
+        # temporary: the local itself, or ``_v`` for a slot.
+        temp = dest if id(inst) in self.local else "_v"
+        setup, value = self.value_lines(inst, temp)
+        if not (setup or guard):
+            w(f"    {dest} = {value}")
             return
-        covered.add(inst.iid)
-        if value != "_v":
-            w(f"    _v = {value}")
-        w(f"    if state.inject_iid == {inst.iid}:")
-        w(f"        _v = _inj(state, _v, {self.bind(inst.type)})")
-        w(f"    slots[{dest}] = _v")
+        for line in setup:
+            w(f"    {line}")
+        if value != temp:
+            w(f"    {temp} = {value}")
+        if guard:
+            covered.add(inst.iid)
+            w(f"    if state.inject_iid == {inst.iid}:")
+            w(f"        {temp} = _inj(state, {temp}, {self.bind(inst.type)})")
+        if temp != dest:
+            w(f"    {dest} = {temp}")
 
-    def value_expr(self, inst) -> tuple[list[str], str]:
+    def value_lines(self, inst, temp: str) -> tuple[list[str], str]:
         """(setup lines, result expression) for a value-producing step.
 
-        The expression may be the temp ``_v`` defined by the setup
-        lines; setup lines and expression are both side-effect-safe to
-        follow with the injection guard.
+        Setup lines compute the value into ``temp``, which is then the
+        expression; setup lines and expression are both
+        side-effect-safe to follow with the injection guard.
         """
         if isinstance(inst, BinOp):
             return [], self.binop_expr(inst)
@@ -502,9 +574,9 @@ class _FunctionCodegen:
         if isinstance(inst, GetElementPtr):
             return [], self.gep_expr(inst)
         if isinstance(inst, Alloca):
-            return self.alloca_lines(inst), "_v"
+            return self.alloca_lines(inst, temp), temp
         if isinstance(inst, Load):
-            return self.load_lines(inst), "_v"
+            return self.load_lines(inst, temp), temp
         if isinstance(inst, Call):
             return [], self.call_expr(inst)
         raise InterpreterBug(f"cannot compile {inst!r}")
@@ -536,8 +608,8 @@ class _FunctionCodegen:
                     f"{self.expr(inst.rhs)} else 0)")
         sym = _ICMP_SIGNED.get(predicate)
         if sym is not None:
-            return (f"(1 if {self.signed_expr(inst.lhs, bits)} {sym} "
-                    f"{self.signed_expr(inst.rhs, bits)} else 0)")
+            return (f"(1 if {self.biased_expr(inst.lhs, bits)} {sym} "
+                    f"{self.biased_expr(inst.rhs, bits)} else 0)")
         return (f'_icmp("{predicate}", {self.expr(inst.lhs)}, '
                 f'{self.expr(inst.rhs)}, {bits})')
 
@@ -557,6 +629,9 @@ class _FunctionCodegen:
             return f"({a} & {mask(inst.type.bits)})"
         if op in ("zext", "bitcast"):
             return a  # operands are already canonical for their width
+        if op == "sext":
+            return (f"({self.signed_expr(inst.value, inst.value.type.bits)}"
+                    f" & {mask(inst.type.bits)})")
         return (f'_cast("{op}", {a}, {self.bind(inst.value.type)}, '
                 f'{self.bind(inst.type)})')
 
@@ -566,33 +641,49 @@ class _FunctionCodegen:
         if isinstance(inst.index, Constant):
             offset = to_signed(inst.index.value, bits) * inst.elem_size
             return f"(({base} + {offset}) & {_MASK64})"
-        return (f"(({base} + _sgn({self.expr(inst.index)}, {bits})"
-                f" * {inst.elem_size}) & {_MASK64})")
+        # The address is taken modulo 2^64, where a 64-bit index equals
+        # its signed value.
+        index = (self.expr(inst.index) if bits == 64
+                 else self.signed_expr(inst.index, bits))
+        return f"(({base} + {index} * {inst.elem_size}) & {_MASK64})"
 
-    def alloca_lines(self, inst: Alloca) -> list[str]:
+    def alloca_lines(self, inst: Alloca, temp: str) -> list[str]:
         return [
-            f"_v = frame.allocas.get({inst.iid})",
-            "if _v is None:",
-            f"    _v, _owned = state.memory.allocate_stack("
+            f"{temp} = frame.allocas.get({inst.iid})",
+            f"if {temp} is None:",
+            f"    {temp}, _owned = state.memory.allocate_stack("
             f"{inst.count}, {inst.elem_type.size_bytes})",
-            f"    frame.allocas[{inst.iid}] = _v",
+            f"    frame.allocas[{inst.iid}] = {temp}",
             "    frame.owned.extend(_owned)",
         ]
 
-    def load_lines(self, inst: Load) -> list[str]:
+    def access_lines(self, pointer, kind: str) -> list[str]:
+        """The validity test of a load or store: the same
+        ``MemoryFault`` as ``MemoryState.load`` and ``.store``.  The
+        first access of a block function binds the memory's cells and
+        validity set at its top: they stay the same objects for a whole
+        run."""
+        if not self.uses_memory:
+            self.uses_memory = True
+            self.lines[2:2] = ["    _c = state.memory.cells",
+                               "    _va = state.memory.valid"]
+        address = self.expr(pointer)
+        return [f"if {address} not in _va:",
+                f'    raise _MF({address}, "{kind}")']
+
+    def load_lines(self, inst: Load, temp: str) -> list[str]:
         value_type = inst.type
         default = "0.0" if value_type.is_float else "0"
-        lines = [
-            f"_v = state.memory.load({self.expr(inst.pointer)}, {default})",
-        ]
+        lines = self.access_lines(inst.pointer, "load")
+        lines.append(f"{temp} = _c.get({self.expr(inst.pointer)}, {default})")
         # Same reinterpretation fast path as the closure steps: only a
         # corrupted address can land on a cell of another type/width.
         if value_type.is_float:
-            lines.append("if _v.__class__ is not float:")
+            lines.append(f"if {temp}.__class__ is not float:")
         else:
-            lines.append(f"if _v.__class__ is float "
-                         f"or _v > {value_type.max_unsigned}:")
-        lines.append(f"    _v = _rl(_v, {self.bind(value_type)})")
+            lines.append(f"if {temp}.__class__ is float "
+                         f"or {temp} > {value_type.max_unsigned}:")
+        lines.append(f"    {temp} = _rl({temp}, {self.bind(value_type)})")
         return lines
 
     def call_expr(self, inst: Call) -> str:
@@ -611,7 +702,7 @@ class _FunctionCodegen:
         value_type = inst.value.type
         a = self.expr(inst.value)
         if isinstance(value_type, IntType):
-            return f"str(_sgn({a}, {value_type.bits}))"
+            return f"str({self.signed_expr(inst.value, value_type.bits)})"
         if isinstance(value_type, FloatType):
             digits = inst.precision if inst.precision is not None else 17
             return f'"%.{digits}g" % ({a})'

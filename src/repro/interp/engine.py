@@ -141,7 +141,10 @@ def _same_state(state, frame, index: int, snapshot: Snapshot) -> bool:
     sign: ``-0.0 == 0.0`` and ``1 == 1.0``, but ``%g`` prints ``-0``
     and a float cell is not an int one.  A NaN passes ``==`` only by
     identity.  Main's owned stack addresses follow from its allocas,
-    and only main's return frees them, so they are not compared.
+    and only main's return frees them, so they are not compared.  A
+    block-local value lives in a local of the generated code, so its
+    slot is ``None`` on both sides: only slots that can be live at a
+    block-function head can differ.
     """
     main = snapshot.frames[0]
     if index != main.cblock.local_index:
@@ -583,11 +586,20 @@ class ExecutionEngine:
         executes one (super)block iteration — successor phi moves
         included — and returns the next block's local index (-1 = ret).
 
-        In main (``call_depth`` 1) of a trial that may rejoin the golden
-        run, the loop tests each block-function head once the count
-        reaches the next rejoin point; a match ends the run.
+        A function that holds the armed instruction runs its inject
+        table only until the fault fires (``state.activated``), then
+        the fast table: after the firing every guard is a no-op, since
+        ``state.occurrence`` is read nowhere else.  In main
+        (``call_depth`` 1) of a trial that may rejoin the golden run,
+        the loop tests each block-function head once the count reaches
+        the next rejoin point; a match ends the run.
         """
-        table = compiled.cg_table(state.inject_iid)
+        table = compiled.cg_fast
+        if not state.activated:
+            armed = compiled.cg_table(state.inject_iid)
+            if armed is not table:
+                while index >= 0 and not state.activated:
+                    index = armed[index](state, frame)
         if state.rejoin is not None and state.call_depth == 1:
             while index >= 0:
                 if (state.dynamic_count >= state.next_check

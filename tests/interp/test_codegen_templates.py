@@ -1,0 +1,209 @@
+"""The invariants the generated block functions' templates rest on.
+
+The templates keep block-local values in Python locals, test memory
+accesses against the run's cells and validity set inline, do signed
+arithmetic with a xor bias, round f32 results in one call, and leave
+the inject variant once the fault has fired.  Each test below pins one
+of those rules against the definition it replaces.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+import struct
+
+import pytest
+
+from repro.interp import ExecutionEngine, Injection
+from repro.interp.codegen import block_locals, round_f32
+from repro.interp.engine import ReferenceEngine
+from repro.interp.result import CRASH
+from repro.ir import FloatType
+from repro.ir.bitutils import to_signed, truncate_float
+from repro.ir.instructions import GetElementPtr, Load, Phi, Store
+from repro.opt.pipeline import optimize
+from tests.conftest import build_accumulator_module, cached_module
+
+_F32 = FloatType(32)
+
+
+def _edge_values(bits: int) -> list[int]:
+    top = 1 << bits
+    bias = 1 << (bits - 1)
+    values = {0, 1, bias - 1, bias, bias + 1, top - 2, top - 1, top,
+              top + 1, top + bias, 2 * top - 1, -1, -bias, -bias - 1,
+              -top, -top - 1}
+    rng = random.Random(bits)
+    values.update(rng.randrange(-4 * top, 4 * top) for _ in range(40))
+    return sorted(values)
+
+
+class TestSignBias:
+    """With ``S = 1 << (bits - 1)``, the templates' signed arithmetic."""
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64])
+    def test_biased_difference_is_to_signed(self, bits):
+        bias = 1 << (bits - 1)
+        for value in _edge_values(bits):
+            assert (value ^ bias) - bias == to_signed(value, bits), value
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64])
+    def test_biased_order_is_signed_order(self, bits):
+        bias = 1 << (bits - 1)
+        values = _edge_values(bits)
+        for a, b in itertools.product(values, repeat=2):
+            sa, sb = to_signed(a, bits), to_signed(b, bits)
+            assert ((a ^ bias) < (b ^ bias)) == (sa < sb), (a, b)
+            assert ((a ^ bias) <= (b ^ bias)) == (sa <= sb), (a, b)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestRoundF32:
+    def test_random_bit_patterns(self):
+        """Random doubles, NaN payloads among them, round bit for bit
+        as ``truncate_float`` rounds them."""
+        rng = random.Random(2018)
+        nans = 0
+        for _ in range(20_000):
+            (value,) = struct.unpack("<d", struct.pack(
+                "<Q", rng.getrandbits(64)))
+            nans += value != value
+            assert _bits(round_f32(value)) == _bits(
+                truncate_float(value, _F32)), value.hex()
+        assert nans > 0
+
+    def test_special_values(self):
+        f32_max = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
+        # Halfway between the largest f32 and 2^128: the rounding
+        # boundary past which a double overflows single precision.
+        boundary = (2.0 - 2.0 ** -24) * 2.0 ** 127
+        smallest = struct.unpack("<f", struct.pack("<I", 1))[0]
+        specials = [
+            0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+            struct.unpack("<d", struct.pack("<Q", 0x7FF0_0000_0000_0001))[0],
+            struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_DEAD_BEEF))[0],
+            5e-324, -5e-324, 2.2250738585072009e-308,   # f64 subnormals
+            smallest, smallest / 2, smallest * 0.75, 1e-40, -1e-42,
+            f32_max, -f32_max, math.nextafter(f32_max, math.inf),
+            boundary, -boundary, math.nextafter(boundary, 0.0),
+            math.nextafter(boundary, math.inf), 1e39, -1e300, 1.7e308,
+            1.0, 0.1, -2.5, 16777217.0,
+        ]
+        for value in specials:
+            rounded = round_f32(value)
+            assert _bits(rounded) == _bits(truncate_float(value, _F32)), \
+                value
+            if value != value:
+                assert rounded is value  # payload untouched
+        assert round_f32(boundary) == math.inf
+        assert round_f32(math.nextafter(boundary, 0.0)) == f32_max
+
+
+class TestBlockLocals:
+    def test_qualifying_values(self):
+        """A block-local value is not a phi, and every user is a non-phi
+        instruction of its own block."""
+        module, _report = optimize(cached_module("hotspot"), 2)
+        for function in module.functions.values():
+            local = block_locals(function)
+            assert local
+            for inst in function.instructions():
+                if id(inst) not in local:
+                    continue
+                assert inst.has_result and not isinstance(inst, Phi)
+                for user in inst.users:
+                    assert not isinstance(user, Phi)
+                    assert user.parent is inst.parent
+
+    @pytest.mark.parametrize("name", ["pathfinder", "sad"])
+    def test_capture_holds_none_in_local_slots(self, name):
+        module = cached_module(name)
+        engine = ExecutionEngine(module)
+        capture = engine.capture(stride=37)
+        main = engine._compiled["main"]
+        local_slots = [main.slot_of[key]
+                       for key in block_locals(main.function)]
+        assert local_slots and capture.snapshots
+        for snapshot in capture.snapshots:
+            slots = snapshot.frames[0].slots
+            assert all(slots[index] is None for index in local_slots)
+
+    def test_rejoined_trials_return_the_cold_result(self):
+        module = cached_module("sad")
+        engine = ExecutionEngine(module)
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        counts = golden.instruction_counts()
+        targets = [inst for inst in module.instructions()
+                   if inst.has_result and counts.get(inst.iid, 0) > 0]
+        rng = random.Random(24)
+        rejoined = 0
+        for _ in range(60):
+            inst = rng.choice(targets)
+            injection = Injection(inst.iid, rng.randint(1, counts[inst.iid]),
+                                  rng.randrange(inst.type.bits))
+            trial = engine.run(injection, rejoin=capture)
+            cold = engine.run(injection)
+            assert trial == cold
+            rejoined += trial.golden_suffix > 0
+        assert rejoined > 0
+
+
+class TestInjectOnlyUntilFired:
+    def test_guard_runs_exactly_occurrence_times(self, monkeypatch):
+        """After the fault fires the armed function runs its fast
+        table, so a loop's later instances pass no guard."""
+        module = build_accumulator_module(n=24)
+        calls = []
+        inject = ExecutionEngine._maybe_inject
+
+        def counting(state, value, value_type):
+            calls.append(state.occurrence)
+            return inject(state, value, value_type)
+
+        monkeypatch.setattr(ExecutionEngine, "_maybe_inject",
+                            staticmethod(counting))
+        engine = ExecutionEngine(module)
+        counts = engine.golden().instruction_counts()
+        target = max(
+            (inst for inst in module.instructions()
+             if inst.has_result and not isinstance(inst, Phi)),
+            key=lambda inst: counts.get(inst.iid, 0),
+        )
+        total = counts[target.iid]
+        assert total >= 20
+        occurrence = total // 3
+        result = engine.run(Injection(target.iid, occurrence, 0))
+        assert result.activated
+        assert len(calls) == occurrence
+
+
+def _crash_injections(module, access):
+    """A high-bit flip of the first address each GEP feeding an
+    ``access`` instruction computes: the access lands outside every
+    segment."""
+    for inst in module.instructions():
+        if isinstance(inst, GetElementPtr) and any(
+                isinstance(user, access) and user.pointer is inst
+                for user in inst.users):
+            yield Injection(inst.iid, 1, 40)
+
+
+class TestCorruptedAddress:
+    @pytest.mark.parametrize("access, kind", [(Load, "load"),
+                                              (Store, "store")])
+    def test_crash_reason_matches_reference(self, access, kind):
+        module = build_accumulator_module()
+        codegen, reference = ExecutionEngine(module), ReferenceEngine(module)
+        injections = list(_crash_injections(module, access))
+        assert injections
+        for injection in injections:
+            mine, theirs = codegen.run(injection), reference.run(injection)
+            assert mine.outcome == theirs.outcome == CRASH
+            assert mine.crash_reason == theirs.crash_reason
+            assert mine.crash_reason.startswith(f"{kind} at invalid address")
