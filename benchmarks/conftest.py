@@ -27,9 +27,13 @@ set the environment variables below for a fuller (slower) run:
                                 artifact-cache root (CI restores this
                                 across runs); unset = .repro-cache/
 
-Campaign counts are bit-identical for any REPRO_FI_WORKERS value;
-REPRO_FI_CI_HALFWIDTH trades sample count for wall-clock, and a warm
-artifact cache replays profiles/campaigns/model results bit-identically.
+The REPRO_FI_* knobs, REPRO_INTERP_TIER and REPRO_BATCH_LANES reach
+every artifact's campaigns, except that Table II's per-instruction
+campaigns always run serially (one worker).  Campaign counts are
+bit-identical for any REPRO_FI_WORKERS value; REPRO_FI_CI_HALFWIDTH
+trades sample count for wall-clock, and a warm artifact cache replays
+profiles/campaigns/model results bit-identically (every artifact but
+fig6 and fig7, which time single FI runs).
 
 Rendered reports are printed (visible with ``-s``) and written to
 ``benchmarks/results/``.

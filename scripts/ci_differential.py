@@ -7,7 +7,11 @@ Six phases, selectable with ``--only`` (default: all):
    then again in the same process (warm).  The warm run must render
    bit-identically and beat the cold run by the speedup threshold:
    profiles, FI campaign counts, and per-function model results are all
-   served from the caches instead of recomputed.
+   served from the caches instead of recomputed.  Then Table II, Fig. 8
+   and the input and optimization-level studies, cold and warm at
+   ``QUICK``: the warm renders must be identical and the warm pass must
+   call no trial (``FaultInjector.run_span``), no golden run or capture
+   and no ``ExecutionEngine.run`` or ``ProfilingInterpreter.run``.
 
 2. **one-function edit** — duplicate a few instructions inside one
    function of hercules (``laplacian``), re-profile, then re-model both
@@ -66,6 +70,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
 from repro.bench import BENCHMARK_NAMES, build_module
 from repro.cache.disk import configure_cache
@@ -73,6 +78,12 @@ from repro.core.config import trident_config
 from repro.core.simple_models import create_model
 from repro.core.tuples import ReferenceTupleDeriver, TupleDeriver
 from repro.fi import FaultInjector
+from repro.harness import (
+    run_fig8,
+    run_input_sensitivity,
+    run_optlevels,
+    run_table2,
+)
 from repro.harness.context import QUICK, Workspace
 from repro.harness.fig5 import run_fig5
 from repro.interp import TIER_CODEGEN, ExecutionEngine
@@ -108,6 +119,62 @@ def fig5_replay(speedup: float) -> None:
         f"fig5 warm {warm_seconds:.2f}s is >={speedup:g}x faster than "
         f"cold {cold_seconds:.2f}s",
     )
+
+    cold_renders = render_store_artifacts()
+    with count_executions() as calls:
+        warm_renders = render_store_artifacts()
+    for name, cold_render in cold_renders.items():
+        check(warm_renders[name] == cold_render,
+              f"{name} warm rerun renders bit-identically")
+    check(not any(calls.values()),
+          f"warm table2/fig8/inputs/optlevels execute nothing: {calls}")
+
+
+#: Every method that executes the program: trials, golden runs,
+#: checkpoint captures and profiling runs.
+EXECUTIONS = (
+    (FaultInjector, "run_span"),
+    (ExecutionEngine, "run"),
+    (ExecutionEngine, "golden"),
+    (ExecutionEngine, "capture"),
+    (ProfilingInterpreter, "run"),
+)
+
+
+@contextmanager
+def count_executions():
+    """Count calls of every method in EXECUTIONS while the block runs."""
+    calls = {}
+    originals = []
+
+    def counted(label, method):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for owner, name in EXECUTIONS:
+        label = f"{owner.__name__}.{name}"
+        calls[label] = 0
+        originals.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, counted(label, getattr(owner, name)))
+    try:
+        yield calls
+    finally:
+        for owner, name, method in originals:
+            setattr(owner, name, method)
+
+
+def render_store_artifacts() -> dict[str, str]:
+    """The renders of the artifacts besides fig5 whose fault injection
+    goes through the result store."""
+    workspace = Workspace(QUICK)
+    return {
+        "table2": run_table2(workspace).render(),
+        "fig8": run_fig8(workspace).render(),
+        "inputs": run_input_sensitivity(workspace).render(),
+        "optlevels": run_optlevels(workspace).render(),
+    }
 
 
 def one_function_edit(speedup: float) -> None:

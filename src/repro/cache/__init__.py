@@ -10,6 +10,7 @@ one (locked by the differential tests in ``tests/cache/``).
 from .artifacts import (
     GoldenSummary,
     bind_model_results,
+    cached_profile,
     campaign_key,
     function_results_key,
     golden_key,
@@ -49,11 +50,11 @@ from .fingerprint import (
 __all__ = [
     "ArtifactCache", "CACHE_DIR_ENV", "CacheStats", "DEFAULT_CACHE_DIR",
     "FileLock", "GoldenSummary", "STORE_COUNTERS", "bind_model_results",
-    "campaign_key", "combine_key", "config_digest", "configure_cache",
-    "function_fingerprint", "function_fingerprints", "function_results_key",
-    "get_cache", "golden_key", "load_cached_profile", "load_function_results",
-    "load_golden_summary", "load_model_results", "model_key",
-    "model_results_key", "module_fingerprint", "profile_digest",
+    "cached_profile", "campaign_key", "combine_key", "config_digest",
+    "configure_cache", "function_fingerprint", "function_fingerprints",
+    "function_results_key", "get_cache", "golden_key", "load_cached_profile",
+    "load_function_results", "load_golden_summary", "load_model_results",
+    "model_key", "model_results_key", "module_fingerprint", "profile_digest",
     "profile_key", "resolve_cache_dir", "shard_key", "store_cached_profile",
     "store_function_results", "store_golden_summary", "store_model_results",
 ]

@@ -15,7 +15,8 @@ fingerprint so a stale entry is unreachable by construction:
   config digest + profile digest.
 * ``campaign`` — merged FI campaign counts; key = fingerprint + every
   knob that can change the executed run set (runs, seed, stopping
-  rule).  Serialization of the result itself lives on
+  rule, and the target instruction of a per-instruction campaign).
+  Serialization of the result itself lives on
   :class:`repro.fi.campaign.CampaignResult` to keep this package free
   of an fi dependency.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from ..profiling.profile import ProgramProfile
 from ..profiling.serialize import profile_from_dict, profile_to_dict
-from .disk import ArtifactCache
+from .disk import ArtifactCache, get_cache
 from .fingerprint import combine_key, config_digest, module_fingerprint
 
 PROFILE_KIND = "profile"
@@ -66,6 +67,27 @@ def store_cached_profile(cache: ArtifactCache, key: str,
     if outputs is not None:
         payload["outputs"] = list(outputs)
     return cache.store(PROFILE_KIND, key, payload)
+
+
+def cached_profile(
+    module,
+) -> tuple[ProgramProfile, list[str] | None]:
+    """The module's profile from the store, or profiled and published
+    on a miss.
+
+    Returns the profile and, when this call ran the profiler, the
+    program outputs it saw (None on a store hit), so a caller can check
+    them against the golden run.
+    """
+    cache = get_cache()
+    key = profile_key(module_fingerprint(module))
+    profile = load_cached_profile(cache, key)
+    if profile is not None:
+        return profile, None
+    from ..profiling.profiler import ProfilingInterpreter
+    profile, outputs = ProfilingInterpreter(module).run()
+    store_cached_profile(cache, key, profile, outputs)
+    return profile, outputs
 
 
 def profile_digest(profile: ProgramProfile) -> str:
@@ -292,7 +314,8 @@ def campaign_key(fingerprint: str, runs: int, seed: int, *,
                  ci_halfwidth: float | None = None,
                  ci_outcome: str = "sdc",
                  min_runs: int = 100,
-                 round_size: int = 0) -> str:
+                 round_size: int = 0,
+                 target: int | None = None) -> str:
     """Key over everything that can change the executed run set.
 
     Without a stopping rule the executed set is exactly [0, runs) for
@@ -301,14 +324,15 @@ def campaign_key(fingerprint: str, runs: int, seed: int, *,
     check happens on round boundaries, so the effective round size
     (which the driver derives from the worker count) must be part of
     the key — two configurations that could stop at different prefixes
-    never share an entry.
+    never share an entry.  A per-instruction campaign's ``target`` iid
+    is appended; without one the key is the whole-program campaign's.
     """
-    if ci_halfwidth is None:
-        return combine_key("campaign", fingerprint, runs, seed)
-    return combine_key(
-        "campaign", fingerprint, runs, seed,
-        ci_halfwidth, ci_outcome, min_runs, round_size,
-    )
+    parts = ["campaign", fingerprint, runs, seed]
+    if ci_halfwidth is not None:
+        parts += [ci_halfwidth, ci_outcome, min_runs, round_size]
+    if target is not None:
+        parts += ["target", target]
+    return combine_key(*parts)
 
 
 def shard_key(campaign: str, start: int, count: int) -> str:

@@ -13,24 +13,14 @@ import json
 import sys
 
 from .bench.registry import BENCHMARK_NAMES, all_benchmarks, build_module
-from .cache import (
-    configure_cache,
-    get_cache,
-    load_cached_profile,
-    module_fingerprint,
-    profile_key,
-    store_cached_profile,
-)
+from .cache import cached_profile, configure_cache, get_cache, module_fingerprint
 from .core.simple_models import MODEL_NAMES, create_model
 from .fi.campaign import OUTCOMES, CampaignResult
 from .harness.context import ExperimentConfig, Workspace
 from .harness.runner import EXPERIMENTS, run_experiment
 from .interp.codegen import TIER_BATCH, TIERS
-from .ir.module import Module
 from .ir.printer import format_instruction, print_module
 from .opt.pipeline import optimize
-from .profiling.profile import ProgramProfile
-from .profiling.profiler import ProfilingInterpreter
 from .protection.evaluate import evaluate_protection
 from .report.resilience import generate_report
 from .sched.executor import CampaignInterrupted, run_store_campaign
@@ -285,18 +275,6 @@ def main(argv=None, out=sys.stdout) -> int:
     return handler(args, out)
 
 
-def _profile_for(module: Module) -> ProgramProfile:
-    """Profile a module through the artifact cache (hit = no re-run)."""
-    cache = get_cache()
-    key = profile_key(module_fingerprint(module))
-    cached = load_cached_profile(cache, key)
-    if cached is not None:
-        return cached
-    profile, outputs = ProfilingInterpreter(module).run()
-    store_cached_profile(cache, key, profile, outputs)
-    return profile
-
-
 def _print_cache_summary(out) -> None:
     cache = get_cache()
     if cache.enabled:
@@ -352,7 +330,7 @@ def _cmd_analyze(args, out) -> int:
               f"{opt_report.before_instructions} -> "
               f"{opt_report.after_instructions} static instructions "
               f"({opt_report.slots_promoted} slots promoted)", file=out)
-    profile = _profile_for(module)
+    profile, _ = cached_profile(module)
     model = create_model(args.model, module, profile)
     overall = model.overall_sdc(samples=args.samples)
     print(f"program: {module.name} ({module.num_instructions} static, "
@@ -505,7 +483,7 @@ def _print_interrupted(partial, benchmark: str, out) -> int:
 
 def _cmd_protect(args, out) -> int:
     module = build_module(args.benchmark, args.scale, args.input_seed)
-    profile = _profile_for(module)
+    profile, _ = cached_profile(module)
     outcome = evaluate_protection(
         module, profile, args.model, args.budget, fi_samples=args.runs
     )
@@ -525,7 +503,7 @@ def _cmd_protect(args, out) -> int:
 
 def _cmd_report(args, out) -> int:
     module = build_module(args.benchmark, args.scale, args.input_seed)
-    profile = _profile_for(module)
+    profile, _ = cached_profile(module)
     fi = _run_campaign(args, args.fi_runs) if args.fi_runs > 0 else None
     report = generate_report(
         module, profile, target_sdc=args.target,

@@ -472,8 +472,8 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
 
-    def run_span(self, start: int, count: int,
-                 campaign_seed: int) -> CampaignResult:
+    def run_span(self, start: int, count: int, campaign_seed: int,
+                 target: int | None = None) -> CampaignResult:
         """Execute runs [start, start+count) of a seeded campaign.
 
         Each run draws from its own substream (see :mod:`repro.fi.seeds`),
@@ -483,6 +483,12 @@ class FaultInjector:
         merge the results, each of which names its own range in
         ``completed_ranges``.
 
+        With a ``target`` iid every run injects that static instruction
+        (a per-instruction campaign, Table II): run ``i`` draws from
+        substream ``i`` of ``seed_for(campaign_seed, target)``, so each
+        instruction's runs are independent of which other instructions
+        were targeted and in what order.
+
         All injections are sampled up front (so counts cannot depend on
         execution order), then — in checkpoint mode — sorted by their
         fork point so consecutive trials restore from the same snapshot
@@ -490,10 +496,17 @@ class FaultInjector:
         """
         result = CampaignResult(completed_ranges=[(start, count)])
         started = time.perf_counter()
-        trials = [
-            self.sample_injection(rng_for(campaign_seed, run_index))
-            for run_index in range(start, start + count)
-        ]
+        if target is None:
+            trials = [
+                self.sample_injection(rng_for(campaign_seed, run_index))
+                for run_index in range(start, start + count)
+            ]
+        else:
+            target_seed = seed_for(campaign_seed, target)
+            trials = [
+                self.injection_for(target, rng_for(target_seed, run_index))
+                for run_index in range(start, start + count)
+            ]
         had_capture = self._capture is not None
         capture = self.checkpoints()
         if capture is not None and not had_capture:
@@ -579,40 +592,6 @@ class FaultInjector:
         result.runs_requested = n
         result.rounds = 1
         return result
-
-    def per_instruction_campaign(
-        self, iids, runs_per_instruction: int, seed: int = 0,
-    ) -> dict[int, CampaignResult]:
-        """Targeted campaign: fixed number of faults per static instruction.
-
-        Each (instruction, run) pair has its own substream, keyed first
-        by instruction id and then by run index, so per-instruction
-        results are independent of the order instructions are visited.
-        """
-        results: dict[int, CampaignResult] = {}
-        for iid in iids:
-            instruction_seed = seed_for(seed, iid)
-            result = CampaignResult()
-            started = time.perf_counter()
-            capture = self.checkpoints()
-            for run_index in range(runs_per_instruction):
-                rng = rng_for(instruction_seed, run_index)
-                injection = self.injection_for(iid, rng)
-                snapshot = (
-                    capture.snapshot_for(injection)
-                    if capture is not None else None
-                )
-                self._execute_trial(injection, capture, snapshot, result)
-            result.checkpointed = capture is not None
-            result.checkpoint_degraded = self.checkpoint_degraded
-            result.interp_tier = self.interp_tier
-            elapsed = time.perf_counter() - started
-            result.wall_seconds = elapsed
-            result.cpu_seconds = elapsed
-            result.runs_requested = runs_per_instruction
-            result.rounds = 1
-            results[iid] = result
-        return results
 
     def eligible_iids(self) -> list[int]:
         return list(self.target_iids)

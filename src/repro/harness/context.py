@@ -8,29 +8,19 @@ knobs so scaled-down CI runs and full evaluation runs share code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..bench.registry import BENCHMARK_NAMES, build_module, get_benchmark
-from ..cache import (
-    GoldenSummary,
-    get_cache,
-    golden_key,
-    load_cached_profile,
-    load_golden_summary,
-    module_fingerprint,
-    profile_key,
-    store_cached_profile,
-    store_golden_summary,
-)
+from ..cache import cached_profile
 from ..core.simple_models import create_model
 from ..core.trident import Trident
 from ..fi.campaign import CampaignResult, FaultInjector
 from ..interp.engine import ExecutionEngine
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
-from ..profiling.profiler import ProfilingInterpreter
 from ..sched.executor import run_store_campaign
+from ..sched.shard import golden_summary
 from ..sched.spec import CampaignSettings, ModuleSpec
 
 
@@ -68,6 +58,17 @@ class ExperimentConfig:
     #: A wall-clock knob only: counts are identical for any lane count.
     batch_lanes: int = 0
 
+    def campaign_settings(self) -> CampaignSettings:
+        """The scheduler settings every harness campaign runs under."""
+        return CampaignSettings(
+            workers=max(1, self.fi_workers),
+            ci_halfwidth=self.fi_ci_halfwidth,
+            checkpoint=self.fi_checkpoint,
+            checkpoint_stride=self.fi_checkpoint_stride,
+            interp_tier=self.interp_tier,
+            batch_lanes=self.batch_lanes,
+        )
+
 
 #: Small config used by the pytest benchmarks to keep runtimes bounded.
 QUICK = ExperimentConfig(
@@ -91,35 +92,20 @@ class BenchmarkContext:
         return build_module(self.name, self.config.scale)
 
     @cached_property
-    def fingerprint(self) -> str:
-        """Content address of the module (canonical-IR SHA-256)."""
-        return module_fingerprint(self.module)
-
-    @cached_property
     def profile(self) -> ProgramProfile:
         """The profile, warm-started from the artifact cache.
 
         A hit skips the instrumented profiling run entirely; a miss
-        profiles, cross-checks the outputs against the engine's golden
-        run as before, then persists both the profile and the golden
-        summary under the module fingerprint for every later run —
+        profiles and cross-checks the outputs against the golden run,
+        whose summary is then in the store for every later run —
         including campaign workers in other processes.
         """
-        cache = get_cache()
-        key = profile_key(self.fingerprint)
-        cached = load_cached_profile(cache, key)
-        if cached is not None:
-            return cached
-        profile, outputs = ProfilingInterpreter(self.module).run()
-        golden = self.engine.golden()
-        if outputs != golden.outputs:
+        profile, outputs = cached_profile(self.module)
+        if outputs is not None and outputs != golden_summary(
+                self.module, self.engine).outputs:
             raise RuntimeError(
                 f"{self.name}: profiler and engine disagree on outputs"
             )
-        store_cached_profile(cache, key, profile, outputs)
-        gkey = golden_key(self.fingerprint)
-        if load_golden_summary(cache, gkey) is None:
-            store_golden_summary(cache, gkey, GoldenSummary.from_run(golden))
         return profile
 
     @cached_property
@@ -128,10 +114,10 @@ class BenchmarkContext:
 
     @cached_property
     def injector(self) -> FaultInjector:
-        golden = load_golden_summary(get_cache(), golden_key(self.fingerprint))
-        return FaultInjector(self.module, self.engine, golden=golden,
-                             interp_tier=self.config.interp_tier,
-                             batch_lanes=self.config.batch_lanes)
+        """The injector on :attr:`engine`; a campaign run on it sets its
+        tier, lanes and checkpoints from the config per shard."""
+        return FaultInjector(self.module, self.engine,
+                             golden=golden_summary(self.module, self.engine))
 
     def model(self, name: str, warm: bool = True) -> Trident:
         """A freshly-built model over the cached profile.
@@ -144,35 +130,34 @@ class BenchmarkContext:
         """
         return create_model(name, self.module, self.profile, warm=warm)
 
-    def fi_campaign(self, runs: int | None = None,
-                    seed: int | None = None) -> CampaignResult:
-        """FI campaign honoring the config's worker/early-stop knobs.
+    def fi_campaign(self, runs: int | None = None, seed: int | None = None,
+                    target: int | None = None) -> CampaignResult:
+        """FI campaign honoring the config's worker/early-stop knobs,
+        into static instruction ``target`` in every run when one is
+        named.
 
         Identical counts to ``injector.campaign`` for any worker count;
         with ``fi_ci_halfwidth`` set it may execute fewer runs.  Merged
         counts are content-addressed in the artifact cache, so a rerun
-        with the same module/seed/stopping rule replays them instead of
-        re-injecting (and the key excludes the worker count whenever the
-        executed run set cannot depend on it).
+        with the same module/seed/stopping rule/target replays them
+        instead of re-injecting (and the key excludes the worker count
+        whenever the executed run set cannot depend on it).
         """
         config = self.config
-        if runs is None:
-            runs = config.fi_samples
-        if seed is None:
-            seed = config.seed
+        settings = config.campaign_settings()
+        if target is not None:
+            # A per-instruction campaign runs serially: its 25-100 runs
+            # cannot pay for a worker pool, and a Table II render runs
+            # hundreds of them.
+            settings = replace(settings, workers=1)
         return run_store_campaign(
-            runs, seed,
+            config.fi_samples if runs is None else runs,
+            config.seed if seed is None else seed,
             spec=ModuleSpec.from_benchmark(self.name, config.scale),
             injector=lambda: self.injector,  # only built on a cache miss
             module=self.module,
-            settings=CampaignSettings(
-                workers=max(1, config.fi_workers),
-                ci_halfwidth=config.fi_ci_halfwidth,
-                checkpoint=config.fi_checkpoint,
-                checkpoint_stride=config.fi_checkpoint_stride,
-                interp_tier=config.interp_tier,
-                batch_lanes=config.batch_lanes,
-            ),
+            settings=settings,
+            target=target,
         )
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.simple_models import MODEL_NAMES
-from ..fi.campaign import FaultInjector
-from ..interp.engine import ExecutionEngine
 from ..protection.duplication import duplicate_instructions
 from ..protection.evaluate import select_instructions
+from ..sched.executor import run_store_campaign
+from ..sched.shard import golden_summary
 from .context import Workspace
 from .report import format_table, percent
 
@@ -79,11 +79,10 @@ def run_fig8(workspace: Workspace) -> Fig8Result:
         (name, level): 0.0
         for name in MODEL_NAMES for level in OVERHEAD_LEVELS
     }
+    settings = config.campaign_settings()
     for ctx in workspace.contexts():
-        baseline = ctx.injector.campaign(
-            config.protection_fi_samples, seed=config.seed
-        )
-        baseline_dynamic = ctx.engine.golden().dynamic_count
+        baseline = ctx.fi_campaign(config.protection_fi_samples)
+        baseline_dynamic = golden_summary(ctx.module).dynamic_count
         cells: dict[tuple[str, float], Fig8Cell] = {}
         for name in MODEL_NAMES:
             for level in OVERHEAD_LEVELS:
@@ -93,12 +92,14 @@ def run_fig8(workspace: Workspace) -> Fig8Result:
                 protected_module, _report = duplicate_instructions(
                     ctx.module, selected
                 )
-                engine = ExecutionEngine(protected_module)
-                protected_dynamic = engine.golden().dynamic_count
-                injector = FaultInjector(protected_module, engine)
-                campaign = injector.campaign(
-                    config.protection_fi_samples, seed=config.seed + 1
+                # Models that pick the same instructions share one
+                # protected module, so one stored campaign.
+                campaign = run_store_campaign(
+                    config.protection_fi_samples, config.seed + 1,
+                    module=protected_module, settings=settings,
                 )
+                protected_dynamic = golden_summary(
+                    protected_module).dynamic_count
                 reduction = (
                     1.0 - campaign.sdc_probability / baseline.sdc_probability
                     if baseline.sdc_probability > 0 else 0.0

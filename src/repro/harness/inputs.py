@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bench.registry import build_module
+from ..cache import cached_profile
 from ..core.simple_models import create_model
-from ..fi.campaign import FaultInjector
-from ..profiling.profiler import ProfilingInterpreter
-from ..sched.executor import CampaignExecutor
-from ..sched.spec import CampaignSettings, ModuleSpec
+from ..sched.executor import run_store_campaign
 from ..stats import mean_absolute_error
 from .context import Workspace
 from .report import format_table, percent
@@ -77,23 +75,18 @@ class InputSensitivityResult:
 def run_input_sensitivity(workspace: Workspace,
                           inputs: int = 3) -> InputSensitivityResult:
     config = workspace.config
+    settings = config.campaign_settings()
     rows = []
     for name in config.benchmarks:
         fi_values = []
         model_values = []
         for input_seed in range(inputs):
             module = build_module(name, config.scale, input_seed=input_seed)
-            profile, _ = ProfilingInterpreter(module).run()
-            campaign = CampaignExecutor(
-                ModuleSpec.from_benchmark(
-                    name, config.scale, input_seed=input_seed
-                ),
-                injector=FaultInjector(module),
-                settings=CampaignSettings(
-                    workers=config.fi_workers,
-                    ci_halfwidth=config.fi_ci_halfwidth,
-                ),
-            ).run(config.fi_samples, seed=config.seed)
+            profile, _ = cached_profile(module)
+            campaign = run_store_campaign(
+                config.fi_samples, config.seed, module=module,
+                settings=settings,
+            )
             fi_values.append(campaign.sdc_probability)
             model = create_model("trident", module, profile)
             model_values.append(model.overall_sdc(

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..cache import cached_profile
 from ..core.simple_models import create_model
-from ..fi.campaign import FaultInjector
 from ..opt.pipeline import optimize
-from ..profiling.profiler import ProfilingInterpreter
+from ..sched.executor import run_store_campaign
+from ..sched.shard import golden_summary
 from ..stats import mean_absolute_error
 from .context import Workspace
 from .report import format_table, percent
@@ -71,6 +72,7 @@ class OptLevelResult:
 
 def run_optlevels(workspace: Workspace) -> OptLevelResult:
     config = workspace.config
+    settings = config.campaign_settings()
     rows = []
     fi_series: dict[int, list[float]] = {level: [] for level in LEVELS}
     model_series: dict[int, list[float]] = {level: [] for level in LEVELS}
@@ -83,10 +85,12 @@ def run_optlevels(workspace: Workspace) -> OptLevelResult:
             module, report = optimize(ctx.module, level)
             if level == 2:
                 promoted = report.slots_promoted
-            profile, _ = ProfilingInterpreter(module).run()
-            injector = FaultInjector(module)
-            dynamic_counts[level] = injector.golden.dynamic_count
-            campaign = injector.campaign(config.fi_samples, seed=config.seed)
+            profile, _ = cached_profile(module)
+            campaign = run_store_campaign(
+                config.fi_samples, config.seed, module=module,
+                settings=settings,
+            )
+            dynamic_counts[level] = golden_summary(module).dynamic_count
             fi_sdc[level] = campaign.sdc_probability
             model = create_model("trident", module, profile)
             model_sdc[level] = model.overall_sdc(

@@ -61,10 +61,11 @@ def run_table2(workspace: Workspace) -> Table2Result:
         if len(iids) > config.max_instructions:
             rng = random.Random(config.seed)
             iids = sorted(rng.sample(iids, config.max_instructions))
-        campaigns = ctx.injector.per_instruction_campaign(
-            iids, config.per_instruction_runs, seed=config.seed
-        )
-        measured = [campaigns[iid].sdc_probability for iid in iids]
+        measured = [
+            ctx.fi_campaign(config.per_instruction_runs,
+                            target=iid).sdc_probability
+            for iid in iids
+        ]
         p_values = {}
         for name in MODEL_NAMES:
             model = ctx.model(name)

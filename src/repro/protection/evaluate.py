@@ -12,12 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..cache import cached_profile
 from ..core.simple_models import create_model
-from ..fi.campaign import CampaignResult, FaultInjector
-from ..interp.engine import ExecutionEngine
+from ..fi.campaign import CampaignResult
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
-from ..profiling.profiler import ProfilingInterpreter
+from ..sched.executor import run_store_campaign
+from ..sched.shard import golden_summary
 from .duplication import (
     DuplicationReport,
     duplicable_iids,
@@ -99,7 +100,11 @@ def evaluate_protection(module: Module, profile: ProgramProfile,
                         model_name: str, overhead_fraction: float,
                         fi_samples: int = 1000,
                         seed: int = 0) -> ProtectionOutcome:
-    """Protect with one model at one overhead level; measure with FI."""
+    """Protect with one model at one overhead level; measure with FI.
+
+    Both campaigns go through the shared result store, so evaluating
+    the same protection again replays their counts.
+    """
     outcome = ProtectionOutcome(model_name, overhead_fraction)
     outcome.selected_iids = select_instructions(
         module, profile, model_name, overhead_fraction
@@ -112,7 +117,7 @@ def evaluate_protection(module: Module, profile: ProgramProfile,
     # the selection model above warmed the shared per-function query
     # stores, so re-modeling the protected clone recomputes only the
     # functions the pass touched — everything else is served from cache.
-    protected_profile, _outputs = ProfilingInterpreter(protected_module).run()
+    protected_profile, _outputs = cached_profile(protected_module)
     started = time.perf_counter()
     remodel = create_model(model_name, protected_module, protected_profile)
     outcome.predicted_protected_sdc = remodel.overall_sdc(
@@ -120,14 +125,12 @@ def evaluate_protection(module: Module, profile: ProgramProfile,
     )
     outcome.remodel_seconds = time.perf_counter() - started
 
-    baseline_engine = ExecutionEngine(module)
-    protected_engine = ExecutionEngine(protected_module)
-    baseline_dynamic = baseline_engine.golden().dynamic_count
-    protected_dynamic = protected_engine.golden().dynamic_count
-    outcome.measured_overhead = protected_dynamic / baseline_dynamic - 1.0
-
-    baseline_fi = FaultInjector(module, baseline_engine)
-    protected_fi = FaultInjector(protected_module, protected_engine)
-    outcome.baseline = baseline_fi.campaign(fi_samples, seed=seed)
-    outcome.protected = protected_fi.campaign(fi_samples, seed=seed + 1)
+    outcome.baseline = run_store_campaign(fi_samples, seed, module=module)
+    outcome.protected = run_store_campaign(fi_samples, seed + 1,
+                                           module=protected_module)
+    # Read after the campaigns, whose store misses published both.
+    outcome.measured_overhead = (
+        golden_summary(protected_module).dynamic_count
+        / golden_summary(module).dynamic_count - 1.0
+    )
     return outcome

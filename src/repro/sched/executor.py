@@ -43,7 +43,7 @@ from ..cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
 from ..fi.campaign import CampaignResult, FaultInjector
 from ..stats.confidence import wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
-from .shard import MODULE_CACHE, run_shard
+from .shard import MODULE_CACHE, build_injector, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardSpec
 
 
@@ -82,6 +82,8 @@ class CampaignExecutor:
         #: so a completed campaign can compact them (the merged result
         #: supersedes them).  Pre-coalescing, unlike ``completed_ranges``.
         self._checkpointed_shards: list[tuple[int, int]] = []
+        #: Run budget of the campaign in progress.
+        self._max_runs = 0
 
     @property
     def injector(self):
@@ -102,10 +104,11 @@ class CampaignExecutor:
             return max_runs  # no stopping rule: one round covers everything
         return self.settings.effective_round_size()
 
-    def _shard_spec(self, module_spec: ModuleSpec,
-                    rng: ShardRange, seed: int) -> ShardSpec:
+    def _shard_spec(self, module_spec: ModuleSpec, rng: ShardRange,
+                    seed: int, target: int | None) -> ShardSpec:
         return ShardSpec(module=module_spec, start=rng.start,
-                         count=rng.count, seed=seed, settings=self.settings)
+                         count=rng.count, seed=seed, settings=self.settings,
+                         target=target)
 
     def _interval_tight(self, result) -> bool:
         settings = self.settings
@@ -122,7 +125,12 @@ class CampaignExecutor:
     # -- shard checkpoints in the shared result store --------------------
 
     def _shard_store_key(self, rng: ShardRange) -> str | None:
-        if self._store is None or self._store_key is None:
+        """The range's checkpoint key, or None when nothing is
+        checkpointed: without a store, and for a lone shard, the one
+        shard of a round that covers the whole campaign, whose merged
+        result is stored right after it."""
+        if (self._store is None or self._store_key is None
+                or (rng.start, rng.count) == (0, self._max_runs)):
             return None
         return shard_key(self._store_key, rng.start, rng.count)
 
@@ -166,9 +174,11 @@ class CampaignExecutor:
 
     # -- execution -----------------------------------------------------
 
-    def run(self, max_runs: int, seed: int = 0):
-        """Execute up to ``max_runs`` injections of campaign ``seed``."""
+    def run(self, max_runs: int, seed: int = 0, target: int | None = None):
+        """Execute up to ``max_runs`` injections of campaign ``seed``,
+        each into static instruction ``target`` when one is named."""
         settings = self.settings
+        self._max_runs = max_runs
         workers = max(1, settings.workers)
         started = time.perf_counter()
         result = CampaignResult()
@@ -201,13 +211,13 @@ class CampaignExecutor:
                         use_pool, degraded = False, True
                 if todo and use_pool and pool is not None:
                     leftover, broken = self._pool_round(pool, todo, seed,
-                                                        result)
+                                                        target, result)
                     if broken:
                         pool = self._discard_pool(pool)
                         use_pool, degraded = False, True
                     todo = leftover
                 for rng in todo:
-                    self._serial_shard(rng, seed, result)
+                    self._serial_shard(rng, seed, target, result)
                 executed += round_runs
                 rounds += 1
                 if self._interval_tight(result):
@@ -246,14 +256,16 @@ class CampaignExecutor:
                 cache, key, GoldenSummary.from_run(self._injector.golden)
             )
 
-    def _serial_shard(self, rng: ShardRange, seed: int, result) -> None:
+    def _serial_shard(self, rng: ShardRange, seed: int,
+                      target: int | None, result) -> None:
         """Execute one shard in-process (serial path and pool fallback).
 
         The in-process injector executes, so the ``module`` field of the
         shard spec is never materialized — an empty placeholder avoids
         re-printing the module's IR per shard when no spec was given.
         """
-        shard_spec = self._shard_spec(self._spec or ModuleSpec(), rng, seed)
+        shard_spec = self._shard_spec(self._spec or ModuleSpec(), rng, seed,
+                                      target)
         shard = run_shard(shard_spec, injector=self.injector)
         self._store_shard(rng, shard)
         result.absorb(shard)
@@ -264,7 +276,7 @@ class CampaignExecutor:
         except Exception:
             return None
 
-    def _pool_round(self, pool, ranges, seed, result):
+    def _pool_round(self, pool, ranges, seed, target, result):
         """Dispatch shards to the pool, merging results as they land.
 
         Returns ``(leftover, broken)``: shards that must be retried
@@ -276,7 +288,8 @@ class CampaignExecutor:
         module_spec = self.spec()
         pending = [
             (rng, pool.apply_async(
-                run_shard, (self._shard_spec(module_spec, rng, seed),)
+                run_shard, (self._shard_spec(module_spec, rng, seed,
+                                             target),)
             ))
             for rng in ranges
         ]
@@ -331,18 +344,22 @@ def run_store_campaign(
     injector=None,
     module=None,
     settings: CampaignSettings | None = None,
+    target: int | None = None,
 ):
     """A campaign through the shared result store.
 
     The merged counts of a campaign are a pure function of the module
-    content, the seed, the run budget and the stopping rule (the PR 1
-    seed protocol), so they are cached under exactly that key; a hit
-    replays the counts without executing a single injection — or even
-    building an engine (``injector`` may be a zero-arg factory, only
-    invoked on a miss).  A miss runs the campaign with per-shard
-    checkpointing enabled, persists the merged result, and compacts the
-    now-redundant shard entries.  This is the single execution path
-    behind ``repro inject``, the harness, and the service daemon.
+    content, the seed, the run budget, the stopping rule and the target
+    instruction, if any (the seed protocol of :mod:`repro.fi.seeds`),
+    so they are cached under exactly that key; a hit replays the counts
+    without executing a single injection — or even building an engine
+    (``injector`` may be a zero-arg factory, only invoked on a miss,
+    and with neither a spec nor an injector a miss builds one for
+    ``module``).  A miss runs the campaign with per-shard checkpointing
+    enabled, persists the merged result, and compacts the now-redundant
+    shard entries.  This is the single execution path behind ``repro
+    inject``, ``repro protect``, every harness artifact that injects
+    faults, and the service daemon.
     """
     settings = settings or CampaignSettings()
     if module is None:
@@ -353,27 +370,30 @@ def run_store_campaign(
         else:
             raise ValueError("need a module, a ModuleSpec or an injector")
     cache = get_cache()
-    key = campaign_request_key(module, runs, seed, settings)
+    key = campaign_request_key(module, runs, seed, settings, target)
     payload = cache.load(CAMPAIGN_KIND, key)
     if payload is not None:
         try:
             return CampaignResult.from_dict(payload)
         except (KeyError, TypeError, ValueError):
             pass  # malformed entry: recompute below and overwrite
-    if injector is not None and not isinstance(injector, FaultInjector):
+    if injector is None and spec is None:
+        injector = build_injector(module)
+    elif injector is not None and not isinstance(injector, FaultInjector):
         injector = injector()  # lazy factory, paid only on a miss
     executor = CampaignExecutor(
         spec, injector=injector, settings=settings,
         store=cache if cache.enabled else None, store_key=key,
     )
-    result = executor.run(runs, seed=seed)
+    result = executor.run(runs, seed=seed, target=target)
     cache.store(CAMPAIGN_KIND, key, result.to_dict())
     executor.discard_shard_checkpoints()
     return result
 
 
 def campaign_request_key(module, runs: int, seed: int,
-                         settings: CampaignSettings) -> str:
+                         settings: CampaignSettings,
+                         target: int | None = None) -> str:
     """The store key a request resolves to (used for coalescing)."""
     return campaign_key(
         module_fingerprint(module), runs, seed,
@@ -381,4 +401,5 @@ def campaign_request_key(module, runs: int, seed: int,
         ci_outcome=settings.ci_outcome,
         min_runs=settings.min_runs,
         round_size=settings.effective_round_size(),
+        target=target,
     )

@@ -34,6 +34,7 @@ from ..cache import (
     store_golden_summary,
 )
 from ..fi.campaign import CampaignResult, FaultInjector
+from ..interp.engine import ExecutionEngine
 from ..ir.module import Module
 from .spec import ModuleSpec, ShardSpec
 
@@ -43,24 +44,33 @@ from .spec import ModuleSpec, ShardSpec
 MAX_CACHED_INSTRUCTIONS = 4096
 
 
-def build_injector(module: Module) -> FaultInjector:
-    """Build a FaultInjector for a module, warm-starting the golden run.
+def golden_summary(module: Module,
+                   engine: ExecutionEngine | None = None) -> GoldenSummary:
+    """The module's golden-run summary (outputs, per-instruction
+    counts, dynamic count) from the shared result store.
 
-    The golden-run summary (outputs, per-instruction counts, dynamic
-    count) is content-addressed by the module's fingerprint, so a
+    The summary is content-addressed by the module's fingerprint, so a
     worker — or a later process over the same module — skips the
-    fault-free reference execution; a store miss computes and publishes
-    it for every subsequent process.
+    fault-free reference execution; a store miss runs it on ``engine``
+    (a new one if None) and publishes the summary for every subsequent
+    process.
     """
     cache = get_cache()
     key = golden_key(module_fingerprint(module))
     golden = load_golden_summary(cache, key)
-    injector = FaultInjector(module, golden=golden)
     if golden is None:
-        store_golden_summary(
-            cache, key, GoldenSummary.from_run(injector.golden)
-        )
-    return injector
+        engine = engine or ExecutionEngine(module)
+        golden = GoldenSummary.from_run(engine.golden())
+        store_golden_summary(cache, key, golden)
+    return golden
+
+
+def build_injector(module: Module) -> FaultInjector:
+    """Build a FaultInjector for a module, its golden run warm-started
+    from the store by :func:`golden_summary`."""
+    engine = ExecutionEngine(module)
+    return FaultInjector(module, engine,
+                         golden=golden_summary(module, engine))
 
 
 class _Entry:
@@ -195,4 +205,4 @@ def run_shard(spec: ShardSpec, injector=None) -> CampaignResult:
                                    settings.checkpoint_stride)
     injector.configure_tier(settings.interp_tier)
     injector.configure_batch(settings.batch_lanes)
-    return injector.run_span(spec.start, spec.count, spec.seed)
+    return injector.run_span(spec.start, spec.count, spec.seed, spec.target)

@@ -163,13 +163,14 @@ class CampaignSettings:
 class ShardSpec:
     """One self-contained unit of campaign work: runs
     ``[start, start+count)`` of campaign ``seed`` under the campaign's
-    own settings.
+    own settings, injecting static instruction ``target`` in every run
+    when one is named (a per-instruction campaign).
 
     ``run_shard(spec)`` is the single execution entrypoint: the local
     pool workers and the serial path both call it, and because every
     run index owns its seed substream the returned counts depend only
-    on ``(module, seed, [start, start+count))`` — never on where or
-    when the shard executed.
+    on ``(module, seed, target, [start, start+count))`` — never on where
+    or when the shard executed.
     """
 
     module: ModuleSpec
@@ -177,3 +178,4 @@ class ShardSpec:
     count: int
     seed: int
     settings: CampaignSettings = field(default_factory=CampaignSettings)
+    target: int | None = None

@@ -274,15 +274,8 @@ class ServiceDaemon:
 
 def analyze_request(body: dict) -> dict:
     """Model prediction (no fault injection) for a wire-form module."""
-    from ..cache import (
-        get_cache,
-        load_cached_profile,
-        module_fingerprint,
-        profile_key,
-        store_cached_profile,
-    )
+    from ..cache import cached_profile, module_fingerprint
     from ..core.simple_models import MODEL_NAMES, create_model
-    from ..profiling.profiler import ProfilingInterpreter
     from ..sched.spec import ModuleSpec, json_field
     spec = ModuleSpec.from_request(body)
     model_name = str(body.get("model", "trident"))
@@ -292,12 +285,7 @@ def analyze_request(body: dict) -> dict:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     module = spec.materialize()
-    cache = get_cache()
-    key = profile_key(module_fingerprint(module))
-    profile = load_cached_profile(cache, key)
-    if profile is None:
-        profile, outputs = ProfilingInterpreter(module).run()
-        store_cached_profile(cache, key, profile, outputs)
+    profile, _ = cached_profile(module)
     model = create_model(model_name, module, profile)
     payload = {
         "fingerprint": module_fingerprint(module),

@@ -189,6 +189,27 @@ class TestCampaignArtifacts:
                                     round_size=50)
         assert base != campaign_key(fp, 100, 0)
 
+    def test_key_without_target_is_unchanged(self):
+        # Stores written before targets existed must stay reachable.
+        fp = "a" * 64
+        assert campaign_key(fp, 100, 0) == (
+            "cfc0dab8a60fdcb8f23131b383e233e16efeeba48d630f07c347b465bc8958d0"
+        )
+        assert campaign_key(fp, 100, 0, ci_halfwidth=0.01,
+                            round_size=50) == (
+            "4656db349937c31e7f87291abf98c7956dc3c48593487f2be77d55bcf9b51579"
+        )
+
+    def test_key_names_the_target(self):
+        fp = "a" * 64
+        keys = {
+            campaign_key(fp, 100, 0),
+            campaign_key(fp, 100, 0, target=3),
+            campaign_key(fp, 100, 0, target=4),
+            campaign_key(fp, 100, 0, ci_halfwidth=0.01, target=3),
+        }
+        assert len(keys) == 4
+
     def test_all_outcomes_serialized(self):
         data = CampaignResult().to_dict()
         assert set(data["counts"]) == set(OUTCOMES)

@@ -2,7 +2,9 @@
 
 The acceptance bar of the cache PR: re-running fig5 against a populated
 cache must render byte-for-byte the same report while skipping the
-expensive work (profiling runs, injections, model inference).
+expensive work (profiling runs, injections, model inference).  Every
+other artifact that injects faults replays the same way, executing
+nothing at all.
 """
 
 from __future__ import annotations
@@ -13,9 +15,24 @@ import time
 import pytest
 
 from repro.cache import get_cache
+from repro.cache.artifacts import SHARD_KIND
+from repro.fi import FaultInjector
+from repro.harness import (
+    run_fig8,
+    run_input_sensitivity,
+    run_optlevels,
+    run_table2,
+)
 from repro.harness.context import ExperimentConfig, Workspace
 from repro.harness.fig5 import run_fig5
-from repro.sched import CampaignSettings, ModuleSpec, run_store_campaign
+from repro.interp import ExecutionEngine
+from repro.profiling import ProfilingInterpreter
+from repro.sched import (
+    MODULE_CACHE,
+    CampaignSettings,
+    ModuleSpec,
+    run_store_campaign,
+)
 
 SMALL = ExperimentConfig(
     scale="test", fi_samples=120, model_samples=120,
@@ -55,6 +72,54 @@ class TestFig5Differential:
         assert campaign.total == SMALL.fi_samples
 
 
+#: Table II, Fig. 8 and the two extension studies at a size that keeps
+#: both passes to a few seconds.
+TINY = ExperimentConfig(
+    scale="test", fi_samples=60, model_samples=60,
+    per_instruction_runs=5, max_instructions=8,
+    protection_fi_samples=60, benchmarks=("pathfinder",),
+)
+
+#: Every method that executes the program: trials, golden runs,
+#: checkpoint captures and profiling runs.
+EXECUTIONS = (
+    (FaultInjector, "run_span"),
+    (ExecutionEngine, "run"),
+    (ExecutionEngine, "golden"),
+    (ExecutionEngine, "capture"),
+    (ProfilingInterpreter, "run"),
+)
+
+
+def render_fault_injecting_artifacts() -> list[str]:
+    workspace = Workspace(TINY)
+    return [
+        run_table2(workspace).render(),
+        run_fig8(workspace).render(),
+        run_input_sensitivity(workspace, inputs=2).render(),
+        run_optlevels(workspace).render(),
+    ]
+
+
+@pytest.mark.usefixtures("fresh_default_cache")
+class TestArtifactReplay:
+    def test_warm_render_executes_nothing(self, monkeypatch):
+        cold = render_fault_injecting_artifacts()
+        calls = {}
+        for owner, name in EXECUTIONS:
+            label = f"{owner.__name__}.{name}"
+            calls[label] = 0
+
+            def counted(*args, _run=getattr(owner, name), _label=label,
+                        **kwargs):
+                calls[_label] += 1
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert render_fault_injecting_artifacts() == cold
+        assert calls == dict.fromkeys(calls, 0)
+
+
 @pytest.mark.usefixtures("fresh_default_cache")
 class TestCachedCampaign:
     SPEC = ModuleSpec.from_benchmark("pathfinder", "test")
@@ -89,6 +154,41 @@ class TestCachedCampaign:
         # ... and the recomputation repaired the entry.
         repaired = run_store_campaign(60, seed=3, spec=self.SPEC)
         assert repaired.from_cache
+
+    def test_target_campaign_is_stored_under_its_own_key(self):
+        first_iid, second_iid = (
+            MODULE_CACHE.injector(self.SPEC).eligible_iids()[2:4]
+        )
+        first = run_store_campaign(30, seed=3, spec=self.SPEC,
+                                   target=first_iid)
+        again = run_store_campaign(30, seed=3, spec=self.SPEC,
+                                   target=first_iid)
+        assert again.from_cache and again.counts == first.counts
+        for target in (None, second_iid):
+            other = run_store_campaign(30, seed=3, spec=self.SPEC,
+                                       target=target)
+            assert not other.from_cache
+
+    def test_module_alone_builds_the_injector(self):
+        module = self.SPEC.materialize()
+        result = run_store_campaign(60, seed=3, module=module)
+        assert not result.from_cache
+        assert result.counts == FaultInjector(module).campaign(60, 3).counts
+
+    def test_lone_shard_writes_no_checkpoint(self):
+        cache = get_cache()
+        written = cache.read_counters()["partial_shards_written"]
+        run_store_campaign(60, seed=3, spec=self.SPEC)
+        assert SHARD_KIND not in cache.disk_usage()
+        assert cache.read_counters()["partial_shards_written"] == written
+
+    def test_chunked_campaign_checkpoints_and_compacts(self):
+        cache = get_cache()
+        written = cache.read_counters()["partial_shards_written"]
+        run_store_campaign(60, seed=3, spec=self.SPEC,
+                           settings=CampaignSettings(chunk_size=20))
+        assert cache.read_counters()["partial_shards_written"] == written + 3
+        assert SHARD_KIND not in cache.disk_usage()
 
     def test_lazy_injector_factory_not_built_on_hit(self):
         run_store_campaign(60, seed=3, spec=self.SPEC)

@@ -50,7 +50,8 @@ class TestCrashPrediction:
         module, _profile, model = setup
         injector = FaultInjector(module)
         iids = model.eligible[:40]
-        campaigns = injector.per_instruction_campaign(iids, 30, seed=9)
+        campaigns = {iid: injector.run_span(0, 30, 9, target=iid)
+                     for iid in iids}
         crashy = [i for i in iids
                   if campaigns[i].probability(CRASHED) > 0.5]
         calm = [i for i in iids

@@ -12,6 +12,7 @@ from repro.fi import (
     CampaignResult,
     FaultInjector,
 )
+from repro.fi.seeds import rng_for, seed_for
 from repro.ir import I32, FunctionBuilder, Module
 from repro.sched import CampaignExecutor, CampaignSettings
 from repro.stats import wilson_confidence
@@ -110,11 +111,10 @@ class TestCampaigns:
         assert result.counts[BENIGN] > 0
 
     def test_per_instruction_campaign(self, injector):
-        iids = injector.eligible_iids()[:5]
-        results = injector.per_instruction_campaign(iids, 30, seed=1)
-        assert set(results) == set(iids)
-        for result in results.values():
+        for iid in injector.eligible_iids()[:5]:
+            result = injector.run_span(0, 30, 1, target=iid)
             assert result.total == 30
+            assert result.completed_ranges == [(0, 30)]
 
     def test_straightline_fault_free_benign_rate(self, straightline_module):
         injector = FaultInjector(straightline_module)
@@ -130,6 +130,21 @@ class TestRunSpan:
         first = injector.run_span(0, 25, 4)
         second = injector.run_span(25, 35, 4)
         assert first.merge(second).counts == whole.counts
+
+    def test_target_span_follows_the_seed_protocol(self, injector):
+        """Run i of a span targeting an iid injects the fault drawn from
+        substream i of seed_for(seed, iid): the stream Table II's
+        per-instruction counts come from."""
+        for iid in injector.eligible_iids()[:4]:
+            expected = CampaignResult()
+            for index in range(12):
+                fault = injector.injection_for(
+                    iid, rng_for(seed_for(2018, iid), index)
+                )
+                assert fault.iid == iid
+                expected.counts[injector.run_one(fault)] += 1
+            span = injector.run_span(0, 12, 2018, target=iid)
+            assert span.counts == expected.counts
 
     def test_span_independent_of_execution_order(self, injector):
         forward = injector.run_span(10, 20, 4)

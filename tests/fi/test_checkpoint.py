@@ -111,15 +111,9 @@ class TestCampaignDifferential:
     def test_per_instruction_campaign_checkpointed(self):
         cold = cold_injector("pathfinder")
         warm = warm_injector("pathfinder")
-        iids = cold.eligible_iids()[:5]
-        cold_results = cold.per_instruction_campaign(
-            iids, runs_per_instruction=10, seed=SEED
-        )
-        warm_results = warm.per_instruction_campaign(
-            iids, runs_per_instruction=10, seed=SEED
-        )
-        for iid in iids:
-            assert warm_results[iid].counts == cold_results[iid].counts
+        for iid in cold.eligible_iids()[:5]:
+            assert (warm.run_span(0, 10, SEED, target=iid).counts
+                    == cold.run_span(0, 10, SEED, target=iid).counts)
 
 
 class TestDegradation:

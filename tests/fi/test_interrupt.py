@@ -47,11 +47,11 @@ class InterruptingInjector:
         # lazy factories, invoked only on a store miss.
         return self
 
-    def run_span(self, start, count, seed):
+    def run_span(self, start, count, seed, target=None):
         if len(self.spans) >= self._allow:
             raise KeyboardInterrupt
         self.spans.append((start, count))
-        return self._injector.run_span(start, count, seed)
+        return self._injector.run_span(start, count, seed, target)
 
 
 class TestSerialInterrupt:
