@@ -25,14 +25,20 @@ Six phases, selectable with ``--only`` (default: all):
    where they rejoin the golden run) on two benchmarks with different
    outcome mixes.  Counts must be bit-identical, trials must actually
    skip prefix work, and the checkpointed campaign must hit the speedup
-   threshold.  More campaigns are checked for counts only: hotspot at
-   stride 1, then a sweep of every registered benchmark at ``test``
-   scale, at O0 and after mem2reg at O2 (phis at snapshot points), with
-   ``SWEEP_RUNS`` runs each (about 15 s on a 2-vCPU machine), where
-   every golden snapshot must also hold ``main`` alone on the stack
-   (hercules is the one benchmark with a callee).  Every checkpointed
-   campaign must run checkpointed and have trials that rejoined, so the
-   phase cannot pass with checkpointing degraded or convergence off.
+   threshold.  Then trial by trial, ``SHIFTED_RUNS`` faults each on sad
+   and bfs_rodinia: every checkpointed ``RunResult`` must equal its cold
+   run's (footprint included), and some trials of each program must
+   rejoin the golden run at a dynamic count other than the snapshot's
+   (a fault that added or skipped loop iterations), so the phase fails
+   if shifted rejoins stop firing.  More campaigns are checked for
+   counts only: hotspot at stride 1, then a sweep of every registered
+   benchmark at ``test`` scale, at O0 and after mem2reg at O2 (phis at
+   snapshot points), with ``SWEEP_RUNS`` runs each (about 15 s on a
+   2-vCPU machine), where every golden snapshot must also hold ``main``
+   alone on the stack (hercules is the one benchmark with a callee).
+   Every checkpointed campaign must run checkpointed and have trials
+   that rejoined, so the phase cannot pass with checkpointing degraded
+   or convergence off.
 
 4. **interp-codegen** — golden runs on every registered benchmark and
    checkpointed FI campaigns on two of them, the generated code against
@@ -66,6 +72,7 @@ run ends; a ``--cache-dir`` is left in place.
 from __future__ import annotations
 
 import argparse
+import random
 import shutil
 import sys
 import tempfile
@@ -264,9 +271,42 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
         f"(best {max(speedups):.2f}x)",
     )
 
+    shifted_rejoins()
     counts_only("hotspot stride 1", build_module("hotspot", "test"), runs,
                 stride=1)
     checkpoint_sweep()
+
+
+#: Faults per program of the fi-checkpoint phase's trial-by-trial check.
+SHIFTED_RUNS = 200
+
+
+def shifted_rejoins() -> None:
+    """Checkpointed trials equal cold runs one by one, and some rejoin
+    the golden run at a shifted dynamic count."""
+    for name in ("sad", "bfs_rodinia"):
+        injector = FaultInjector(build_module(name, "test"))
+        capture = injector.checkpoints()
+        engine, budget = injector.engine, injector.hang_budget
+        rng = random.Random(2018)
+        shifted, differing = 0, []
+        for _ in range(SHIFTED_RUNS):
+            injection = injector.sample_injection(rng)
+            snapshot = capture.snapshot_for(injection)
+            trial = (capture.resume(snapshot, injection, budget)
+                     if snapshot is not None
+                     else engine.run(injection, budget, rejoin=capture))
+            if trial != engine.run(injection, budget):
+                differing.append(injection)
+            shifted += (trial.golden_suffix > 0 and trial.dynamic_count
+                        != capture.result.dynamic_count)
+        check(not differing,
+              f"{name}: {SHIFTED_RUNS - len(differing)} of {SHIFTED_RUNS} "
+              f"checkpointed trials equal their cold runs"
+              + (f" (first differing: {differing[0]})" if differing else ""))
+        check(shifted > 0,
+              f"{name}: {shifted} of {SHIFTED_RUNS} trials rejoined at a "
+              f"shifted dynamic count")
 
 
 #: Runs per campaign of the fi-checkpoint phase's all-benchmark sweep.

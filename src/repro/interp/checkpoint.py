@@ -28,15 +28,42 @@ The same determinism lets a trial end early: once its fault has fired,
 a trial whose whole state equals a later snapshot has rejoined the
 golden run, and the rest of it is the golden suffix
 (:attr:`GoldenCapture.rejoin_points`, ``ExecutionEngine._rejoin``).
+The state may be reached at another dynamic count than the snapshot's,
+when the fault added or skipped loop iterations; the suffix is then
+taken over with the count shifted by the difference.  So a trial tests
+a rejoin point wherever it reaches the point's block-function head
+with the point's *key* (:meth:`GoldenCapture.rejoin_test`), up to a
+window past the point's count: at most three slots or memory cells,
+usually loop counters, whose values tell the point apart from the
+other rejoin points at that head, chosen the first time a trial
+targets one of them.  The key is only a filter; the test that decides
+compares the whole state.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 #: Rough per-entry overhead of a Python dict/set slot plus a small boxed
 #: value, used for the snapshot-footprint estimate reported by campaigns.
 _ENTRY_BYTES = 60
+
+#: Most locations a rejoin point's key compares.
+KEY_LOCATIONS = 3
+
+#: The key of a point that no location tells apart from its peers: no
+#: cell lives at a negative address, so this location reads ``None``
+#: in every state, and the head alone gates the test.
+NO_KEY = ((True, -1, None),)
+
+#: Capture strides past a rejoin point's dynamic count after which a
+#: trial that has not rejoined there has missed it.
+WINDOW_STRIDES = 2
+
+#: The test (:meth:`GoldenCapture.rejoin_test`) of a trial that has no
+#: rejoin point left to test: no head matches, no window closes.
+NO_TEST = (-1, sys.maxsize, *NO_KEY[0], ())
 
 
 def merge_block_counts(shared: list, delta) -> list:
@@ -145,11 +172,14 @@ class GoldenCapture:
     state equals a later snapshot's *rejoins* the golden run there and
     takes over its suffix (``ExecutionEngine._rejoin``).  Rejoin points
     are the snapshots whose golden suffix is longer than the state a
-    check compares, so a check can save more than it costs.
+    check compares, so a check can save more than it costs.  A trial
+    tests a rejoin point only at the point's head and only when the
+    point's key matches (:meth:`rejoin_test`).
     """
 
     __slots__ = ("engine", "result", "snapshots", "stride", "total_bytes",
-                 "final_counts", "rejoin_points", "rejoin_counts")
+                 "final_counts", "rejoin_points", "rejoin_counts",
+                 "rejoin_heads", "_tests")
 
     def __init__(self, engine, result, snapshots, stride, final_counts):
         self.engine = engine
@@ -165,8 +195,97 @@ class GoldenCapture:
             if total - s.dynamic_count
             > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
         ]
-        #: Their dynamic counts, ascending (the capture order).
+        #: Their dynamic counts, ascending (the capture order), and the
+        #: local indices of their heads in ``main``.
         self.rejoin_counts = [s.dynamic_count for s in self.rejoin_points]
+        self.rejoin_heads = [s.frames[0].cblock.local_index
+                             for s in self.rejoin_points]
+        #: Tests by rejoin point, built when a trial first needs them.
+        self._tests: list[tuple | None] = [None] * len(self.rejoin_points)
+
+    # -- rejoin keys ----------------------------------------------------
+
+    def rejoin_test(self, index: int) -> tuple:
+        """What a trial targeting rejoin point ``index`` tests: ``(head,
+        until, in_cells, location, value, rest)``.
+
+        ``head`` is the local index of the point's block function in
+        ``main``; past the dynamic count ``until`` (the point's plus
+        :data:`WINDOW_STRIDES` strides) the trial has missed the point.
+        The rest is the point's *key*: ``(in_cells, location, value)``
+        triples, at most :data:`KEY_LOCATIONS`, of which ``rest`` holds
+        all but the first.  Each names a frame slot (``in_cells`` False)
+        or a memory cell, and the point's value there; a trial at the
+        head that differs at any of them is not in the point's state.
+        The first time a trial targets a point, the keys of every
+        rejoin point at its head are chosen together
+        (:meth:`_choose_keys`); a point alone at its head is told apart
+        from its neighbours in capture order.
+        """
+        test = self._tests[index]
+        if test is None:
+            head = self.rejoin_heads[index]
+            members = [i for i, h in enumerate(self.rejoin_heads)
+                       if h == head]
+            if len(members) == 1:
+                members = list(range(max(index - 1, 0),
+                                     min(index + 2, len(self.rejoin_heads))))
+            window = WINDOW_STRIDES * self.stride
+            for i, key in zip(members, self._choose_keys(members)):
+                if self.rejoin_heads[i] == head:
+                    self._tests[i] = (head, self.rejoin_counts[i] + window,
+                                      *key[0], key[1:])
+            test = self._tests[index]
+        return test
+
+    def _choose_keys(self, members: list) -> list:
+        """Keys that tell the rejoin points ``members`` apart, by member.
+
+        The candidate locations are main's slots, its allocas' cells and
+        the globals' first cells whose values differ among the members;
+        O0 code keeps loop counters in alloca cells, so slots alone do
+        not separate the points.  The members are split by the location
+        with the most distinct values among them, and each part again,
+        at most :data:`KEY_LOCATIONS` deep; a member's key is the path
+        to its part.
+        """
+        points = [self.rejoin_points[i] for i in members]
+        addresses = sorted(set(self.engine.layout.addresses.values()).union(
+            *(point.frames[0].allocas.values() for point in points)))
+        locations = ([(False, slot)
+                      for slot in range(len(points[0].frames[0].slots))]
+                     + [(True, address) for address in addresses])
+        values = chain(
+            zip(*(point.frames[0].slots for point in points)),
+            zip(*(tuple(map(point.cells.get, addresses))
+                  for point in points)),
+        )
+        columns = [(location, column)
+                   for location, column in zip(locations, values)
+                   if column.count(column[0]) != len(column)]
+        keys: list = [NO_KEY] * len(members)
+        pending = [(range(len(members)), ())]
+        while pending:
+            part, path = pending.pop()
+            best, most = None, 1
+            if len(part) > 1 and len(path) < KEY_LOCATIONS:
+                for location, column in columns:
+                    distinct = len(set(map(column.__getitem__, part)))
+                    if distinct > most:
+                        best, most = (location, column), distinct
+            if best is None:
+                for i in part:
+                    keys[i] = tuple(
+                        (in_cells, where, column[i])
+                        for (in_cells, where), column in path
+                        if column[i] == column[i]  # a NaN matches nothing
+                    ) or NO_KEY
+                continue
+            parts: dict = {}
+            for i in part:
+                parts.setdefault(best[1][i], []).append(i)
+            pending.extend((sub, path + (best,)) for sub in parts.values())
+        return keys
 
     # -- occurrence accounting ----------------------------------------
 

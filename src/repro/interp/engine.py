@@ -20,7 +20,6 @@ element's output, Sec. II-A).
 from __future__ import annotations
 
 import marshal
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .checkpoint import FrameSnap, GoldenCapture, Snapshot
+from .checkpoint import NO_TEST, FrameSnap, GoldenCapture, Snapshot
 from .codegen import finish_store, generate_function, generate_profile_function
 from .errors import (
     ArithmeticTrap,
@@ -71,9 +70,6 @@ from .ops import (
 from .result import CRASH, DETECTED, HANG, OK, RunResult
 
 _MASK64 = mask(64)
-
-#: ``_State.next_check`` of a run that has no rejoin point left to test.
-_NEVER = sys.maxsize
 
 #: Engines compiled in this process.  Campaign workers must build one
 #: engine per (module revision) and reuse it for every run; the
@@ -108,17 +104,32 @@ def _maybe_inject(state, value, value_type):
     state.activated = True
     if state.rejoin is not None:
         # Until now the trial was the golden run: start testing whether
-        # it rejoins it at the next main-only block-function head.
+        # it rejoins it, at the first rejoin point from here on.
         _schedule_rejoin(state, bisect_left(state.rejoin.rejoin_counts,
                                             state.dynamic_count))
     return flip_bit_typed(value, state.inject_bit, value_type)
 
 
 def _schedule_rejoin(state, index: int) -> None:
-    """Make rejoin point ``index`` of the trial's capture the next test."""
-    counts = state.rejoin.rejoin_counts
+    """Make rejoin point ``index`` of the trial's capture its target:
+    ``state.check`` becomes the point's test
+    (:meth:`GoldenCapture.rejoin_test`)."""
+    capture = state.rejoin
     state.check_index = index
-    state.next_check = counts[index] if index < len(counts) else _NEVER
+    state.check = (capture.rejoin_test(index)
+                   if index < len(capture.rejoin_points) else NO_TEST)
+
+
+def _missed(state) -> None:
+    """Count a miss of the target rejoin point (the trial's state at the
+    point's head and key differed, or its count passed the window) and
+    skip 2^misses - 1 of the points after both it and the count, so a
+    trial that does not rejoin makes O(log points) full tests."""
+    state.misses += 1
+    _schedule_rejoin(state, max(
+        bisect_right(state.rejoin.rejoin_counts, state.dynamic_count),
+        state.check_index + 1,
+    ) + (1 << state.misses) - 1)
 
 
 def _encoded(values) -> bytes:
@@ -201,7 +212,7 @@ class _State:
         "memory", "outputs", "dynamic_count", "budget", "block_counts",
         "inject_iid", "inject_occurrence", "inject_bit", "occurrence",
         "activated", "call_depth", "call", "ret_value", "rejoin",
-        "next_check", "check_index", "misses", "golden_suffix",
+        "check", "check_index", "misses", "golden_suffix",
     )
 
     def __init__(self, memory: MemoryState, budget: int, n_blocks: int = 0):
@@ -225,11 +236,12 @@ class _State:
         #: Return-value mailbox of the generated block functions.
         self.ret_value = None
         #: A trial's golden capture (None: the run never rejoins), the
-        #: dynamic count and index of its next rejoin point to test,
-        #: the tests that missed so far, and the golden suffix taken
-        #: over when one matched (see ``ExecutionEngine._rejoin``).
+        #: test of its target rejoin point (see ``_schedule_rejoin``)
+        #: and the point's index, the tests that missed so far, and the
+        #: golden suffix taken over when one matched (see
+        #: ``ExecutionEngine._rejoin``).
         self.rejoin = None
-        self.next_check = _NEVER
+        self.check = NO_TEST
         self.check_index = 0
         self.misses = 0
         self.golden_suffix = 0
@@ -476,11 +488,7 @@ class ExecutionEngine:
             state.inject_iid = injection.iid
             state.inject_occurrence = injection.occurrence
             state.inject_bit = injection.bit
-            # Taking over the golden suffix is sound only if the golden
-            # run would also finish inside this run's budget.
-            if (rejoin is not None
-                    and rejoin.result.dynamic_count <= state.budget):
-                state.rejoin = rejoin
+            state.rejoin = rejoin
 
     def _classified(self, state: _State, execute, *args) -> RunResult:
         """Run ``execute(*args)`` to the end of the program and classify
@@ -591,8 +599,11 @@ class ExecutionEngine:
         the fast table: after the firing every guard is a no-op, since
         ``state.occurrence`` is read nowhere else.  In main
         (``call_depth`` 1) of a trial that may rejoin the golden run,
-        the loop tests each block-function head once the count reaches
-        the next rejoin point; a match ends the run.
+        once the fault has fired, the loop tests its target rejoin
+        point (``state.check``) at each block function it enters: on
+        the point's head it reads the key's first location, and only
+        when that holds the point's value does :meth:`_rejoin` run; a
+        match ends the run.  A count past the point's window is a miss.
         """
         table = compiled.cg_fast
         if not state.activated:
@@ -601,49 +612,71 @@ class ExecutionEngine:
                 while index >= 0 and not state.activated:
                     index = armed[index](state, frame)
         if state.rejoin is not None and state.call_depth == 1:
-            while index >= 0:
-                if (state.dynamic_count >= state.next_check
-                        and self._rejoin(state, frame, index)):
-                    return None
+            while index >= 0 and not state.activated:  # fires in a callee
                 index = table[index](state, frame)
-            return state.ret_value
+            slots = frame.slots
+            cells = state.memory.cells
+            head, until, in_cells, where, value, _rest = state.check
+            while index >= 0:
+                if state.dynamic_count > until:
+                    _missed(state)
+                elif index == head and value == (
+                        cells.get(where) if in_cells else slots[where]):
+                    if self._rejoin(state, frame, index):
+                        return None
+                else:
+                    index = table[index](state, frame)
+                    continue
+                head, until, in_cells, where, value, _rest = state.check
+                if head < 0:
+                    break
+                index = table[index](state, frame)
         while index >= 0:
             index = table[index](state, frame)
         return state.ret_value
 
     def _rejoin(self, state: _State, frame, index: int) -> bool:
-        """Test the trial against its next rejoin point.
+        """Test the trial against its target rejoin point.
 
-        On a match the rest of the trial is the golden suffix, because
-        execution is deterministic: take over its outputs, block counts,
-        footprint and dynamic count, and return True.  Otherwise count a
-        miss (the state differed, or the count passed the point without
-        landing on it) and skip 2^misses - 1 further points, so a trial
-        makes O(log points) tests.
+        The trial is at the point's head, ``index``, and holds the
+        point's value at the first location of its key.  If the rest of
+        the key differs, it is not there yet: keep the target.  If the
+        whole state equals the point's (:func:`_same_state`), the rest
+        of the trial is the golden suffix from the point, because
+        execution is deterministic, whatever the trial's dynamic count:
+        take over its outputs, block counts and footprint, add its
+        length to the count, and return True.  The cold run hangs in
+        the suffix if the shifted total passes the budget; then the
+        trial runs on into that hang and tests nothing more.  A state
+        that differs is a miss (:func:`_missed`).
         """
+        cells = state.memory.cells
+        slots = frame.slots
+        for in_cells, where, value in state.check[5]:
+            if value != (cells.get(where) if in_cells else slots[where]):
+                return False
         capture = state.rejoin
         snapshot = capture.rejoin_points[state.check_index]
-        if (state.dynamic_count == snapshot.dynamic_count
-                and _same_state(state, frame, index, snapshot)):
-            golden = capture.result
-            state.outputs.extend(golden.outputs[snapshot.outputs_len:])
-            state.block_counts = [
-                mine + final - before for mine, final, before in zip(
-                    state.block_counts, capture.final_counts,
-                    snapshot.block_counts)
-            ]
-            state.memory.footprint_bytes += (
-                golden.footprint_bytes - snapshot.footprint_bytes
-            )
-            state.golden_suffix = golden.dynamic_count - state.dynamic_count
-            state.dynamic_count = golden.dynamic_count
-            return True
-        state.misses += 1
-        _schedule_rejoin(
-            state, bisect_right(capture.rejoin_counts, state.dynamic_count)
-            + (1 << state.misses) - 1,
+        if not _same_state(state, frame, index, snapshot):
+            _missed(state)
+            return False
+        golden = capture.result
+        suffix = golden.dynamic_count - snapshot.dynamic_count
+        if state.dynamic_count + suffix > state.budget:
+            state.check = NO_TEST
+            return False
+        state.outputs.extend(golden.outputs[snapshot.outputs_len:])
+        state.block_counts = [
+            mine + final - before for mine, final, before in zip(
+                state.block_counts, capture.final_counts,
+                snapshot.block_counts)
+        ]
+        state.memory.footprint_bytes += (
+            golden.footprint_bytes - snapshot.footprint_bytes
         )
-        return False
+        state.golden_suffix = suffix
+        state.dynamic_count += suffix
+        return True
 
     def _enter_block(self, compiled, frame, block, previous, state: _State):
         """Run from the top of ``block``, entered from ``previous``

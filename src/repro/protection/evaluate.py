@@ -79,16 +79,21 @@ def full_duplication_cost(module: Module, profile: ProgramProfile) -> int:
 def select_instructions(module: Module, profile: ProgramProfile,
                         model_name: str,
                         overhead_fraction: float) -> set[int]:
-    """Knapsack-choose the iids to protect under the overhead bound."""
+    """Knapsack-choose the iids to protect under the overhead bound.
+
+    The candidates' SDC probabilities come from ``sdc_map``, which also
+    stores the model's results, so the next selection loads them.
+    """
     model = create_model(model_name, module, profile)
     candidates = [
         iid for iid in duplicable_iids(module) if profile.count(iid) > 0
     ]
+    sdc = model.sdc_map(candidates)
     items = [
         KnapsackItem(
             key=iid,
             cost=duplication_cost(profile, iid),
-            profit=model.instruction_sdc(iid) * profile.count(iid),
+            profit=sdc[iid] * profile.count(iid),
         )
         for iid in candidates
     ]

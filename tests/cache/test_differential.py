@@ -27,6 +27,7 @@ from repro.harness.context import ExperimentConfig, Workspace
 from repro.harness.fig5 import run_fig5
 from repro.interp import ExecutionEngine
 from repro.profiling import ProfilingInterpreter
+from repro.query import reset_query_stores
 from repro.sched import (
     MODULE_CACHE,
     CampaignSettings,
@@ -104,7 +105,15 @@ def render_fault_injecting_artifacts() -> list[str]:
 @pytest.mark.usefixtures("fresh_default_cache")
 class TestArtifactReplay:
     def test_warm_render_executes_nothing(self, monkeypatch):
+        """The warm pass executes nothing, and, with the in-memory query
+        stores dropped, finds every model result in the store: no miss,
+        no byte written.  The cold pass starts without them too, so it
+        computes and stores every result itself."""
+        reset_query_stores()
         cold = render_fault_injecting_artifacts()
+        reset_query_stores()
+        stats = get_cache().stats
+        misses, written = stats.misses, stats.bytes_written
         calls = {}
         for owner, name in EXECUTIONS:
             label = f"{owner.__name__}.{name}"
@@ -118,6 +127,8 @@ class TestArtifactReplay:
             monkeypatch.setattr(owner, name, counted)
         assert render_fault_injecting_artifacts() == cold
         assert calls == dict.fromkeys(calls, 0)
+        assert stats.misses - misses == 0
+        assert stats.bytes_written - written == 0
 
 
 @pytest.mark.usefixtures("fresh_default_cache")

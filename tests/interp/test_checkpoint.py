@@ -14,9 +14,15 @@ import pytest
 
 from repro.bench import BENCHMARK_NAMES
 from repro.fi import FaultInjector
-from repro.interp import ExecutionEngine, Injection
-from repro.interp.checkpoint import Snapshot
-from repro.interp.engine import ReferenceEngine, _Frame, _same_state, _State
+from repro.interp import HANG, ExecutionEngine, Injection
+from repro.interp.checkpoint import KEY_LOCATIONS, Snapshot
+from repro.interp.engine import (
+    ReferenceEngine,
+    _Frame,
+    _same_state,
+    _schedule_rejoin,
+    _State,
+)
 from repro.interp.memory import MemoryState
 from repro.ir import F64, I32, FunctionBuilder, Module
 from repro.opt.pipeline import optimize
@@ -70,6 +76,16 @@ def build_signed_zero_module() -> Module:
     f.out(acc.get())
     f.done()
     return module.finalize()
+
+
+def checkpointed_trial(capture, injection, budget: int):
+    """A trial as a campaign runs it: resumed from the latest snapshot
+    before its fault, or from ``main`` when there is none, and stopped
+    where it rejoins the golden run."""
+    snapshot = capture.snapshot_for(injection)
+    if snapshot is None:
+        return capture.engine.run(injection, budget, rejoin=capture)
+    return capture.resume(snapshot, injection, budget)
 
 
 def random_injections(module, golden, count: int, seed: int):
@@ -331,8 +347,9 @@ class TestRejoin:
         assert FaultInjector(module).run_one(injection) == "sdc"
 
     def test_no_rejoin_past_the_budget(self):
-        """Taking over the golden suffix needs the golden run to fit
-        the trial's budget; otherwise the trial runs into its hang."""
+        """A trial that reaches a rejoin point at the point's own count
+        takes over the golden suffix only if the golden run fits the
+        trial's budget; otherwise the trial runs into its hang."""
         module = cached_module("pathfinder")
         engine = ExecutionEngine(module)
         golden = engine.golden()
@@ -343,6 +360,55 @@ class TestRejoin:
             assert_same_run(trial, engine.run(injection, budget))
             assert trial.golden_suffix == 0
 
+    @pytest.mark.parametrize(
+        "name", ["sad", "bfs_parboil", "bfs_rodinia", "hercules"])
+    def test_shifted_rejoins_match_cold_runs(self, name):
+        """A fault that adds or skips loop iterations can bring a trial
+        to a rejoin point's state at another dynamic count; it takes
+        over the golden suffix with its count shifted.  Every trial must
+        still equal its cold run (``==`` covers outputs, outcome,
+        count, block counts and footprint), and some must rejoin at a
+        shifted count.  hercules is the one benchmark with a callee."""
+        module = cached_module(name)
+        engine = ExecutionEngine(module)
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        budget = 10 * golden.dynamic_count
+        shifted = 0
+        for injection in random_injections(module, golden, 300, 21):
+            trial = checkpointed_trial(capture, injection, budget)
+            assert trial == engine.run(injection, budget)
+            shifted += (trial.golden_suffix > 0
+                        and trial.dynamic_count != golden.dynamic_count)
+        assert shifted > 0
+
+    def test_shifted_rejoin_needs_the_shifted_total_in_budget(self):
+        """A trial that rejoins behind the golden run (its cold run
+        executes D instructions, more than the golden run's) takes over
+        the suffix with budget D; with D - 1 its cold run hangs inside
+        the suffix, and so must the trial, without rejoining."""
+        module = cached_module("sad")
+        engine = ExecutionEngine(module)
+        golden = engine.golden()
+        capture = engine.capture(max(1, golden.dynamic_count // 192))
+        for injection in random_injections(module, golden, 300, 21):
+            trial = checkpointed_trial(capture, injection,
+                                       10 * golden.dynamic_count)
+            if trial.golden_suffix and (trial.dynamic_count
+                                        > golden.dynamic_count):
+                break
+        else:
+            pytest.fail("no trial rejoined behind the golden run")
+        total = trial.dynamic_count
+        fits = checkpointed_trial(capture, injection, total)
+        assert fits == engine.run(injection, total)
+        assert fits.golden_suffix > 0
+        cold = engine.run(injection, total - 1)
+        assert cold.outcome == HANG
+        short = checkpointed_trial(capture, injection, total - 1)
+        assert short == cold
+        assert short.golden_suffix == 0
+
     def test_reference_engine_never_rejoins(self):
         module = cached_module("pathfinder")
         engine = ReferenceEngine(module)
@@ -352,6 +418,77 @@ class TestRejoin:
             trial = engine.run(injection, rejoin=capture)
             assert_same_run(trial, engine.run(injection))
             assert trial.golden_suffix == 0
+
+
+class TestRejoinKeys:
+    """The key of a rejoin point only filters where a trial tests it;
+    the whole state decides."""
+
+    @staticmethod
+    def capture():
+        engine = ExecutionEngine(cached_module("sad"))
+        golden = engine.golden()
+        return engine.capture(max(1, golden.dynamic_count // 192))
+
+    def test_every_point_matches_its_own_key(self):
+        capture = self.capture()
+        for index, point in enumerate(capture.rejoin_points):
+            head, until, *first, rest = capture.rejoin_test(index)
+            main = point.frames[0]
+            assert head == main.cblock.local_index
+            assert until > point.dynamic_count
+            assert 1 <= 1 + len(rest) <= KEY_LOCATIONS
+            for in_cells, where, value in (tuple(first), *rest):
+                held = point.cells.get(where) if in_cells else main.slots[
+                    where]
+                assert held == value
+
+    def rejoin(self, corrupt: bool, shift: int = -7):
+        """A trial state copied from a rejoin point's, ``shift``
+        instructions off its count, at its head, with the point as the
+        target; with ``corrupt``, one int cell outside the key differs.
+        Returns whether it rejoined, the state and the capture."""
+        capture = self.capture()
+        index = len(capture.rejoin_points) // 2
+        point = capture.rejoin_points[index]
+        main = point.frames[0]
+        head, _until, *first, rest = capture.rejoin_test(index)
+        keyed = {where for in_cells, where, _ in (tuple(first), *rest)
+                 if in_cells}
+        cells = dict(point.cells)
+        if corrupt:
+            address = min(a for a, value in cells.items()
+                          if a not in keyed and type(value) is int)
+            cells[address] ^= 1
+        state = _State(MemoryState.restored(
+            cells, set(point.valid), point.stack_cursor,
+            point.footprint_bytes,
+        ), budget=10 * capture.result.dynamic_count)
+        state.dynamic_count = point.dynamic_count + shift
+        state.block_counts = list(point.block_counts)
+        state.rejoin = capture
+        _schedule_rejoin(state, index)
+        frame = _Frame(main.compiled.n_slots)
+        frame.slots[:] = main.slots
+        frame.allocas.update(main.allocas)
+        rejoined = capture.engine._rejoin(state, frame, head)
+        return rejoined, state, capture
+
+    def test_equal_state_rejoins_at_a_shifted_count(self):
+        rejoined, state, capture = self.rejoin(corrupt=False)
+        point = capture.rejoin_points[len(capture.rejoin_points) // 2]
+        golden = capture.result
+        assert rejoined
+        assert state.golden_suffix == (golden.dynamic_count
+                                       - point.dynamic_count)
+        assert state.dynamic_count == golden.dynamic_count - 7
+        assert state.outputs == golden.outputs[point.outputs_len:]
+
+    def test_corrupted_cell_outside_the_key_does_not_rejoin(self):
+        rejoined, state, _capture = self.rejoin(corrupt=True)
+        assert not rejoined
+        assert state.golden_suffix == 0
+        assert state.misses == 1
 
 
 class TestStrictCompare:
