@@ -45,9 +45,15 @@ Six phases, selectable with ``--only`` (default: all):
    the reference engine (every block on the closure steps).  Outcomes,
    outputs, block counts and campaign counts must be bit-identical, and
    the generated code must hit the golden-run speedup threshold (plus a
-   measurable campaign speedup on top of checkpointing).  Then counts
-   only: a checkpointed campaign of ``CODEGEN_SWEEP_RUNS`` runs on every
-   registered benchmark at ``test`` scale, at O0 and O2, on both engines.
+   measurable campaign speedup on top of checkpointing).  Then trial by
+   trial, ``CODEGEN_TRIALS`` seeded faults on every registered benchmark
+   at ``test`` scale: each checkpointed trial on the generated code
+   (resumed from its snapshot, free to rejoin the golden run) must equal
+   the reference engine's cold run of the same injection in every
+   compared ``RunResult`` field, footprint and block counts included.
+   Then counts only: a checkpointed campaign of ``CODEGEN_SWEEP_RUNS``
+   runs on every registered benchmark at ``test`` scale, at O0 and O2,
+   on both engines.
 
 5. **batch-tier** — FI campaigns on every registered benchmark, batch
    tier vs codegen tier.  Campaign counts must be bit-identical at 1,
@@ -281,6 +287,16 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
 SHIFTED_RUNS = 200
 
 
+def checkpointed_trial(injector: FaultInjector, capture, injection):
+    """One trial as a checkpointed campaign runs it: resumed from its
+    snapshot, or cold from main, and free to rejoin the golden run."""
+    snapshot = capture.snapshot_for(injection)
+    if snapshot is not None:
+        return capture.resume(snapshot, injection, injector.hang_budget)
+    return injector.engine.run(injection, injector.hang_budget,
+                               rejoin=capture)
+
+
 def shifted_rejoins() -> None:
     """Checkpointed trials equal cold runs one by one, and some rejoin
     the golden run at a shifted dynamic count."""
@@ -292,10 +308,7 @@ def shifted_rejoins() -> None:
         shifted, differing = 0, []
         for _ in range(SHIFTED_RUNS):
             injection = injector.sample_injection(rng)
-            snapshot = capture.snapshot_for(injection)
-            trial = (capture.resume(snapshot, injection, budget)
-                     if snapshot is not None
-                     else engine.run(injection, budget, rejoin=capture))
+            trial = checkpointed_trial(injector, capture, injection)
             if trial != engine.run(injection, budget):
                 differing.append(injection)
             shifted += (trial.golden_suffix > 0 and trial.dynamic_count
@@ -425,7 +438,40 @@ def interp_codegen(speedup: float, runs: int) -> None:
         f"codegen campaigns are measurably faster on top of checkpointing "
         f"(best {max(campaign_speedups):.2f}x)",
     )
+    codegen_trials()
     codegen_sweep()
+
+
+#: Faults per benchmark of the interp-codegen phase's trial-by-trial
+#: check.
+CODEGEN_TRIALS = 100
+
+
+def codegen_trials() -> None:
+    """Trial by trial on every benchmark at ``test`` scale: each
+    checkpointed trial on the generated code equals the reference
+    engine's cold run of the same injection in every compared
+    ``RunResult`` field."""
+    started = time.perf_counter()
+    for name in BENCHMARK_NAMES:
+        module = build_module(name, "test")
+        injector = FaultInjector(module, interp_tier=TIER_CODEGEN)
+        capture = injector.checkpoints()
+        reference = ReferenceEngine(module)
+        rng = random.Random(2018)
+        differing = []
+        for _ in range(CODEGEN_TRIALS):
+            injection = injector.sample_injection(rng)
+            trial = checkpointed_trial(injector, capture, injection)
+            if trial != reference.run(injection, injector.hang_budget):
+                differing.append(injection)
+        check(not differing,
+              f"{name}: {CODEGEN_TRIALS - len(differing)} of "
+              f"{CODEGEN_TRIALS} checkpointed codegen trials equal the "
+              f"reference's cold runs"
+              + (f" (first differing: {differing[0]})" if differing else ""))
+    print(f"   {CODEGEN_TRIALS} trials on each of {len(BENCHMARK_NAMES)} "
+          f"benchmarks: {time.perf_counter() - started:.1f}s")
 
 
 #: Runs per campaign of the interp-codegen phase's all-benchmark sweep.

@@ -296,9 +296,11 @@ class FaultInjector:
         self._golden_outputs = self.golden.outputs
         counts = self.golden.instruction_counts()
         # Eligible targets: executed instructions with a destination
-        # register whose value is used by at least one other instruction.
+        # register whose value is used by at least one other instruction,
+        # with their dynamic counts and register widths.
         self.target_iids: list[int] = []
         self.target_counts: list[int] = []
+        self.target_bits: list[int] = []
         cumulative = 0
         self._cumulative: list[int] = []
         for inst in module.instructions():
@@ -309,6 +311,7 @@ class FaultInjector:
                 continue
             self.target_iids.append(inst.iid)
             self.target_counts.append(count)
+            self.target_bits.append(inst.type.bits)
             cumulative += count
             self._cumulative.append(cumulative)
         if not self.target_iids:
@@ -324,10 +327,9 @@ class FaultInjector:
         """One fault, uniform over all eligible dynamic instances."""
         pick = rng.randrange(self.total_dynamic_targets)
         index = bisect_right(self._cumulative, pick)
-        iid = self.target_iids[index]
         occurrence = rng.randint(1, self.target_counts[index])
-        bits = self.module.instruction(iid).type.bits
-        return Injection(iid, occurrence, rng.randrange(bits))
+        return Injection(self.target_iids[index], occurrence,
+                         rng.randrange(self.target_bits[index]))
 
     def injection_for(self, iid: int, rng: random.Random) -> Injection:
         """One fault targeted at a specific static instruction."""
@@ -338,8 +340,8 @@ class FaultInjector:
                 f"instruction #{iid} is not an eligible injection target"
             ) from None
         occurrence = rng.randint(1, self.target_counts[index])
-        bits = self.module.instruction(iid).type.bits
-        return Injection(iid, occurrence, rng.randrange(bits))
+        return Injection(iid, occurrence,
+                         rng.randrange(self.target_bits[index]))
 
     # -- interpreter-tier plumbing -------------------------------------
 

@@ -698,10 +698,10 @@ class BatchRunner:
             dynamic_count=sim.dynamic_count + int(sim.dyn_delta[lane]),
             crash_reason=reason,
             activated=sim.activated[lane],
-            block_counts=self.engine._block_counts_map(
-                merge_block_counts(sim.block_counts, sim.block_delta[lane])
-            ),
             footprint_bytes=sim.memory.footprint_bytes,
+            dense_counts=merge_block_counts(sim.block_counts,
+                                            sim.block_delta[lane]),
+            block_order=self.engine._block_order,
         )
 
     def _finish_live(self, sim: _GroupState, outcome: str,

@@ -42,8 +42,11 @@ compares the whole state.
 
 from __future__ import annotations
 
+import marshal
 import sys
+from bisect import bisect_left
 from itertools import chain
+from operator import ne
 
 #: Rough per-entry overhead of a Python dict/set slot plus a small boxed
 #: value, used for the snapshot-footprint estimate reported by campaigns.
@@ -64,6 +67,14 @@ WINDOW_STRIDES = 2
 #: The test (:meth:`GoldenCapture.rejoin_test`) of a trial that has no
 #: rejoin point left to test: no head matches, no window closes.
 NO_TEST = (-1, sys.maxsize, *NO_KEY[0], ())
+
+
+def strict_encoding(slots, cell_values) -> bytes:
+    """Slots and cell values as marshal format 2, which writes each
+    value's type code and a float's 8 IEEE-754 bytes (no
+    back-references, so equal values always encode alike): what the
+    strict pass of a rejoin test compares."""
+    return marshal.dumps((tuple(slots), tuple(cell_values)), 2)
 
 
 def merge_block_counts(shared: list, delta) -> list:
@@ -175,11 +186,17 @@ class GoldenCapture:
     check compares, so a check can save more than it costs.  A trial
     tests a rejoin point only at the point's head and only when the
     point's key matches (:meth:`rejoin_test`).
+
+    What trials look up is built on first use and kept here, so it is
+    freed with the capture: prefix-occurrence columns by target
+    (:meth:`occurrences`), rejoin tests, and the rejoin points' sides
+    of the strict compare (:meth:`strict_side`).
     """
 
     __slots__ = ("engine", "result", "snapshots", "stride", "total_bytes",
-                 "final_counts", "rejoin_points", "rejoin_counts",
-                 "rejoin_heads", "_tests")
+                 "final_counts", "snapshot_counts", "rejoin_points",
+                 "rejoin_counts", "rejoin_heads", "_tests", "_columns",
+                 "_strict", "__weakref__")
 
     def __init__(self, engine, result, snapshots, stride, final_counts):
         self.engine = engine
@@ -189,6 +206,11 @@ class GoldenCapture:
         self.total_bytes = sum(s.approx_bytes() for s in snapshots)
         #: The golden run's dense per-block counters at exit.
         self.final_counts = final_counts
+        #: The snapshots' dynamic counts, ascending.
+        self.snapshot_counts = [s.dynamic_count for s in snapshots]
+        #: Prefix-occurrence columns by iid, and by home block and
+        #: whether its instruction is a phi (see :meth:`occurrences`).
+        self._columns: dict = {}
         total = result.dynamic_count
         self.rejoin_points = [
             s for s in snapshots
@@ -200,8 +222,10 @@ class GoldenCapture:
         self.rejoin_counts = [s.dynamic_count for s in self.rejoin_points]
         self.rejoin_heads = [s.frames[0].cblock.local_index
                              for s in self.rejoin_points]
-        #: Tests by rejoin point, built when a trial first needs them.
+        #: Tests and strict-compare sides by rejoin point, built when a
+        #: trial first needs them.
         self._tests: list[tuple | None] = [None] * len(self.rejoin_points)
+        self._strict: list[bytes | None] = [None] * len(self.rejoin_points)
 
     # -- rejoin keys ----------------------------------------------------
 
@@ -247,7 +271,10 @@ class GoldenCapture:
         not separate the points.  The members are split by the location
         with the most distinct values among them, and each part again,
         at most :data:`KEY_LOCATIONS` deep; a member's key is the path
-        to its part.
+        to its part, its location whose value changes most often from
+        one member to the next first.  ``_cg_run`` reads only that
+        location before it calls ``_rejoin``, and a trial at the head
+        matches an inner loop's counter less often than an outer one's.
         """
         points = [self.rejoin_points[i] for i in members]
         addresses = sorted(set(self.engine.layout.addresses.values()).union(
@@ -263,6 +290,8 @@ class GoldenCapture:
         columns = [(location, column)
                    for location, column in zip(locations, values)
                    if column.count(column[0]) != len(column)]
+        changes = {location: sum(map(ne, column, column[1:]))
+                   for location, column in columns}
         keys: list = [NO_KEY] * len(members)
         pending = [(range(len(members)), ())]
         while pending:
@@ -274,6 +303,7 @@ class GoldenCapture:
                     if distinct > most:
                         best, most = (location, column), distinct
             if best is None:
+                path = sorted(path, key=lambda step: -changes[step[0]])
                 for i in part:
                     keys[i] = tuple(
                         (in_cells, where, column[i])
@@ -287,48 +317,77 @@ class GoldenCapture:
             pending.extend((sub, path + (best,)) for sub in parts.values())
         return keys
 
+    def strict_side(self, index: int) -> bytes:
+        """Rejoin point ``index``'s side of the strict compare: the
+        :func:`strict_encoding` of its main slots and cell values,
+        which never change."""
+        side = self._strict[index]
+        if side is None:
+            point = self.rejoin_points[index]
+            side = self._strict[index] = strict_encoding(
+                point.frames[0].slots, point.cells.values())
+        return side
+
     # -- occurrence accounting ----------------------------------------
 
-    def prefix_occurrence(self, snapshot: Snapshot, iid: int) -> int:
-        """Completed executions of instruction ``iid`` before ``snapshot``.
+    def occurrences(self, iid: int) -> list[int] | None:
+        """Completed executions of instruction ``iid`` before each
+        snapshot, or None for an instruction with no home here.
 
-        The home block's entry in the snapshot's ``block_counts``
+        The home block's entry in a snapshot's ``block_counts``
         (incremented when a block iteration *starts*), with one
         correction: ``main``'s pending iteration is not counted yet at
         the capture point, but the phi moves of the edge into it have
-        run, so a phi of that block has executed once more.
+        run, so a phi of that block has executed once more.  Counts
+        only grow over the golden run, so the column is ascending.
         """
+        try:
+            return self._columns[iid]
+        except KeyError:
+            pass
+        column = None
         home = self.engine.instruction_home(iid)
-        if home is None:
+        if home is not None:
+            # The phis of a block share one column, and its other
+            # instructions another.
+            block, position = home
+            shared = (block, position < 0)
+            column = self._columns.get(shared)
+            if column is None:
+                ordinal = self.engine.block_ordinal(block)
+                column = [s.block_counts[ordinal] for s in self.snapshots]
+                if position < 0:
+                    for index, s in enumerate(self.snapshots):
+                        if s.frames[0].cblock.block is block:
+                            column[index] += 1
+                self._columns[shared] = column
+        self._columns[iid] = column
+        return column
+
+    def prefix_occurrence(self, snapshot: Snapshot, iid: int) -> int:
+        """Completed executions of instruction ``iid`` before
+        ``snapshot``, one of this capture's (see :meth:`occurrences`)."""
+        column = self.occurrences(iid)
+        if column is None:
             return 0
-        block, position = home
-        count = snapshot.block_counts[self.engine.block_ordinal(block)]
-        if position < 0 and snapshot.frames[0].cblock.block is block:
-            count += 1
-        return count
+        return column[bisect_left(self.snapshot_counts,
+                                  snapshot.dynamic_count)]
 
     def snapshot_for(self, injection) -> Snapshot | None:
         """Latest snapshot strictly before the injection's dynamic point.
 
         A snapshot is usable iff the armed occurrence has not completed
-        yet (``prefix_occurrence < occurrence``).  Completed-execution
-        counts are monotone over the golden run, so a binary search over
-        the capture schedule finds the rightmost usable snapshot; None
-        means the injection fires before the first snapshot (the trial
-        then runs cold from ``main``).
+        yet (``prefix_occurrence < occurrence``).  The target's column
+        (:meth:`occurrences`) is ascending, so bisecting it finds the
+        rightmost usable snapshot; None means the injection fires
+        before the first snapshot (the trial then runs cold from
+        ``main``).
         """
-        if self.engine.instruction_home(injection.iid) is None:
+        column = self.occurrences(injection.iid)
+        if column is None:
             return None
-        snapshots = self.snapshots
-        lo, hi = 0, len(snapshots)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (self.prefix_occurrence(snapshots[mid], injection.iid)
-                    < injection.occurrence):
-                lo = mid + 1
-            else:
-                hi = mid
-        return snapshots[lo - 1] if lo else None
+        usable = bisect_left(column, injection.occurrence)
+        return self.snapshots[usable - 1] if usable else None
 
     # -- forking -------------------------------------------------------
 

@@ -15,8 +15,12 @@ operations are inlined: masked adds, compares (signed ones as
 as ``(x ^ S) - S``, direct float arithmetic with one-call f32
 rounding (:func:`round_f32`), and loads and stores straight on the
 run's ``memory.cells`` and ``memory.valid``, which a block function
-that accesses memory binds once (they stay the same objects for a
-whole run).  Rare or trap-raising operations call the exact helpers of
+binds once where it uses them (they stay the same objects for a whole
+run).  A load is one ``cells.get`` probe: every cell sits at a valid
+address and none holds ``None`` (see
+:class:`~repro.interp.memory.MemoryState`), so only a miss calls a
+helper, which tests validity.  A store tests validity and assigns.
+Rare or trap-raising operations call the exact helpers of
 :mod:`repro.interp.ops`.  Results stay bit-identical with the closure
 steps, which the tests run through
 :class:`repro.interp.engine.ReferenceEngine`.
@@ -217,6 +221,15 @@ def _crash_prob(state, address: int) -> float:
     return prob
 
 
+def _unset(state, address: int, default):
+    """A load that found no cell: ``default`` at a valid address that
+    was never written, else the same ``MemoryFault`` as
+    ``MemoryState.load``."""
+    if address in state.memory.valid:
+        return default
+    raise MemoryFault(address, "load")
+
+
 def _read(state, address: int, iid: int) -> None:
     """A load of a stored address adds one dynamic dependency to the
     (last writer, load) edge and joins that store instance's readers."""
@@ -301,9 +314,9 @@ class _FunctionCodegen:
         self.local = block_locals(compiled.function)
         self.variant = FAST
         self.lines: list[str] = []
-        #: Whether the block function being emitted binds the memory's
-        #: cells and validity set yet.
-        self.uses_memory = False
+        #: The memory locals (``_c``, ``_va``) the block function being
+        #: emitted binds so far.
+        self.memory_locals: set[str] = set()
         self._bound: dict[int, str] = {}
         self.namespace = {
             "_ib": eval_int_binop,
@@ -319,6 +332,7 @@ class _FunctionCodegen:
             "_Hang": HangFault,
             "_Det": DetectionTrap,
             "_MF": MemoryFault,
+            "_unset": _unset,
             "_keep": _keep,
             "_cp": _crash_prob,
             "_read": _read,
@@ -399,7 +413,7 @@ class _FunctionCodegen:
     def emit_block_fn(self, cblock, name: str) -> set:
         """One block function: superblock body + phi moves + dispatch."""
         self.lines = [f"def {name}(state, frame):", "    slots = frame.slots"]
-        self.uses_memory = False
+        self.memory_locals = set()
         if self.variant == PROFILE:
             self.lines += _PROFILE_HEADER
         w = self.lines.append
@@ -518,9 +532,8 @@ class _FunctionCodegen:
     def emit_step(self, inst, covered: set) -> None:
         w = self.lines.append
         if isinstance(inst, Store):
-            for line in self.access_lines(inst.pointer, "store"):
+            for line in self.store_lines(inst):
                 w(f"    {line}")
-            w(f"    _c[{self.expr(inst.pointer)}] = {self.expr(inst.value)}")
             return
         if isinstance(inst, Output):
             w(f"    state.outputs.append({self.output_expr(inst)})")
@@ -657,31 +670,44 @@ class _FunctionCodegen:
             "    frame.owned.extend(_owned)",
         ]
 
-    def access_lines(self, pointer, kind: str) -> list[str]:
-        """The validity test of a load or store: the same
-        ``MemoryFault`` as ``MemoryState.load`` and ``.store``.  The
-        first access of a block function binds the memory's cells and
-        validity set at its top: they stay the same objects for a whole
-        run."""
-        if not self.uses_memory:
-            self.uses_memory = True
-            self.lines[2:2] = ["    _c = state.memory.cells",
-                               "    _va = state.memory.valid"]
-        address = self.expr(pointer)
+    def bind_memory(self, local: str, attribute: str) -> None:
+        """Bind ``state.memory.<attribute>`` to ``local`` at the top of
+        the block function being emitted, on its first use there: the
+        memory's cells and validity set stay the same objects for a
+        whole run."""
+        if local not in self.memory_locals:
+            self.memory_locals.add(local)
+            self.lines.insert(2, f"    {local} = state.memory.{attribute}")
+
+    def store_lines(self, inst: Store) -> list[str]:
+        """A store: the validity test (the same ``MemoryFault`` as
+        ``MemoryState.store``), then the assignment."""
+        self.bind_memory("_c", "cells")
+        self.bind_memory("_va", "valid")
+        address = self.expr(inst.pointer)
         return [f"if {address} not in _va:",
-                f'    raise _MF({address}, "{kind}")']
+                f'    raise _MF({address}, "store")',
+                f"_c[{address}] = {self.expr(inst.value)}"]
 
     def load_lines(self, inst: Load, temp: str) -> list[str]:
+        """A load: one probe of the cells.  Every cell sits at a valid
+        address and none holds ``None`` (``MemoryState``), so only a
+        miss needs the validity set: :func:`_unset` gives a valid
+        address that was never written its default, and raises the
+        same ``MemoryFault`` as ``MemoryState.load`` for any other."""
+        self.bind_memory("_c", "cells")
         value_type = inst.type
         default = "0.0" if value_type.is_float else "0"
-        lines = self.access_lines(inst.pointer, "load")
-        lines.append(f"{temp} = _c.get({self.expr(inst.pointer)}, {default})")
+        address = self.expr(inst.pointer)
+        lines = [f"{temp} = _c.get({address})",
+                 f"if {temp} is None:",
+                 f"    {temp} = _unset(state, {address}, {default})"]
         # Same reinterpretation fast path as the closure steps: only a
         # corrupted address can land on a cell of another type/width.
         if value_type.is_float:
-            lines.append(f"if {temp}.__class__ is not float:")
+            lines.append(f"elif {temp}.__class__ is not float:")
         else:
-            lines.append(f"if {temp}.__class__ is float "
+            lines.append(f"elif {temp}.__class__ is float "
                          f"or {temp} > {value_type.max_unsigned}:")
         lines.append(f"    {temp} = _rl({temp}, {self.bind(value_type)})")
         return lines

@@ -19,7 +19,6 @@ element's output, Sec. II-A).
 
 from __future__ import annotations
 
-import marshal
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -44,7 +43,13 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .checkpoint import NO_TEST, FrameSnap, GoldenCapture, Snapshot
+from .checkpoint import (
+    NO_TEST,
+    FrameSnap,
+    GoldenCapture,
+    Snapshot,
+    strict_encoding,
+)
 from .codegen import finish_store, generate_function, generate_profile_function
 from .errors import (
     ArithmeticTrap,
@@ -132,30 +137,25 @@ def _missed(state) -> None:
     ) + (1 << state.misses) - 1)
 
 
-def _encoded(values) -> bytes:
-    """Values as marshal format 2, which writes each one's type code and
-    a float's 8 IEEE-754 bytes (no back-references, so equal values
-    always encode alike)."""
-    return marshal.dumps(tuple(values), 2)
-
-
-def _same_state(state, frame, index: int, snapshot: Snapshot) -> bool:
+def _same_state(state, frame, index: int, snapshot: Snapshot,
+                strict: bytes) -> bool:
     """Whether a trial at the head of main's block function ``index``,
     with main alone on the stack, is in the state of a main-only golden
-    ``snapshot``.
+    ``snapshot``, whose side of the strict pass is ``strict``
+    (:meth:`GoldenCapture.strict_side`).
 
     The ``==`` tests run at C speed in order of expected cost: block
     function, slots, stack cursor and allocas, cells (which differ when
     a corrupted value still sits in memory), then the validity set.
-    Only when all hold does the strict pass compare encodings, so each
-    value must also have the same class and, for a float zero, the same
-    sign: ``-0.0 == 0.0`` and ``1 == 1.0``, but ``%g`` prints ``-0``
-    and a float cell is not an int one.  A NaN passes ``==`` only by
-    identity.  Main's owned stack addresses follow from its allocas,
-    and only main's return frees them, so they are not compared.  A
-    block-local value lives in a local of the generated code, so its
-    slot is ``None`` on both sides: only slots that can be live at a
-    block-function head can differ.
+    Only when all hold does the strict pass compare encodings
+    (:func:`strict_encoding`), so each value must also have the same
+    class and, for a float zero, the same sign: ``-0.0 == 0.0`` and
+    ``1 == 1.0``, but ``%g`` prints ``-0`` and a float cell is not an
+    int one.  A NaN passes ``==`` only by identity.  Main's owned stack
+    addresses follow from its allocas, and only main's return frees
+    them, so they are not compared.  A block-local value lives in a
+    local of the generated code, so its slot is ``None`` on both sides:
+    only slots that can be live at a block-function head can differ.
     """
     main = snapshot.frames[0]
     if index != main.cblock.local_index:
@@ -170,9 +170,8 @@ def _same_state(state, frame, index: int, snapshot: Snapshot) -> bool:
             and memory.cells == cells
             and memory.valid == snapshot.valid):
         return False
-    return (_encoded(slots) == _encoded(main.slots)
-            and _encoded(map(memory.cells.__getitem__, cells))
-            == _encoded(cells.values()))
+    return (strict_encoding(slots, map(memory.cells.__getitem__, cells))
+            == strict)
 
 
 def _apply_phi_moves(state, frame, block, previous) -> None:
@@ -221,8 +220,8 @@ class _State:
         self.dynamic_count = 0
         self.budget = budget
         #: Dense per-block execution counters, indexed by the engine's
-        #: global block ordinal; converted to the block -> count mapping
-        #: of RunResult at run end.
+        #: global block ordinal; RunResult builds its block -> count
+        #: mapping from them when it is read.
         self.block_counts: list[int] = [0] * n_blocks
         self.inject_iid = -1
         self.inject_occurrence = 0
@@ -441,12 +440,6 @@ class ExecutionEngine:
         """Index of an IR block in the dense counter array."""
         return self._ordinals[block]
 
-    def _block_counts_map(self, counts: list) -> dict:
-        """Dense counter array -> the block -> count mapping of RunResult."""
-        order = self._block_order
-        return {order[index]: count
-                for index, count in enumerate(counts) if count}
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -512,9 +505,10 @@ class ExecutionEngine:
             dynamic_count=state.dynamic_count,
             crash_reason=crash_reason,
             activated=state.activated,
-            block_counts=self._block_counts_map(state.block_counts),
             footprint_bytes=state.memory.footprint_bytes,
             golden_suffix=state.golden_suffix,
+            dense_counts=state.block_counts,
+            block_order=self._block_order,
         )
 
     def golden(self) -> RunResult:
@@ -559,6 +553,10 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _call(self, compiled: _CompiledFunction, args: list, state: _State):
+        """Run one call on a fresh frame.  Its stack cells are freed
+        when it returns, unless it is main's (call depth 0 after the
+        pop): nothing reads memory after main returns, and ``free``
+        leaves ``footprint_bytes`` as it is."""
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
         state.call_depth += 1
@@ -569,7 +567,8 @@ class ExecutionEngine:
                                      state)
         finally:
             state.call_depth -= 1
-            state.memory.free(frame.owned)
+            if state.call_depth:
+                state.memory.free(frame.owned)
 
     def _profile_call(self, compiled: _CompiledFunction, args: list,
                       state: _ProfileState):
@@ -587,7 +586,8 @@ class ExecutionEngine:
             return state.ret_value
         finally:
             state.call_depth -= 1
-            state.memory.free(frame.owned)
+            if state.call_depth:
+                state.memory.free(frame.owned)
 
     def _cg_run(self, compiled, frame, index: int, state: _State):
         """The generated code's driver: each block function
@@ -656,8 +656,10 @@ class ExecutionEngine:
             if value != (cells.get(where) if in_cells else slots[where]):
                 return False
         capture = state.rejoin
-        snapshot = capture.rejoin_points[state.check_index]
-        if not _same_state(state, frame, index, snapshot):
+        point = state.check_index
+        snapshot = capture.rejoin_points[point]
+        if not _same_state(state, frame, index, snapshot,
+                           capture.strict_side(point)):
             _missed(state)
             return False
         golden = capture.result
@@ -836,6 +838,7 @@ class ExecutionEngine:
         call step: the callee (the next frame) resumes first, then its
         return value is placed exactly as the call step would have
         (injection hook included) and the block's remaining steps run.
+        As in :meth:`_call`, main's frame is not freed.
         """
         frec = snapshot.frames[depth]
         compiled = frec.compiled
@@ -860,7 +863,8 @@ class ExecutionEngine:
                                      frec.previous, state)
         finally:
             state.call_depth -= 1
-            state.memory.free(frame.owned)
+            if state.call_depth:
+                state.memory.free(frame.owned)
 
     def batch_runner(self):
         """The lazily-built lockstep batch runner for this engine.

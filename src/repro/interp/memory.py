@@ -53,7 +53,15 @@ class GlobalLayout:
 
 
 class MemoryState:
-    """Mutable per-run memory: cells, validity set, and a stack pointer."""
+    """Mutable per-run memory: cells, validity set, and a stack pointer.
+
+    Invariant: every key of ``cells`` is in ``valid``, and no cell
+    holds ``None``.  The globals' initial cells are valid, every store
+    (this class's, the generated code's, the batch tier's) tests the
+    address first, and :meth:`free` drops an address from both.  So a
+    load that finds a cell needs no validity test: generated code
+    probes ``cells`` once and tests ``valid`` only on a miss.
+    """
 
     __slots__ = ("cells", "valid", "stack_cursor", "footprint_bytes",
                  "generation")

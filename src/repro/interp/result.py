@@ -21,14 +21,34 @@ class RunResult:
     crash_reason: str = ""
     #: True when an armed injection actually flipped a bit.
     activated: bool = False
-    #: Execution count per basic block (block object -> count).
-    block_counts: dict = field(default_factory=dict)
+    #: Execution count per basic block (block object -> count), built
+    #: from ``dense_counts`` when first read (:meth:`__getattr__`):
+    #: equality reads it, and no campaign reads a trial's.
+    block_counts: dict = field(init=False)
     #: Peak memory footprint in bytes (globals + stack), for the crash model.
     footprint_bytes: int = 0
     #: Dynamic instructions at the end of the run taken over from the
     #: golden run instead of executed: a fault-injection trial that
     #: rejoined it.  Bookkeeping, not behaviour, so equality ignores it.
     golden_suffix: int = field(default=0, compare=False)
+    #: The run's dense per-block counters, and the engine's blocks in
+    #: counter order.
+    dense_counts: list = field(default_factory=list, compare=False,
+                               repr=False)
+    block_order: list = field(default_factory=list, compare=False,
+                              repr=False)
+
+    def __getattr__(self, name: str):
+        """Build ``block_counts`` on its first read (only attributes not
+        set yet come here)."""
+        if name != "block_counts":
+            raise AttributeError(name)
+        order = self.block_order
+        self.block_counts = counts = {
+            order[index]: count
+            for index, count in enumerate(self.dense_counts) if count
+        }
+        return counts
 
     @property
     def completed(self) -> bool:

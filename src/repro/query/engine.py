@@ -51,8 +51,9 @@ MISS = _Miss()
 #: changing any function the entry's old dependency set names).
 CALLGRAPH_DEP = "~callgraph"
 
-#: (query name, input key, config projection, salt) -> {entry key -> _Entry}
-_SHARED_STORES: dict[tuple, dict] = {}
+#: (query name, input key, config projection, salt) -> ({entry key ->
+#: _Entry}, roots of the artifact stores that hold every entry).
+_SHARED_STORES: dict[tuple, tuple[dict, set]] = {}
 
 
 def reset_query_stores() -> None:
@@ -93,20 +94,28 @@ class QueryStats:
 
 
 class StoreView:
-    """One (query, function) slice of a content-addressed store."""
+    """One (query, function) slice of a content-addressed store.
+
+    ``saved`` names the artifact stores (by root) that hold all of
+    ``entries``, which a shared store's views have in common: a ``put``
+    empties it, and :meth:`flush` writes to the current store unless it
+    is named there, so entries that came from memory still reach a
+    store the process switched to.
+    """
 
     __slots__ = ("engine", "name", "function", "entries", "hits", "misses",
-                 "dirty", "_disk_key")
+                 "saved", "_disk_key")
 
     def __init__(self, engine: "QueryEngine", name: str, function: str,
-                 entries: dict, disk_key: str | None = None):
+                 entries: dict, disk_key: str | None = None,
+                 saved: set | None = None):
         self.engine = engine
         self.name = name
         self.function = function
         self.entries = entries
         self.hits = 0
         self.misses = 0
-        self.dirty = 0
+        self.saved = saved if saved is not None else set()
         self._disk_key = disk_key
 
     def get(self, key):
@@ -127,19 +136,22 @@ class StoreView:
 
     def put(self, key, value, deps: dict | None = None):
         self.entries[key] = _Entry(value, deps)
-        self.dirty += 1
+        self.saved.clear()
         return value
 
     def flush(self) -> bool:
-        """Persist this view's entries to the artifact cache."""
-        if self._disk_key is None or not self.dirty:
+        """Persist this view's entries to the artifact cache, unless it
+        already holds them all."""
+        cache = get_cache()
+        if (self._disk_key is None or not self.entries
+                or cache.root in self.saved):
             return False
         payload = {
             key: (entry.value, entry.deps)
             for key, entry in self.entries.items()
         }
-        if store_function_results(get_cache(), self._disk_key, payload):
-            self.dirty = 0
+        if store_function_results(cache, self._disk_key, payload):
+            self.saved.add(cache.root)
             return True
         return False
 
@@ -223,19 +235,23 @@ class QueryEngine:
                      repr(salt))
         disk_key = None
         if self.shared:
-            entries = _SHARED_STORES.setdefault(store_key, {})
+            entries, saved = _SHARED_STORES.setdefault(store_key,
+                                                       ({}, set()))
             if spec.persist:
                 disk_key = function_results_key(
                     name, input_key, self._projection(name), repr(salt),
                     scope,
                 )
                 if not entries:
-                    loaded = load_function_results(get_cache(), disk_key)
+                    cache = get_cache()
+                    loaded = load_function_results(cache, disk_key)
                     for local, (value, deps) in (loaded or {}).items():
                         entries.setdefault(local, _Entry(value, deps))
+                    if loaded:
+                        saved.add(cache.root)
         else:
-            entries = {}
-        view = StoreView(self, name, function, entries, disk_key)
+            entries, saved = {}, None
+        view = StoreView(self, name, function, entries, disk_key, saved)
         self._views[view_key] = view
         return view
 

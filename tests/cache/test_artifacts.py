@@ -8,6 +8,7 @@ from repro.cache import (
     GoldenSummary,
     bind_model_results,
     campaign_key,
+    configure_cache,
     golden_key,
     load_cached_profile,
     load_golden_summary,
@@ -20,11 +21,12 @@ from repro.cache import (
     store_golden_summary,
     store_model_results,
 )
-from repro.core.simple_models import build_model
+from repro.core.simple_models import build_model, create_model
 from repro.fi.campaign import OUTCOMES, SDC, CampaignResult, FaultInjector
 from repro.interp.engine import ExecutionEngine
 from repro.profiling import ProfilingInterpreter
 from repro.profiling.serialize import profile_to_dict
+from repro.query import reset_query_stores
 from tests.conftest import cached_module, cached_profile
 
 
@@ -125,6 +127,31 @@ class TestModelResults:
         assert base != model_results_key(
             module, profile, "trident", model.config, extra=0.125
         )
+
+
+class TestStoreSwitch:
+    def test_shared_query_stores_reach_the_new_store(self, tmp_path,
+                                                     pathfinder):
+        """A model built again after the artifact store is switched
+        finds its per-function results in the in-memory query stores,
+        and still writes them to the new store: each store ends up
+        with the same entries, so a later process on either one
+        recomputes nothing."""
+        module, profile, _outputs = pathfinder
+        reset_query_stores()
+        usage = []
+        try:
+            for name in ("a", "b"):
+                cache = configure_cache(tmp_path / name)
+                create_model("trident", module, profile).overall_sdc(
+                    samples=200)
+                usage.append({kind: count for kind, (count, _size)
+                              in cache.disk_usage().items()})
+        finally:
+            configure_cache(None)
+            reset_query_stores()
+        assert usage[0]["model_fn"] > 0
+        assert usage[1] == usage[0]
 
 
 class TestCampaignArtifacts:

@@ -9,14 +9,17 @@ falls back to cold runs rather than risking counts).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+import weakref
 
 import pytest
 
 from repro.bench import BENCHMARK_NAMES
 from repro.fi import CampaignResult, FaultInjector
 from repro.fi.seeds import rng_for
+from repro.interp.engine import ReferenceEngine
 from repro.sched import CampaignExecutor, CampaignSettings, ModuleSpec
 from tests.conftest import cached_module
 
@@ -67,6 +70,49 @@ class TestTrialEquivalence:
             converged += warm_result.golden_suffix > 0
         assert resumed > 0, f"{name}: every trial ran cold"
         assert converged > 0, f"{name}: no resumed trial rejoined"
+
+
+class TestTrialResults:
+    @pytest.mark.parametrize("name", ["sad", "hercules"])
+    def test_lazy_block_counts_equal_cold_runs(self, name):
+        """A trial's block counts are built only when read, and then
+        equal those of its cold run on the generated code and on the
+        reference engine, as do instruction counts and every other
+        compared field."""
+        warm = warm_injector(name)
+        capture = warm.checkpoints()
+        reference = ReferenceEngine(warm.module)
+        converged = 0
+        for index in range(30):
+            injection = warm.sample_injection(rng_for(SEED, index))
+            snapshot = capture.snapshot_for(injection)
+            trial = (capture.resume(snapshot, injection, warm.hang_budget)
+                     if snapshot is not None else
+                     warm.engine.run(injection, warm.hang_budget,
+                                     rejoin=capture))
+            assert "block_counts" not in vars(trial)
+            cold = warm.engine.run(injection, warm.hang_budget)
+            oracle = reference.run(injection, warm.hang_budget)
+            assert trial == cold == oracle
+            assert (trial.instruction_counts() == cold.instruction_counts()
+                    == oracle.instruction_counts())
+            converged += trial.golden_suffix > 0
+        assert converged > 0
+
+    def test_released_capture_is_freed(self):
+        """What trials build on a capture (occurrence columns, rejoin
+        keys, strict-compare sides) lives on it, so releasing the
+        capture frees it."""
+        injector = warm_injector("sad")
+        result = injector.run_span(0, 60, SEED)
+        capture = injector.checkpoints()
+        assert result.converged_trials > 0
+        assert any(side is not None for side in capture._strict)
+        freed = weakref.ref(capture)
+        del capture
+        injector.release_capture()
+        gc.collect()
+        assert freed() is None
 
 
 class TestCampaignDifferential:

@@ -15,7 +15,7 @@ import pytest
 from repro.bench import BENCHMARK_NAMES
 from repro.fi import FaultInjector
 from repro.interp import HANG, ExecutionEngine, Injection
-from repro.interp.checkpoint import KEY_LOCATIONS, Snapshot
+from repro.interp.checkpoint import KEY_LOCATIONS, Snapshot, strict_encoding
 from repro.interp.engine import (
     ReferenceEngine,
     _Frame,
@@ -283,6 +283,45 @@ class TestOccurrenceAccounting:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_snapshot_for_equals_binary_search(self, name):
+        """Bisecting a target's occurrence column picks the snapshot
+        that a binary search over the snapshots, computing each one's
+        prefix occurrence from its block counts, picks: for every
+        target, at each occurrence where the choice changes."""
+        injector = FaultInjector(cached_module(name))
+        capture = injector.checkpoints()
+        engine, snapshots = capture.engine, capture.snapshots
+
+        def prefix(snapshot, iid):
+            block, position = engine.instruction_home(iid)
+            count = snapshot.block_counts[engine.block_ordinal(block)]
+            if position < 0 and snapshot.frames[0].cblock.block is block:
+                count += 1
+            return count
+
+        def binary_search(column, occurrence):
+            lo, hi = 0, len(column)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if column[mid] < occurrence:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return snapshots[lo - 1] if lo else None
+
+        checked = 0
+        for iid, total in zip(injector.target_iids, injector.target_counts):
+            column = [prefix(snapshot, iid) for snapshot in snapshots]
+            assert capture.occurrences(iid) == column
+            for occurrence in {1, total, *column,
+                               *(done + 1 for done in column)}:
+                injection = Injection(iid, occurrence, 0)
+                assert capture.snapshot_for(injection) is binary_search(
+                    column, occurrence), (iid, occurrence)
+                checked += 1
+        assert checked > len(injector.target_iids)
+
     def test_phis_at_snapshot_points(self):
         """A snapshot sits after the phi moves of the edge into its
         innermost block, so those phis count as executed.  Inject every
@@ -515,7 +554,9 @@ class TestStrictCompare:
         frame = _Frame(main.compiled.n_slots)
         frame.slots[:] = main.slots
         frame.allocas.update(main.allocas)
-        return _same_state(state, frame, main.cblock.local_index, golden)
+        return _same_state(state, frame, main.cblock.local_index, golden,
+                           strict_encoding(main.slots,
+                                           golden.cells.values()))
 
     def test_equal_values_match(self):
         assert self.compare(1.0, 1.0)

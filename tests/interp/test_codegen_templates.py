@@ -1,10 +1,11 @@
 """The invariants the generated block functions' templates rest on.
 
-The templates keep block-local values in Python locals, test memory
-accesses against the run's cells and validity set inline, do signed
-arithmetic with a xor bias, round f32 results in one call, and leave
-the inject variant once the fault has fired.  Each test below pins one
-of those rules against the definition it replaces.
+The templates keep block-local values in Python locals, access memory
+inline (a load probes the run's cells once and tests the validity set
+only on a miss), do signed arithmetic with a xor bias, round f32
+results in one call, and leave the inject variant once the fault has
+fired.  Each test below pins one of those rules against the definition
+it replaces.
 """
 
 from __future__ import annotations
@@ -19,8 +20,17 @@ import pytest
 from repro.interp import ExecutionEngine, Injection
 from repro.interp.codegen import block_locals, round_f32
 from repro.interp.engine import ReferenceEngine
+from repro.interp.errors import MemoryFault
 from repro.interp.result import CRASH
-from repro.ir import FloatType
+from repro.ir import (
+    F64,
+    I32,
+    ArrayView,
+    FloatType,
+    FunctionBuilder,
+    Module,
+    pointer_to,
+)
 from repro.ir.bitutils import to_signed, truncate_float
 from repro.ir.instructions import GetElementPtr, Load, Phi, Store
 from repro.opt.pipeline import optimize
@@ -207,3 +217,93 @@ class TestCorruptedAddress:
             assert mine.outcome == theirs.outcome == CRASH
             assert mine.crash_reason == theirs.crash_reason
             assert mine.crash_reason.startswith(f"{kind} at invalid address")
+
+
+ENGINES = [ExecutionEngine, ReferenceEngine]
+
+
+def build_unwritten_module() -> Module:
+    """main reads an int and a float array cell it never wrote."""
+    module = Module("unwritten")
+    f = FunctionBuilder(module, "main")
+    ints = f.array("ints", I32, 4)
+    floats = f.array("floats", F64, 4)
+    f.out(ints[2] + 1)
+    f.out(floats[1] * 2.0, precision=3)
+    f.done()
+    return module.finalize()
+
+
+def build_leaking_module(access: str) -> Module:
+    """``leak`` returns the address of its own stack array, which main
+    then loads from or stores to after the call returned."""
+    module = Module(f"leak_{access}")
+    leak = FunctionBuilder(module, "leak", return_type=pointer_to(I32))
+    scratch = leak.array("scratch", I32, 4)
+    scratch[0] = 7
+    leak.ret(scratch.base)
+    leak.done()
+    main = FunctionBuilder(module, "main")
+    stale = ArrayView(main, main.call("leak", [], pointer_to(I32)).value, I32)
+    if access == "load":
+        main.out(stale[0])
+    else:
+        stale[0] = 3
+    main.out(1)
+    main.done()
+    return module.finalize()
+
+
+class TestLoadWithoutCell:
+    """A load finds no cell at a valid address that was never written,
+    and at any invalid address; only then does it test validity."""
+
+    @pytest.mark.parametrize("engine_class", ENGINES)
+    def test_unwritten_cell_reads_the_default(self, monkeypatch,
+                                              engine_class):
+        loaded = {}
+        inject = ExecutionEngine._maybe_inject
+
+        def recording(state, value, value_type):
+            loaded[state.inject_iid] = value
+            return inject(state, value, value_type)
+
+        monkeypatch.setattr(ExecutionEngine, "_maybe_inject",
+                            staticmethod(recording))
+        module = build_unwritten_module()
+        engine = engine_class(module)
+        assert engine.run().outputs == ["1", "0"]
+        loads = [inst for inst in module.instructions()
+                 if isinstance(inst, Load)]
+        for load in loads:
+            assert engine.run(Injection(load.iid, 1, 0)).activated
+        values = [loaded[load.iid] for load in loads]
+        assert values == [0, 0.0]
+        assert [type(value) for value in values] == [int, float]
+        assert math.copysign(1.0, values[1]) == 1.0
+
+    @pytest.mark.parametrize("engine_class", ENGINES)
+    def test_invalid_address_faults(self, engine_class):
+        module = build_unwritten_module()
+        engine = engine_class(module)
+        gep = next(inst for inst in module.instructions()
+                   if isinstance(inst, GetElementPtr))
+        result = engine.run(Injection(gep.iid, 1, 40))
+        assert result.outcome == CRASH
+        assert result.crash_reason.startswith("load at invalid address")
+        address = int(result.crash_reason.rsplit(" ", 1)[1], 16)
+        assert result.crash_reason == str(MemoryFault(address, "load"))
+
+
+class TestFreedCalleeFrame:
+    """Only main's frame outlives its return: a callee's stack cells
+    are freed, so a pointer into them faults."""
+
+    @pytest.mark.parametrize("engine_class", ENGINES)
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_stale_pointer_faults(self, engine_class, access):
+        result = engine_class(build_leaking_module(access)).run()
+        assert result.outcome == CRASH
+        assert result.crash_reason.startswith(
+            f"{access} at invalid address")
+        assert result.outputs == []

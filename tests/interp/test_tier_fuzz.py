@@ -29,8 +29,8 @@ from pathlib import Path
 import pytest
 
 from repro.fi.campaign import FaultInjector
-from repro.interp.batch import HAVE_NUMPY
-from repro.interp.engine import ReferenceEngine
+from repro.interp.batch import HAVE_NUMPY, BatchRunner
+from repro.interp.engine import ExecutionEngine, ReferenceEngine
 from repro.interp.result import OK
 from repro.ir.fuzz import FuzzCase, build_fuzz_module, shrink_case
 from repro.ir.instructions import BinOp, Phi
@@ -58,6 +58,41 @@ TIERS = [
 ]
 if HAVE_NUMPY:
     TIERS += [("batch", False, 0), ("batch", True, 0)]
+
+
+@pytest.fixture
+def cells_within_valid(monkeypatch):
+    """Every run keeps ``MemoryState``'s invariant, which a load's one
+    probe of the cells rests on: each cell sits at a valid address.
+    Checked as each run ends, on every tier: engine runs, captures and
+    resumes (batch drains among them) at ``_result``, and batch lanes
+    at ``_finish_lane``.  Violations are collected, not raised, since
+    a batch group that raises re-runs its trials on codegen."""
+    ends, violations = [], []
+
+    def check(memory, where):
+        ends.append(where)
+        if not memory.cells.keys() <= memory.valid:
+            violations.append(where)
+
+    result = ExecutionEngine._result
+
+    def checked_result(self, state, *args):
+        check(state.memory, type(self).__name__)
+        return result(self, state, *args)
+
+    finish_lane = BatchRunner._finish_lane
+
+    def checked_finish_lane(self, sim, *args, **kwargs):
+        check(sim.memory, "batch lane")
+        return finish_lane(self, sim, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionEngine, "_result", checked_result)
+    monkeypatch.setattr(BatchRunner, "_finish_lane", checked_finish_lane)
+    yield
+    assert not violations, f"cells outside valid after {violations[:5]}"
+    if HAVE_NUMPY and ends:
+        assert "batch lane" in ends
 
 
 def tier_fingerprint(module, tier, checkpoint, stride):
@@ -112,6 +147,7 @@ def _seed_chunks():
     return [seeds[i:i + CHUNK] for i in range(0, len(seeds), CHUNK)]
 
 
+@pytest.mark.usefixtures("cells_within_valid")
 @pytest.mark.parametrize(
     "seeds", _seed_chunks(), ids=lambda r: f"seeds{r.start}to{r.stop - 1}"
 )
@@ -133,6 +169,7 @@ def test_fuzz_tiers_agree(seeds):
         )
 
 
+@pytest.mark.usefixtures("cells_within_valid")
 def test_fuzz_regressions():
     """Replay every previously-shrunk failing case (empty dir = no-op)."""
     paths = sorted(REGRESSION_DIR.glob("*.json")) \
