@@ -34,8 +34,8 @@ Six phases, selectable with ``--only`` (default: all):
    counts only: hotspot at stride 1, then a sweep of every registered
    benchmark at ``test`` scale, at O0 and after mem2reg at O2 (phis at
    snapshot points), with ``SWEEP_RUNS`` runs each (about 15 s on a
-   2-vCPU machine), where every golden snapshot must also hold ``main``
-   alone on the stack (hercules is the one benchmark with a callee).
+   2-vCPU machine), where every golden snapshot's head must also be a
+   block of ``main`` (hercules is the one benchmark with a callee).
    Every checkpointed campaign must run checkpointed and have trials
    that rejoined, so the phase cannot pass with checkpointing degraded
    or convergence off.
@@ -55,13 +55,16 @@ Six phases, selectable with ``--only`` (default: all):
    runs on every registered benchmark at ``test`` scale, at O0 and O2,
    on both engines.
 
-5. **batch-tier** — FI campaigns on every registered benchmark, batch
-   tier vs codegen tier.  Campaign counts must be bit-identical at 1,
-   8 and 64 lanes with no scalar fallbacks, lanes must actually peel
-   (divergences observed), and 1000-run cold campaigns on the
-   compute-dense subset (hotspot, sad, blackscholes, lulesh) must beat
-   codegen by the geomean speedup threshold.  Requires numpy (skipped
-   with a notice when absent — the tier then degrades to codegen).
+5. **batch-tier** — checkpointed FI campaigns on every registered
+   benchmark, batch tier vs codegen tier.  Campaign counts must be
+   bit-identical at 1, 8 and 64 lanes with no scalar fallbacks; summed
+   over the benchmarks, divergent branches must have re-merged in
+   lockstep, lanes must have left lockstep (re-run as scalar trials),
+   and some of those re-runs must have rejoined the golden run.  Then
+   1000-run cold campaigns on the compute-dense subset (hotspot, sad,
+   blackscholes, lulesh) must beat codegen by the geomean speedup
+   threshold.  Requires numpy (skipped with a notice when absent — the
+   tier then degrades to codegen).
 
 6. **tuples** — derive the model tuples of the registered benchmarks at
    ``default`` scale, the scale of perfbench's ``predict``: each operand
@@ -287,16 +290,6 @@ def fi_checkpoint(speedup: float, runs: int) -> None:
 SHIFTED_RUNS = 200
 
 
-def checkpointed_trial(injector: FaultInjector, capture, injection):
-    """One trial as a checkpointed campaign runs it: resumed from its
-    snapshot, or cold from main, and free to rejoin the golden run."""
-    snapshot = capture.snapshot_for(injection)
-    if snapshot is not None:
-        return capture.resume(snapshot, injection, injector.hang_budget)
-    return injector.engine.run(injection, injector.hang_budget,
-                               rejoin=capture)
-
-
 def shifted_rejoins() -> None:
     """Checkpointed trials equal cold runs one by one, and some rejoin
     the golden run at a shifted dynamic count."""
@@ -308,7 +301,7 @@ def shifted_rejoins() -> None:
         shifted, differing = 0, []
         for _ in range(SHIFTED_RUNS):
             injection = injector.sample_injection(rng)
-            trial = checkpointed_trial(injector, capture, injection)
+            trial = capture.trial(injection, budget)
             if trial != engine.run(injection, budget):
                 differing.append(injection)
             shifted += (trial.golden_suffix > 0 and trial.dynamic_count
@@ -328,7 +321,7 @@ SWEEP_RUNS = 1000
 
 def checkpoint_sweep() -> None:
     """Counts only, on every benchmark at ``test`` scale and O0 and O2,
-    and every golden snapshot holds main alone on the stack."""
+    and every golden snapshot's head is a block of main."""
     started = time.perf_counter()
     for name in BENCHMARK_NAMES:
         module = build_module(name, "test")
@@ -336,10 +329,11 @@ def checkpoint_sweep() -> None:
             label = f"{name} O{level}"
             warm = counts_only(label, variant, SWEEP_RUNS)
             snapshots = warm.checkpoints().snapshots
+            heads = set(warm.engine._compiled["main"].blocks.values())
             check(
-                all(len(s.frames) == 1 for s in snapshots),
-                f"{label}: all {len(snapshots)} golden snapshots hold "
-                f"main alone",
+                all(s.cblock in heads for s in snapshots),
+                f"{label}: all {len(snapshots)} golden snapshots are "
+                f"taken at heads of main",
             )
     print(f"   sweep of {len(BENCHMARK_NAMES)} benchmarks at {SWEEP_RUNS} "
           f"runs: {time.perf_counter() - started:.1f}s")
@@ -462,7 +456,7 @@ def codegen_trials() -> None:
         differing = []
         for _ in range(CODEGEN_TRIALS):
             injection = injector.sample_injection(rng)
-            trial = checkpointed_trial(injector, capture, injection)
+            trial = capture.trial(injection, injector.hang_budget)
             if trial != reference.run(injection, injector.hang_budget):
                 differing.append(injection)
         check(not differing,
@@ -515,11 +509,10 @@ BATCH_LANE_COUNTS = (1, 8, 64)
 
 
 def batch_tier(speedup: float, runs: int) -> None:
-    """Batch tier vs codegen: identical counts at every lane count and
-    in both divergence modes (park-and-remerge and peel-and-drain),
+    """Batch tier vs codegen: identical counts at every lane count, both
+    divergence paths exercised (park-and-remerge, and lanes that leave
+    lockstep re-run as trials that may rejoin the golden run), and
     faster cold campaigns where there is compute to amortize."""
-    import os
-
     from repro.interp import TIER_BATCH
     from repro.interp.batch import HAVE_NUMPY
 
@@ -528,47 +521,41 @@ def batch_tier(speedup: float, runs: int) -> None:
               "execution; nothing to differentiate")
         return
 
-    reconverged = 0
-    divergences = 0
+    reconverged = drains = rejoined = 0
     for name in BENCHMARK_NAMES:
         module = build_module(name, "test")
         reference = FaultInjector(
             module, interp_tier=TIER_CODEGEN
         ).campaign(120, seed=5)
-        for mode in ("1", "0"):
-            os.environ["REPRO_BATCH_RECONVERGE"] = mode
-            try:
-                for lanes in BATCH_LANE_COUNTS:
-                    # A fresh injector per (mode, lanes): the runner
-                    # reads the mode flag at construction.
-                    result = FaultInjector(
-                        module, interp_tier=TIER_BATCH, batch_lanes=lanes
-                    ).campaign(120, seed=5)
-                    check(
-                        result.counts == reference.counts,
-                        f"{name}: batch campaign counts bit-identical to "
-                        f"codegen at {lanes} lanes "
-                        f"(reconvergence {'on' if mode == '1' else 'off'})",
-                    )
-                    check(
-                        result.batch_fallbacks == 0,
-                        f"{name}: no groups fell back to scalar execution",
-                    )
-                    if mode == "1":
-                        reconverged += result.batch_reconverged
-                    else:
-                        divergences += result.batch_divergences
-            finally:
-                del os.environ["REPRO_BATCH_RECONVERGE"]
+        for lanes in BATCH_LANE_COUNTS:
+            result = FaultInjector(
+                module, interp_tier=TIER_BATCH, batch_lanes=lanes
+            ).campaign(120, seed=5)
+            check(
+                result.counts == reference.counts,
+                f"{name}: batch campaign counts bit-identical to codegen "
+                f"at {lanes} lanes",
+            )
+            check(
+                result.batch_fallbacks == 0,
+                f"{name}: no groups fell back to scalar execution",
+            )
+            reconverged += result.batch_reconverged
+            drains += result.batch_drains
+            rejoined += result.converged_trials
     check(
         reconverged > 0,
         f"multi-lane groups exercised park-and-remerge "
         f"({reconverged:,} branches re-merged)",
     )
     check(
-        divergences > 0,
-        f"multi-lane groups exercised the peel-and-drain path "
-        f"({divergences:,} divergences)",
+        drains > 0,
+        f"lanes left lockstep and re-ran as scalar trials ({drains:,} "
+        f"lanes)",
+    )
+    check(
+        rejoined > 0,
+        f"re-run lanes rejoined the golden run ({rejoined:,} trials)",
     )
 
     speedups = []

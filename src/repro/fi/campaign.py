@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import weakref
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from operator import add
@@ -115,7 +116,7 @@ class CampaignResult:
     #: repository benchmark's tracer (``perfbench/tracer.py``) reads it.
     codegen_fallbacks: int = 0
     #: Batch tier statistics: the lane count groups ran with (a gauge),
-    #: lanes that left lockstep and drained on the scalar tier, and
+    #: lanes that left lockstep and re-ran on the scalar tier, and
     #: whole groups that failed and re-ran their trials scalar (counts
     #: are bit-identical either way).
     batch_lanes: int = _stat(0, max)
@@ -123,8 +124,8 @@ class CampaignResult:
     batch_fallbacks: int = _stat(0, add)
     #: Reconvergence observability: divergent branches whose sides were
     #: re-merged in lockstep (``batch_reconverged``), lanes that left
-    #: lockstep for the scalar drain anyway (``batch_drains``), and the
-    #: dynamic instructions those drained lanes executed scalar
+    #: lockstep and re-ran as scalar trials anyway (``batch_drains``),
+    #: and the dynamic instructions those re-runs executed
     #: (``drain_instructions`` ⊆ ``dynamic_instructions``).
     batch_reconverged: int = _stat(0, add)
     batch_drains: int = _stat(0, add)
@@ -159,8 +160,9 @@ class CampaignResult:
 
     @property
     def drain_fraction(self) -> float:
-        """Share of executed dynamic instructions spent on the scalar
-        drain path — the batch tier's residual divergence cost."""
+        """Share of executed dynamic instructions spent re-running lanes
+        that left lockstep — the batch tier's residual divergence
+        cost."""
         if self.dynamic_instructions <= 0:
             return 0.0
         return self.drain_instructions / self.dynamic_instructions
@@ -253,6 +255,10 @@ _MERGED = tuple((f.name, f.metadata["merge"]) for f in fields(CampaignResult)
                 if f.metadata.get("merge") is not None)
 #: Fields the wire form carries, in wire order.
 _STORED = tuple(f for f in fields(CampaignResult) if f.metadata.get("stored"))
+
+#: The injector that built the last golden capture in this process (a
+#: weak reference, or None); see :meth:`FaultInjector.checkpoints`.
+_capture_holder = None
 
 
 class FaultInjector:
@@ -400,10 +406,20 @@ class FaultInjector:
         self._capture = None
 
     def checkpoints(self):
-        """The lazily-built GoldenCapture, or None when disabled/degraded."""
+        """The lazily-built GoldenCapture, or None when disabled/degraded.
+
+        At most one capture per process stays alive: building one first
+        releases the capture of the injector that built the previous
+        one, which rebuilds it if it runs checkpointed again.
+        """
+        global _capture_holder
         if not self.checkpoint:
             return None
         if self._capture is None:
+            holder = _capture_holder() if _capture_holder is not None else None
+            if holder is not None:
+                holder.release_capture()
+            _capture_holder = weakref.ref(self)
             stride = self.checkpoint_stride
             if stride <= 0:
                 stride = max(
@@ -430,22 +446,14 @@ class FaultInjector:
             return SDC
         return BENIGN
 
-    def _execute_trial(self, injection: Injection, capture, snapshot,
+    def _execute_trial(self, injection: Injection, capture,
                        tally: CampaignResult) -> str:
         """One trial: add its outcome and its executed, skipped and
         converged accounting to ``tally``; return the outcome."""
-        result, prefix = None, 0
+        result = None
         if capture is not None and self.checkpoint:
             try:
-                if snapshot is not None:
-                    result = capture.resume(
-                        snapshot, injection, budget=self.hang_budget
-                    )
-                    prefix = snapshot.dynamic_count
-                else:
-                    result = self.engine.run(
-                        injection, budget=self.hang_budget, rejoin=capture
-                    )
+                result = capture.trial(injection, self.hang_budget)
             except Exception:
                 # Legitimate fault outcomes are classified inside the
                 # run; anything escaping is a checkpoint bug — fall
@@ -455,7 +463,7 @@ class FaultInjector:
         if result is None:
             result = self.engine.run(injection, budget=self.hang_budget)
         outcome = self._classify(result)
-        skipped = prefix + result.golden_suffix
+        skipped = result.golden_prefix + result.golden_suffix
         tally.counts[outcome] += 1
         tally.dynamic_instructions += result.dynamic_count - skipped
         tally.skipped_instructions += skipped
@@ -465,11 +473,7 @@ class FaultInjector:
 
     def run_one(self, injection: Injection) -> str:
         """Execute once with the fault armed and classify the outcome."""
-        capture = self.checkpoints()
-        snapshot = (
-            capture.snapshot_for(injection) if capture is not None else None
-        )
-        return self._execute_trial(injection, capture, snapshot,
+        return self._execute_trial(injection, self.checkpoints(),
                                    CampaignResult())
 
     # ------------------------------------------------------------------
@@ -516,20 +520,15 @@ class FaultInjector:
             result.snapshot_bytes += capture.total_bytes
             result.dynamic_instructions += capture.result.dynamic_count
         if capture is not None:
-            scheduled = [
-                (capture.snapshot_for(injection), injection)
-                for injection in trials
-            ]
-            scheduled.sort(
-                key=lambda pair: pair[0].dynamic_count if pair[0] else 0
-            )
-        else:
-            scheduled = [(None, injection) for injection in trials]
+            def fork_point(injection):
+                snapshot = capture.snapshot_for(injection)
+                return snapshot.dynamic_count if snapshot else 0
+            trials.sort(key=fork_point)
         if self._batch_active():
-            self._run_scheduled_batch(scheduled, capture, result)
+            self._run_scheduled_batch(trials, capture, result)
         else:
-            for snapshot, injection in scheduled:
-                self._execute_trial(injection, capture, snapshot, result)
+            for injection in trials:
+                self._execute_trial(injection, capture, result)
         result.checkpointed = capture is not None
         result.checkpoint_degraded = self.checkpoint_degraded
         result.interp_tier = self.interp_tier
@@ -543,44 +542,32 @@ class FaultInjector:
         """Execute a span's scheduled trials as lockstep groups.
 
         Consecutive trials of the (fork-point-sorted) schedule share a
-        group; the group restores from the *earliest* lane's snapshot,
-        which is sound for every lane because occurrence prefixes are
-        monotone along the golden trace.  A group that fails for any
-        reason re-runs its trials one by one on the scalar path
-        (``batch_fallbacks``) — counts are never lost or changed.
+        group, which restores from the earliest lane's snapshot; a lane
+        that leaves lockstep re-runs as the capture's trial and may
+        rejoin the golden run (``converged_trials``).  A group that
+        fails for any reason re-runs its trials one by one on the
+        scalar path (``batch_fallbacks``) — counts are never lost or
+        changed.
         """
         lanes = self._effective_lanes()
         runner = self.engine.batch_runner()
         result.batch_lanes = max(result.batch_lanes, lanes)
         for start in range(0, len(scheduled), lanes):
-            chunk = scheduled[start:start + lanes]
-            snapshot = chunk[0][0]
-            trials = [injection for _snapshot, injection in chunk]
+            trials = scheduled[start:start + lanes]
             try:
-                if (snapshot is not None and capture is not None
-                        and self.checkpoint):
-                    occurrences = [
-                        capture.prefix_occurrence(snapshot, injection.iid)
-                        for injection in trials
-                    ]
-                    group = runner.run_group(
-                        trials, snapshot=snapshot,
-                        base_outputs=capture.result.outputs[
-                            : snapshot.outputs_len
-                        ],
-                        occurrences=occurrences, budget=self.hang_budget,
-                    )
-                else:
-                    group = runner.run_group(
-                        trials, budget=self.hang_budget
-                    )
+                group = runner.run_group(
+                    trials, capture if self.checkpoint else None,
+                    budget=self.hang_budget,
+                )
             except Exception:
                 result.batch_fallbacks += 1
-                for snap, injection in chunk:
-                    self._execute_trial(injection, capture, snap, result)
+                for injection in trials:
+                    self._execute_trial(injection, capture, result)
                 continue
             for trial_result in group.results:
                 result.counts[self._classify(trial_result)] += 1
+                if trial_result.golden_suffix:
+                    result.converged_trials += 1
             result.dynamic_instructions += group.executed
             result.skipped_instructions += group.skipped
             result.batch_divergences += group.divergences

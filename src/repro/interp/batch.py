@@ -35,15 +35,15 @@ lockstep execution with one lane per trial:
   no post-dominator inside the function (an arm returns, or spins
   without an exit), an alloca anywhere in the divergent region
   (``MemoryState.free`` never rolls back the stack cursor, so merged
-  lanes would disagree on future alloca addresses), or the mask stack
-  at its depth cap — minority lanes are *peeled* the PR-6 way: each
-  lane's scalar state is materialized as a standard checkpoint
-  :class:`~repro.interp.checkpoint.Snapshot` and drained to completion
-  on the scalar codegen tier via
-  :meth:`~repro.interp.engine.ExecutionEngine.resume_snapshot`.
-  ``REPRO_BATCH_RECONVERGE=0`` forces this path everywhere.  Either
-  way no count is ever lost — every lane produces exactly the
-  :class:`~repro.interp.result.RunResult` its scalar run would have.
+  lanes would disagree on future alloca addresses), the mask stack at
+  its depth cap, or a narrow tail of stragglers — minority lanes are
+  *peeled*: each re-runs on the scalar engine as the trial a
+  checkpointed campaign runs (:meth:`GoldenCapture.trial
+  <repro.interp.checkpoint.GoldenCapture.trial>`), from its own
+  snapshot and free to rejoin the golden run, or cold from ``main``
+  without a capture.  Either way no count is ever lost — every lane
+  produces exactly the :class:`~repro.interp.result.RunResult` its
+  scalar run would have.
 
 Semantics discipline (see DESIGN.md §10): numpy dtypes never leak.
 Integers live in uint64 arrays (canonical unsigned form of any width;
@@ -59,8 +59,9 @@ is coerced back to a plain Python ``int``/``float`` first.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..analysis.dominators import VIRTUAL_EXIT, postdominators
-from ..core.env import env_flag
 from ..ir.bitutils import flip_bit_typed, mask, to_signed
 from ..ir.instructions import (
     Alloca,
@@ -77,7 +78,7 @@ from ..ir.instructions import (
     Select,
     Store,
 )
-from .checkpoint import FrameSnap, Snapshot, merge_block_counts
+from .checkpoint import GoldenCapture, Snapshot, merge_block_counts
 from .engine import _T_CBR, _T_JUMP, _Frame
 from .errors import (
     ArithmeticTrap,
@@ -134,14 +135,14 @@ _NO_OUT = object()
 _UNSET = object()
 
 #: Nested reconvergence splits beyond this depth fall back to the
-#: scalar drain.  Loop-exit divergence re-splits once per departing
+#: scalar re-run.  Loop-exit divergence re-splits once per departing
 #: wave of lanes, so the cap bounds recursion without capping the
 #: common one-or-two-deep diamond case.
 _MAX_MASK_DEPTH = 24
 
 #: Tail-drain divisor: once a parked re-split leaves at most
 #: ``lanes // _TAIL_DIV`` lanes still running, the stragglers are
-#: peeled to the scalar drain instead of paying full-width masked
+#: peeled to scalar re-runs instead of paying full-width masked
 #: overhead per op.
 _TAIL_DIV = 8
 
@@ -398,7 +399,7 @@ class _GroupState:
         "lanes", "live", "live_mask", "live_list", "n_live", "memory",
         "outputs", "dynamic_count", "budget", "block_counts", "armed",
         "inject_occurrence", "inject_bit", "occurrence", "activated",
-        "injections", "records", "call_depth", "results", "divergences",
+        "injections", "capture", "call_depth", "results", "divergences",
         "drain_executed", "active", "active_mask", "active_list",
         "n_active", "mask_depth", "dyn_delta", "block_delta", "max_delta",
         "pending_cost", "pending_blocks", "active_peak",
@@ -455,10 +456,8 @@ class _GroupState:
         self.occurrence = [0] * lanes
         self.activated = [False] * lanes
         self.injections: list = [None] * lanes
-        #: Shadow stack of [compiled, frame, cblock, previous, step_index]
-        #: records, so any lane can be materialized as a checkpoint
-        #: Snapshot at a block boundary.
-        self.records: list = []
+        #: The golden capture a peeled lane re-runs from (None: cold).
+        self.capture = None
         self.call_depth = 0
         self.results: list = [None] * lanes
         self.divergences = 0
@@ -500,11 +499,6 @@ class BatchRunner:
             raise InterpreterBug("batch tier requires numpy")
         self.engine = engine
         self._bsteps: dict[int, list] = {}
-        #: Reconvergence on divergent branches (park-and-remerge) vs the
-        #: PR-6 peel-and-drain everywhere.  The env knob exists for the
-        #: CI differential (both modes must be bit-identical to scalar)
-        #: and as an operational escape hatch.
-        self.reconverge = env_flag("REPRO_BATCH_RECONVERGE", True)
         #: id(branch cblock) -> reconvergence target cblock | None.
         self._reconv: dict[int, object] = {}
         #: function name -> immediate post-dominator per block.
@@ -544,7 +538,7 @@ class BatchRunner:
         # that allocate stack memory (directly or via any callee):
         # MemoryState.free never rolls the stack cursor back, so lanes
         # taking different arms would disagree on every later alloca
-        # address — those branches keep the scalar drain.
+        # address — those branches keep the scalar re-run.
         region = set()
         work = list(cblock.block.successors)
         while work:
@@ -592,23 +586,24 @@ class BatchRunner:
     # Public API
     # ------------------------------------------------------------------
 
-    def run_group(self, trials, snapshot: Snapshot | None = None,
-                  base_outputs=None, occurrences=None,
+    def run_group(self, trials, capture: GoldenCapture | None = None,
                   budget: int | None = None) -> GroupOutcome:
         """Execute one group of trials in lockstep.
 
         ``trials[i]`` is the :class:`Injection` for lane ``i`` (or None
-        for a fault-free lane).  With ``snapshot`` the whole group
-        restores from one golden-prefix checkpoint; ``occurrences[i]``
-        must then carry ``prefix_occurrence(snapshot, iid_i)`` and
-        ``base_outputs`` the golden outputs as of the snapshot — the
-        same seeding the scalar resume path uses.
+        for a fault-free lane).  With a ``capture`` the group restores
+        from the earliest of its lanes' snapshots
+        (:meth:`GoldenCapture.snapshot_for`), which is sound for every
+        lane because occurrence prefixes are monotone along the golden
+        trace, or runs cold from ``main`` if a lane has none; a lane
+        that leaves lockstep re-runs as the capture's trial.
         """
         engine = self.engine
         lanes = len(trials)
         if lanes < 1:
             raise ValueError("batch group needs at least one lane")
         sim = _GroupState(lanes, budget or engine.max_dynamic)
+        sim.capture = capture
         for lane, injection in enumerate(trials):
             if injection is None:
                 continue
@@ -617,16 +612,24 @@ class BatchRunner:
             sim.armed.setdefault(injection.iid, []).append(lane)
             sim.inject_occurrence[lane] = injection.occurrence
             sim.inject_bit[lane] = injection.bit
-            if occurrences is not None:
-                sim.occurrence[lane] = occurrences[lane]
+        snapshot = None
+        if capture is not None:
+            points = [capture.snapshot_for(injection)
+                      for injection in trials if injection is not None]
+            if points and None not in points:
+                snapshot = min(points, key=attrgetter("dynamic_count"))
         if snapshot is not None:
+            for lane, injection in enumerate(trials):
+                if injection is not None:
+                    sim.occurrence[lane] = capture.prefix_occurrence(
+                        snapshot, injection.iid)
             sim.memory = MemoryState.restored(
                 dict(snapshot.cells), set(snapshot.valid),
                 snapshot.stack_cursor, snapshot.footprint_bytes,
             )
             sim.dynamic_count = snapshot.dynamic_count
             sim.block_counts = list(snapshot.block_counts)
-            sim.outputs = list(base_outputs) if base_outputs else []
+            sim.outputs = capture.result.outputs[: snapshot.outputs_len]
         else:
             sim.memory = MemoryState(engine.layout)
             sim.block_counts = [0] * engine._n_blocks
@@ -635,7 +638,7 @@ class BatchRunner:
         with np.errstate(all="ignore"):
             try:
                 if snapshot is None:
-                    self._bcall(sim, engine._compiled["main"], [], -1)
+                    self._bcall(sim, engine._compiled["main"], [])
                 else:
                     self._bresume_frame(sim, snapshot)
                 self._finish_live(sim, OK, "")
@@ -709,71 +712,26 @@ class BatchRunner:
         for lane in list(sim.live_list):
             self._finish_lane(sim, lane, outcome, reason, divergence=False)
 
-    def _lane_snapshot(self, sim: _GroupState, lane: int, succ_cblock,
-                       from_cblock) -> Snapshot:
-        """Materialize one lane's scalar state as a checkpoint Snapshot.
-
-        The lane resumes at the top of ``succ_cblock`` entered from
-        ``from_cblock``, with that edge's phi moves still pending (a
-        golden capture snapshots after them); outer frames stay
-        suspended at their recorded call steps.
-        """
-        records = sim.records
-        last = len(records) - 1
-        frames = []
-        for index, (compiled, frame, cblock, previous, step) in \
-                enumerate(records):
-            slots = tuple(_lane_value(v, lane) for v in frame.slots)
-            if index < last:
-                frames.append(FrameSnap(
-                    compiled, slots, dict(frame.allocas),
-                    tuple(frame.owned), cblock, previous, step,
-                ))
-            else:
-                frames.append(FrameSnap(
-                    compiled, slots, dict(frame.allocas),
-                    tuple(frame.owned), succ_cblock, from_cblock, -1,
-                ))
-        memory = sim.memory
-        cells = {}
-        for address, value in memory.cells.items():
-            extracted = _lane_value(value, lane)
-            if extracted is not _MISSING:
-                cells[address] = extracted
-        return Snapshot(
-            dynamic_count=sim.dynamic_count + int(sim.dyn_delta[lane]),
-            frames=tuple(frames),
-            cells=cells,
-            valid=set(memory.valid),
-            stack_cursor=memory.stack_cursor,
-            footprint_bytes=memory.footprint_bytes,
-            outputs_len=len(sim.outputs),
-            block_counts=merge_block_counts(
-                sim.block_counts, sim.block_delta[lane]
-            ),
-        )
-
-    def _peel_lanes(self, sim: _GroupState, lanes, succ_cblock,
-                    from_cblock) -> None:
-        """Drain diverged lanes on the scalar codegen tier."""
+    def _peel_lanes(self, sim: _GroupState, lanes) -> None:
+        """Re-run lanes that leave lockstep on the scalar engine, each as
+        the trial a checkpointed campaign runs (from its own snapshot,
+        free to rejoin the golden run), or cold from ``main`` without a
+        capture.  A lane's re-run is its scalar run, so its result is
+        exact; ``drain_executed`` counts what the re-runs executed."""
         if sim.pending_cost or sim.pending_blocks:
             self._flush_pending(sim)
+        capture = sim.capture
         for lane in lanes:
-            snapshot = self._lane_snapshot(sim, lane, succ_cblock,
-                                           from_cblock)
-            result = self.engine.resume_snapshot(
-                snapshot, sim.injections[lane], sim.budget,
-                occurrence=sim.occurrence[lane],
-                outputs=self._lane_outputs(sim, lane),
-                activated=sim.activated[lane],
-            )
+            injection = sim.injections[lane]
+            if capture is None or injection is None:
+                result = self.engine.run(injection, sim.budget)
+            else:
+                result = capture.trial(injection, sim.budget)
             self._retire_lane(sim, lane)
             sim.divergences += 1
             sim.drains += 1
-            sim.drain_executed += (
-                result.dynamic_count
-                - (sim.dynamic_count + int(sim.dyn_delta[lane]))
-            )
+            sim.drain_executed += (result.dynamic_count - result.golden_prefix
+                                   - result.golden_suffix)
             sim.results[lane] = result
 
     # ------------------------------------------------------------------
@@ -784,9 +742,8 @@ class BatchRunner:
         """Per-lane occurrence bookkeeping + bit flip (cf. _maybe_inject).
 
         Lanes whose flip has fired (and lanes that left the group) are
-        disarmed in place: their occurrence count is frozen at the fire
-        point, so a later peel hands the drain an exact prefix count
-        while the lockstep loop stops paying for bookkeeping.
+        disarmed in place, so the lockstep loop stops paying for their
+        bookkeeping.
         """
         disarm = False
         for lane in lanes_armed:
@@ -819,10 +776,10 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     # Lockstep interpretation loop (mirrors ReferenceEngine's closure
-    # loop, plus the shadow stack that lane snapshots are cut from)
+    # loop)
     # ------------------------------------------------------------------
 
-    def _bcall(self, sim: _GroupState, compiled, args, caller_step: int):
+    def _bcall(self, sim: _GroupState, compiled, args):
         if sim.call_depth >= self.engine.stack_limit:
             raise StackOverflow(
                 f"call depth exceeded {self.engine.stack_limit}"
@@ -830,16 +787,9 @@ class BatchRunner:
         sim.call_depth += 1
         frame = _Frame(compiled.n_slots)
         frame.slots[: compiled.n_args] = args
-        records = sim.records
-        if records:
-            records[-1][4] = caller_step
-        record = [compiled, frame, compiled.entry, None, -1]
-        records.append(record)
         try:
-            return self._bloop(sim, compiled, frame, compiled.entry, None,
-                               record)
+            return self._bloop(sim, compiled, frame, compiled.entry, None)
         finally:
-            records.pop()
             sim.call_depth -= 1
             sim.memory.free(frame.owned)
 
@@ -857,7 +807,7 @@ class BatchRunner:
                 frame.slots[dest] = value
 
     def _branch_target(self, sim: _GroupState, frame, cblock, compiled,
-                       record, cond=_UNSET):
+                       cond=_UNSET):
         """Resolve a conditional branch.
 
         On a divergent condition, the preferred path is park-and-remerge
@@ -865,7 +815,7 @@ class BatchRunner:
         set so the caller skips the already-applied phi moves); when
         that is unsafe — no in-function post-dominator, an alloca in the
         region, or the mask stack at its cap — minority lanes are peeled
-        onto the scalar drain instead.
+        to scalar re-runs instead.
         """
         fetch, true_block, false_block = cblock.term_payload
         if cond is _UNSET:
@@ -878,7 +828,7 @@ class BatchRunner:
             return true_block
         if n_taken == 0:
             return false_block
-        if self.reconverge and sim.mask_depth < _MAX_MASK_DEPTH:
+        if sim.mask_depth < _MAX_MASK_DEPTH:
             target = self._reconv_target(compiled, cblock)
             if target is not None:
                 takers = np.nonzero(taken)[0].tolist()
@@ -886,25 +836,25 @@ class BatchRunner:
                     sim.active_mask & ~taken
                 )[0].tolist()
                 self._split_and_merge(
-                    sim, frame, record, compiled, cblock,
+                    sim, frame, compiled, cblock,
                     takers, true_block, fallers, false_block, target,
                 )
                 sim.just_merged = True
                 return target
         if 2 * n_taken >= sim.n_active:
             fallers = np.nonzero(sim.active_mask & ~taken)[0].tolist()
-            self._peel_lanes(sim, fallers, false_block, cblock)
+            self._peel_lanes(sim, fallers)
             return true_block
         takers = np.nonzero(taken)[0].tolist()
-        self._peel_lanes(sim, takers, true_block, cblock)
+        self._peel_lanes(sim, takers)
         return false_block
 
     # ------------------------------------------------------------------
     # Reconvergence: masked sub-runs, parking, and lane re-merge
     # ------------------------------------------------------------------
 
-    def _split_and_merge(self, sim: _GroupState, frame, record, compiled,
-                         cblock, takers, true_block, fallers, false_block,
+    def _split_and_merge(self, sim: _GroupState, frame, compiled, cblock,
+                         takers, true_block, fallers, false_block,
                          target) -> None:
         """Run both sides of a divergent branch to ``target`` and merge.
 
@@ -933,8 +883,8 @@ class BatchRunner:
             for lanes, start in (
                 (takers, true_block), (fallers, false_block),
             ):
-                merges.extend(self._run_side(sim, frame, record, compiled,
-                                             lanes, start, cblock, target))
+                merges.extend(self._run_side(sim, frame, compiled, lanes,
+                                             start, cblock, target))
         finally:
             sim.mask_depth -= 1
             if sim.mask_depth == 0:
@@ -960,7 +910,7 @@ class BatchRunner:
         if sim.n_active == 0:
             raise _AllLanesDone
 
-    def _run_side(self, sim: _GroupState, frame, record, compiled, lanes,
+    def _run_side(self, sim: _GroupState, frame, compiled, lanes,
                   start_block, branch_block, target):
         """Execute one side's lanes up to the reconvergence block.
 
@@ -977,7 +927,7 @@ class BatchRunner:
         lanes over N iterations costs N parks, not N nesting levels.
         Returns a list of ``(lanes, changed slots)`` merge entries: one
         per in-place park plus one for the lanes that ran to the final
-        park (empty when every lane finished first via trap/hang/drain).
+        park (empty when every lane finished first via trap/hang/peel).
         """
         side_frame = _Frame(compiled.n_slots)
         side_frame.slots[:] = frame.slots
@@ -993,15 +943,11 @@ class BatchRunner:
         sim.active_list = list(lanes)
         sim.n_active = len(lanes)
         self._refresh_active_peak(sim)
-        side_record = [compiled, side_frame, start_block, branch_block, -1]
-        sim.records[-1] = side_record
         parked: list = []
         try:
             block = start_block
             previous = branch_block
             while block is not target:
-                side_record[2] = block
-                side_record[3] = previous
                 self._bphi_moves(sim, side_frame, block, previous)
                 self._side_account(sim, block)
                 for bstep in self._block_steps(compiled, block):
@@ -1033,18 +979,16 @@ class BatchRunner:
                             if sim.n_active <= sim.lanes // _TAIL_DIV:
                                 # Narrow tail: a handful of stragglers
                                 # still looping pay full-width masked
-                                # overhead per op — the scalar drain is
+                                # overhead per op — scalar re-runs are
                                 # cheaper from here on.
-                                self._peel_lanes(
-                                    sim, list(sim.active_list), stay,
-                                    block,
-                                )
+                                self._peel_lanes(sim,
+                                                 list(sim.active_list))
                                 return parked
                             previous = block
                             block = stay
                             continue
                     nxt = self._branch_target(sim, side_frame, block,
-                                              compiled, side_record, cond)
+                                              compiled, cond)
                     if sim.just_merged:
                         sim.just_merged = False
                         previous = None
@@ -1057,8 +1001,6 @@ class BatchRunner:
                     )
             # Park: apply the reconvergence block's phi moves for this
             # side's incoming edge, then leave the merge to the caller.
-            side_record[2] = target
-            side_record[3] = previous
             self._bphi_moves(sim, side_frame, target, previous)
             if sim.pending_cost or sim.pending_blocks:
                 self._flush_pending(sim)
@@ -1072,8 +1014,6 @@ class BatchRunner:
         except DetectionTrap as fault:
             self._finish_side(sim, DETECTED, str(fault))
             return parked
-        finally:
-            sim.records[-1] = record
         survivors = list(sim.active_list)
         if survivors:
             changes = [
@@ -1283,12 +1223,9 @@ class BatchRunner:
                     merged[lane] = value
             parent_slots[index] = merged
 
-    def _bloop(self, sim: _GroupState, compiled, frame, block, previous,
-               record):
+    def _bloop(self, sim: _GroupState, compiled, frame, block, previous):
         block_counts = sim.block_counts
         while True:
-            record[2] = block
-            record[3] = previous
             self._bphi_moves(sim, frame, block, previous)
             if sim.mask_depth:
                 # Re-entered via a nested call made inside a side: keep
@@ -1306,8 +1243,7 @@ class BatchRunner:
                 previous = block
                 block = block.term_payload
             elif kind == _T_CBR:
-                target = self._branch_target(sim, frame, block, compiled,
-                                             record)
+                target = self._branch_target(sim, frame, block, compiled)
                 if sim.just_merged:
                     sim.just_merged = False
                     previous = None
@@ -1319,22 +1255,18 @@ class BatchRunner:
                 return fetch(frame) if fetch is not None else None
 
     def _bresume_frame(self, sim: _GroupState, snapshot: Snapshot):
-        """Restore the one frame of a golden snapshot (``main`` at the
-        head of a block function) and run it in lockstep."""
-        (frec,) = snapshot.frames
-        compiled = frec.compiled
+        """Restore ``main``'s frame from a golden snapshot (at the head
+        of a block function, after its phi moves) and run it in
+        lockstep."""
+        compiled = self.engine._compiled["main"]
         sim.call_depth += 1
         frame = _Frame(compiled.n_slots)
-        frame.slots[:] = frec.slots
-        frame.allocas.update(frec.allocas)
-        frame.owned.extend(frec.owned)
-        record = [compiled, frame, frec.cblock, frec.previous, -1]
-        sim.records.append(record)
+        frame.slots[:] = snapshot.slots
+        frame.allocas.update(snapshot.allocas)
+        frame.owned.extend(snapshot.owned)
         try:
-            return self._bloop(sim, compiled, frame, frec.cblock,
-                               frec.previous, record)
+            return self._bloop(sim, compiled, frame, snapshot.cblock, None)
         finally:
-            sim.records.pop()
             sim.call_depth -= 1
             sim.memory.free(frame.owned)
 
@@ -1365,14 +1297,12 @@ class BatchRunner:
     def _block_steps(self, compiled, cblock):
         steps = self._bsteps.get(id(cblock))
         if steps is None:
-            steps = [
-                self._compile_bstep(compiled, inst, index)
-                for index, inst in enumerate(cblock.step_insts)
-            ]
+            steps = [self._compile_bstep(compiled, inst)
+                     for inst in cblock.step_insts]
             self._bsteps[id(cblock)] = steps
         return steps
 
-    def _compile_bstep(self, compiled, inst, step_index):
+    def _compile_bstep(self, compiled, inst):
         if isinstance(inst, BinOp):
             return self._bstep_binop(compiled, inst)
         if isinstance(inst, ICmp):
@@ -1390,7 +1320,7 @@ class BatchRunner:
         if isinstance(inst, GetElementPtr):
             return self._bstep_gep(compiled, inst)
         if isinstance(inst, Call):
-            return self._bstep_call(compiled, inst, step_index)
+            return self._bstep_call(compiled, inst)
         if isinstance(inst, Output):
             return self._bstep_output(compiled, inst)
         if isinstance(inst, Select):
@@ -1746,7 +1676,7 @@ class BatchRunner:
 
         return bstep
 
-    def _bstep_call(self, compiled, inst, step_index):
+    def _bstep_call(self, compiled, inst):
         fetches = [
             self.engine._fetch(compiled, arg) for arg in inst.args
         ]
@@ -1782,7 +1712,7 @@ class BatchRunner:
 
         def bstep(sim, frame):
             args = [fetch(frame) for fetch in fetches]
-            value = bcall(sim, compiled_map[callee], args, step_index)
+            value = bcall(sim, compiled_map[callee], args)
             if has_result:
                 lanes_armed = sim.armed.get(iid)
                 if lanes_armed:

@@ -10,11 +10,11 @@ remaining suffix — the FastFlip insight applied at execution level.
 
 Snapshots are taken at the heads of ``main``'s block functions (after
 the phi moves of the edge into one) while ``main`` is alone on the
-stack, so a snapshot holds one frame.  That makes the capture points
-cheap to test for and gives a simple occurrence invariant: at a
-capture point, an instruction's completed-execution count is its home
-block's count in ``block_counts``, plus one for a phi of the pending
-block (see :meth:`GoldenCapture.prefix_occurrence`).
+stack, so a snapshot holds ``main``'s frame and nothing else.  That
+makes the capture points cheap to test for and gives a simple occurrence
+invariant: at a capture point, an instruction's completed-execution
+count is its home block's count in ``block_counts``, plus one for a phi
+of the pending block (see :meth:`GoldenCapture.prefix_occurrence`).
 
 A snapshot is immutable once captured and shared read-only by every
 trial that forks from it; :meth:`GoldenCapture.resume` materializes
@@ -84,11 +84,10 @@ def merge_block_counts(shared: list, delta) -> list:
     sparse ``{ordinal: extra}`` deltas on top of the group's shared
     dense array — either one dict or a lane's list of frozen side
     segments, appended by reference as the lane passes through masked
-    sides.  A lane that leaves the group mid-side (trap, hang, or drain
-    through a synthesized :class:`Snapshot`) needs its *own* per-block
-    view, which is the shared array with its deltas folded in.  Always
-    returns a fresh list — snapshots outlive the group state they were
-    cut from.
+    sides.  A lane that finishes mid-side (trap or hang) needs its
+    *own* per-block view, which is the shared array with its deltas
+    folded in.  Always returns a fresh list — a lane's result outlives
+    the group state it was cut from.
     """
     counts = list(shared)
     if delta:
@@ -102,49 +101,29 @@ def merge_block_counts(shared: list, delta) -> list:
     return counts
 
 
-class FrameSnap:
-    """One suspended activation record inside a snapshot.
+class Snapshot:
+    """Resumable image of one point of the golden execution: ``main``,
+    alone on the stack, at the head of one of its block functions.
 
-    ``step_index`` is -1 for the innermost frame, which resumes at the
-    top of ``cblock``; ``previous`` is the block it enters from, whose
-    phi moves are still pending, or None when none are.  A golden
-    snapshot holds one such frame, ``main``'s, with no moves pending.
-    Only a batch lane that leaves lockstep inside a callee has outer
-    frames; each is suspended at the call instruction at position
-    ``step_index`` of its block's step list.
+    Everything a run needs: ``main``'s frame (slots, alloca map, owned
+    stack addresses) and the head block ``cblock``, whose phi moves
+    have run, the memory image (cells, validity set, stack cursor,
+    footprint), the output-buffer length, the per-block execution
+    counts, and the dynamic-instruction index.
     """
 
-    __slots__ = ("compiled", "slots", "allocas", "owned", "cblock",
-                 "previous", "step_index")
+    __slots__ = ("dynamic_count", "cblock", "slots", "allocas", "owned",
+                 "cells", "valid", "stack_cursor", "footprint_bytes",
+                 "outputs_len", "block_counts")
 
-    def __init__(self, compiled, slots, allocas, owned, cblock, previous,
-                 step_index):
-        self.compiled = compiled
+    def __init__(self, dynamic_count, cblock, slots, allocas, owned, cells,
+                 valid, stack_cursor, footprint_bytes, outputs_len,
+                 block_counts):
+        self.dynamic_count = dynamic_count
+        self.cblock = cblock
         self.slots = slots
         self.allocas = allocas
         self.owned = owned
-        self.cblock = cblock
-        self.previous = previous
-        self.step_index = step_index
-
-
-class Snapshot:
-    """Resumable image of one point of the golden execution.
-
-    Everything a run needs: the frames (slots, alloca maps, owned
-    stack addresses, resume positions), the memory image (cells,
-    validity set, stack cursor, footprint), the output-buffer length,
-    the per-block execution counts, and the dynamic-instruction index.
-    """
-
-    __slots__ = ("dynamic_count", "frames", "cells", "valid",
-                 "stack_cursor", "footprint_bytes", "outputs_len",
-                 "block_counts")
-
-    def __init__(self, dynamic_count, frames, cells, valid, stack_cursor,
-                 footprint_bytes, outputs_len, block_counts):
-        self.dynamic_count = dynamic_count
-        self.frames = frames
         self.cells = cells
         self.valid = valid
         self.stack_cursor = stack_cursor
@@ -154,20 +133,14 @@ class Snapshot:
 
     def approx_bytes(self) -> int:
         """Estimated in-memory size (containers + boxed entries)."""
-        total = (
+        return (
             sys.getsizeof(self.cells) + sys.getsizeof(self.valid)
-            + sys.getsizeof(self.block_counts)
+            + sys.getsizeof(self.block_counts) + sys.getsizeof(self.slots)
+            + sys.getsizeof(self.allocas) + sys.getsizeof(self.owned)
             + _ENTRY_BYTES * (2 * len(self.cells) + len(self.valid)
-                              + len(self.block_counts))
+                              + len(self.block_counts) + len(self.slots)
+                              + 2 * len(self.allocas) + len(self.owned))
         )
-        for frame in self.frames:
-            total += (
-                sys.getsizeof(frame.slots) + sys.getsizeof(frame.allocas)
-                + sys.getsizeof(frame.owned)
-                + _ENTRY_BYTES * (len(frame.slots) + 2 * len(frame.allocas)
-                                  + len(frame.owned))
-            )
-        return total
 
 
 class GoldenCapture:
@@ -215,12 +188,12 @@ class GoldenCapture:
         self.rejoin_points = [
             s for s in snapshots
             if total - s.dynamic_count
-            > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
+            > len(s.slots) + len(s.cells) + len(s.valid)
         ]
         #: Their dynamic counts, ascending (the capture order), and the
         #: local indices of their heads in ``main``.
         self.rejoin_counts = [s.dynamic_count for s in self.rejoin_points]
-        self.rejoin_heads = [s.frames[0].cblock.local_index
+        self.rejoin_heads = [s.cblock.local_index
                              for s in self.rejoin_points]
         #: Tests and strict-compare sides by rejoin point, built when a
         #: trial first needs them.
@@ -278,12 +251,12 @@ class GoldenCapture:
         """
         points = [self.rejoin_points[i] for i in members]
         addresses = sorted(set(self.engine.layout.addresses.values()).union(
-            *(point.frames[0].allocas.values() for point in points)))
+            *(point.allocas.values() for point in points)))
         locations = ([(False, slot)
-                      for slot in range(len(points[0].frames[0].slots))]
+                      for slot in range(len(points[0].slots))]
                      + [(True, address) for address in addresses])
         values = chain(
-            zip(*(point.frames[0].slots for point in points)),
+            zip(*(point.slots for point in points)),
             zip(*(tuple(map(point.cells.get, addresses))
                   for point in points)),
         )
@@ -325,7 +298,7 @@ class GoldenCapture:
         if side is None:
             point = self.rejoin_points[index]
             side = self._strict[index] = strict_encoding(
-                point.frames[0].slots, point.cells.values())
+                point.slots, point.cells.values())
         return side
 
     # -- occurrence accounting ----------------------------------------
@@ -358,7 +331,7 @@ class GoldenCapture:
                 column = [s.block_counts[ordinal] for s in self.snapshots]
                 if position < 0:
                     for index, s in enumerate(self.snapshots):
-                        if s.frames[0].cblock.block is block:
+                        if s.cblock.block is block:
                             column[index] += 1
                 self._columns[shared] = column
         self._columns[iid] = column
@@ -401,3 +374,16 @@ class GoldenCapture:
         in ``tests/fi/test_checkpoint.py`` lock in.
         """
         return self.engine.resume_run(self, snapshot, injection, budget)
+
+    def trial(self, injection, budget: int | None = None):
+        """One fault-injection trial as every checkpointed campaign runs
+        it: resumed from the latest snapshot before its fault
+        (:meth:`snapshot_for`), or cold from ``main`` when there is
+        none, and stopped where it rejoins the golden run.  The result
+        equals a cold ``engine.run(injection, budget)``; its
+        ``golden_prefix`` and ``golden_suffix`` are the instructions
+        taken from the golden run instead of executed."""
+        snapshot = self.snapshot_for(injection)
+        if snapshot is None:
+            return self.engine.run(injection, budget, rejoin=self)
+        return self.resume(snapshot, injection, budget)

@@ -1,7 +1,7 @@
 """Generated code: basic blocks compiled to Python functions.
 
 This is how :class:`repro.interp.engine.ExecutionEngine` executes.  The
-engine's closure steps pay a Python call per step plus one or two calls
+tests' closure steps pay a Python call per step plus one or two calls
 per operand fetch.  This module eliminates that dispatch by translating
 every compiled block — and straight-line *superblocks* along
 unconditional-jump chains — into a single Python function generated as
@@ -96,8 +96,8 @@ from .ops import (
 #: Interpreter tier names, a setting of
 #: :class:`repro.fi.campaign.FaultInjector`, and the environment knob
 #: that selects one.  On the batch tier (:mod:`repro.interp.batch`)
-#: campaign trials run in numpy lockstep and diverged lanes drain on
-#: generated block functions.
+#: campaign trials run in numpy lockstep, and a lane that leaves
+#: lockstep re-runs as a trial on the generated block functions.
 TIER_CODEGEN = "codegen"
 TIER_BATCH = "batch"
 TIERS = (TIER_CODEGEN, TIER_BATCH)

@@ -3,12 +3,10 @@
 The engine executes generated code (:mod:`repro.interp.codegen`): each
 basic block becomes one Python function, generated on the engine's
 first run.  This is what makes LLFI-style fault-injection campaigns
-(many thousands of complete executions) tractable in pure Python.  It
-also compiles every instruction into a small Python closure ("step").
-A batch lane that leaves lockstep inside a callee drains with its
-caller suspended mid-block, and the caller finishes that block on its
-steps; :class:`ReferenceEngine` runs every block on them as the tests'
-independent oracle for the generated code.
+(many thousands of complete executions) tractable in pure Python.
+:class:`ReferenceEngine`, the tests' independent oracle for the
+generated code, also compiles every instruction into a small Python
+closure ("step") and runs every block on them.
 
 Fault injection is built in: a run can be armed with an
 :class:`Injection` naming a static instruction, the k-th dynamic
@@ -43,13 +41,7 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .checkpoint import (
-    NO_TEST,
-    FrameSnap,
-    GoldenCapture,
-    Snapshot,
-    strict_encoding,
-)
+from .checkpoint import NO_TEST, GoldenCapture, Snapshot, strict_encoding
 from .codegen import finish_store, generate_function, generate_profile_function
 from .errors import (
     ArithmeticTrap,
@@ -99,9 +91,9 @@ class Injection:
 def _maybe_inject(state, value, value_type):
     """Occurrence bookkeeping + bit flip for the armed injection.
 
-    Shared by the closure steps, the generated inject variants, and the
-    phi-move helper: every code location that can produce the armed
-    instruction's value must route through this exact bookkeeping.
+    Shared by the generated inject variants and the reference engine's
+    steps and phi-move helper: every code location that can produce the
+    armed instruction's value must route through this exact bookkeeping.
     """
     state.occurrence += 1
     if state.occurrence != state.inject_occurrence:
@@ -157,16 +149,15 @@ def _same_state(state, frame, index: int, snapshot: Snapshot,
     local of the generated code, so its slot is ``None`` on both sides:
     only slots that can be live at a block-function head can differ.
     """
-    main = snapshot.frames[0]
-    if index != main.cblock.local_index:
+    if index != snapshot.cblock.local_index:
         return False
     slots = tuple(frame.slots)
-    if slots != main.slots:
+    if slots != snapshot.slots:
         return False
     memory = state.memory
     cells = snapshot.cells
     if not (memory.stack_cursor == snapshot.stack_cursor
-            and frame.allocas == main.allocas
+            and frame.allocas == snapshot.allocas
             and memory.cells == cells
             and memory.valid == snapshot.valid):
         return False
@@ -178,9 +169,9 @@ def _apply_phi_moves(state, frame, block, previous) -> None:
     """Parallel phi copy for entering ``block`` from ``previous``.
 
     Evaluate every incoming value first, then assign with per-phi
-    injection checks — the one definition the reference engine's loop
-    and the generated code's block-entry path share, so they cannot
-    diverge.
+    injection checks: the reference engine's loop runs it, and the
+    generated code emits the same order
+    (``codegen._FunctionCodegen.emit_phi_moves``).
     """
     if block.phi_moves is None:
         return
@@ -306,10 +297,12 @@ class _CompiledBlock:
 
     def __init__(self, block):
         self.block = block
+        #: The closure steps, parallel to ``step_insts``: filled only by
+        #: :class:`ReferenceEngine`, the one engine that runs them.
         self.steps = []
-        #: Source instruction of each step, parallel to ``steps`` — a
-        #: batch lane drained inside a callee maps its caller's step
-        #: index back to the call whose return value the caller places.
+        #: The block's instructions but its phis and terminator, in
+        #: order: what the generated code, the batch tier's steps and
+        #: the closure steps each execute.
         self.step_insts = []
         self.term_kind = _T_RET
         self.term_payload = None
@@ -563,8 +556,7 @@ class ExecutionEngine:
         frame = _Frame(compiled.n_slots)
         frame.slots[: compiled.n_args] = args
         try:
-            return self._enter_block(compiled, frame, compiled.entry, None,
-                                     state)
+            return self._enter_block(compiled, frame, compiled.entry, state)
         finally:
             state.call_depth -= 1
             if state.call_depth:
@@ -680,10 +672,10 @@ class ExecutionEngine:
         state.dynamic_count += suffix
         return True
 
-    def _enter_block(self, compiled, frame, block, previous, state: _State):
-        """Run from the top of ``block``, entered from ``previous``
-        (None: no phi moves are pending), on the generated code."""
-        _apply_phi_moves(state, frame, block, previous)
+    def _enter_block(self, compiled, frame, block, state: _State):
+        """Run from the top of ``block`` on the generated code.  Every
+        entry is a call's entry block or a golden snapshot's head, after
+        its phi moves, so none are pending."""
         return self._cg_run(compiled, frame, block.local_index, state)
 
     # ------------------------------------------------------------------
@@ -733,11 +725,10 @@ class ExecutionEngine:
         memory = state.memory
         state.snapshots.append(Snapshot(
             dynamic_count=state.dynamic_count,
-            frames=(FrameSnap(
-                compiled, tuple(frame.slots), dict(frame.allocas),
-                tuple(frame.owned), list(compiled.blocks.values())[index],
-                None, -1,
-            ),),
+            cblock=list(compiled.blocks.values())[index],
+            slots=tuple(frame.slots),
+            allocas=dict(frame.allocas),
+            owned=tuple(frame.owned),
             cells=dict(memory.cells),
             valid=set(memory.valid),
             stack_cursor=memory.stack_cursor,
@@ -753,8 +744,8 @@ class ExecutionEngine:
     def instruction_home(self, iid: int):
         """(home IR block, step position) of an instruction, or None.
 
-        Position is the index in the home block's step list; phis are
-        -1 (they execute as edge moves before any step).  Terminators
+        Position is the index in the home block's ``step_insts``; phis
+        are -1 (they execute as edge moves before any step).  Terminators
         and instructions of other modules have no home here.
         """
         if self._homes is None:
@@ -778,37 +769,9 @@ class ExecutionEngine:
         :meth:`GoldenCapture.snapshot_for` guarantees it): the restored
         state is bit-identical to the cold run's state at that point,
         and the engine holds no wall-clock or RNG state that could make
-        the suffix diverge.
-        """
-        occurrence = 0
-        if injection is not None:
-            # The prefix already executed this many occurrences of the
-            # target; the armed occurrence must fire in the suffix.
-            occurrence = capture.prefix_occurrence(snapshot, injection.iid)
-        return self.resume_snapshot(
-            snapshot, injection, budget,
-            occurrence=occurrence,
-            outputs=capture.result.outputs[: snapshot.outputs_len],
-            rejoin=capture,
-        )
-
-    def resume_snapshot(self, snapshot: Snapshot,
-                        injection: Injection | None = None,
-                        budget: int | None = None, *,
-                        occurrence: int = 0,
-                        outputs: list | None = None,
-                        activated: bool = False,
-                        rejoin: GoldenCapture | None = None) -> RunResult:
-        """Execute a suffix from an explicit mid-run state.
-
-        The general form of :meth:`resume_run`: callers provide the
-        occurrence count the prefix already consumed and the output
-        buffer as of the snapshot, and optionally the capture the trial
-        may rejoin (as in :meth:`run`).  The batch tier uses this to
-        drain a diverged lane — its snapshot is synthesized from
-        lockstep state rather than a golden capture, and a lane whose
-        fault already fired hands over ``activated=True`` with its
-        occurrence count so the armed instance cannot fire twice.
+        the suffix diverge.  A trial may stop where it rejoins the
+        golden run, as in :meth:`run`; the result's ``golden_prefix``
+        is the snapshot's dynamic count.
         """
         self._prepare_dispatch()
         state = _State(
@@ -819,52 +782,31 @@ class ExecutionEngine:
             budget or self.max_dynamic,
         )
         state.call = self._call
-        state.outputs = list(outputs) if outputs is not None else []
+        state.outputs = capture.result.outputs[: snapshot.outputs_len]
         state.dynamic_count = snapshot.dynamic_count
         state.block_counts = list(snapshot.block_counts)
-        state.activated = activated
-        state.occurrence = occurrence
-        self._arm(state, injection, rejoin)
-        return self._classified(state, self._resume_frame, snapshot, 0,
-                                state)
+        self._arm(state, injection, capture)
+        if injection is not None:
+            # The prefix already executed this many occurrences of the
+            # target; the armed occurrence must fire in the suffix.
+            state.occurrence = capture.prefix_occurrence(snapshot,
+                                                         injection.iid)
+        result = self._classified(state, self._resume_frame, snapshot,
+                                  state)
+        result.golden_prefix = snapshot.dynamic_count
+        return result
 
-    def _resume_frame(self, snapshot: Snapshot, depth: int, state: _State):
-        """Rebuild one activation record and continue its execution.
-
-        The innermost frame resumes at the top of its block, entered
-        from ``previous`` (None: no phi moves are pending); a golden
-        snapshot holds only that frame, ``main``'s.  Outer frames come
-        from batch lanes drained inside a callee and are suspended at a
-        call step: the callee (the next frame) resumes first, then its
-        return value is placed exactly as the call step would have
-        (injection hook included) and the block's remaining steps run.
-        As in :meth:`_call`, main's frame is not freed.
-        """
-        frec = snapshot.frames[depth]
-        compiled = frec.compiled
-        state.call_depth += 1
+    def _resume_frame(self, snapshot: Snapshot, state: _State):
+        """Rebuild ``main``'s frame from a golden snapshot and run it
+        from the snapshot's head.  As in :meth:`_call`, main's frame is
+        not freed."""
+        compiled = self._compiled["main"]
+        state.call_depth = 1
         frame = _Frame(compiled.n_slots)
-        frame.slots[:] = frec.slots
-        frame.allocas.update(frec.allocas)
-        frame.owned.extend(frec.owned)
-        try:
-            if depth + 1 < len(snapshot.frames):
-                value = self._resume_frame(snapshot, depth + 1, state)
-                cblock = frec.cblock
-                inst = cblock.step_insts[frec.step_index]
-                if inst.has_result:
-                    if state.inject_iid == inst.iid:
-                        value = self._maybe_inject(state, value, inst.type)
-                    frame.slots[compiled.slot_of[id(inst)]] = value
-                return self._loop_from(
-                    compiled, frame, cblock, frec.step_index + 1, state
-                )
-            return self._enter_block(compiled, frame, frec.cblock,
-                                     frec.previous, state)
-        finally:
-            state.call_depth -= 1
-            if state.call_depth:
-                state.memory.free(frame.owned)
+        frame.slots[:] = snapshot.slots
+        frame.allocas.update(snapshot.allocas)
+        frame.owned.extend(snapshot.owned)
+        return self._enter_block(compiled, frame, snapshot.cblock, state)
 
     def batch_runner(self):
         """The lazily-built lockstep batch runner for this engine.
@@ -878,23 +820,6 @@ class ExecutionEngine:
             from .batch import BatchRunner
             self._batch_runner = BatchRunner(self)
         return self._batch_runner
-
-    def _loop_from(self, compiled, frame, cblock, start: int, state: _State):
-        """Finish a block on its steps from step ``start``, then enter
-        its successor."""
-        steps = cblock.steps
-        for index in range(start, len(steps)):
-            steps[index](state, frame)
-        kind = cblock.term_kind
-        if kind == _T_RET:
-            fetch = cblock.term_payload
-            return fetch(frame) if fetch is not None else None
-        if kind == _T_JUMP:
-            block = cblock.term_payload
-        else:  # _T_CBR
-            fetch, true_block, false_block = cblock.term_payload
-            block = true_block if fetch(frame) else false_block
-        return self._enter_block(compiled, frame, block, cblock, state)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -913,7 +838,6 @@ class ExecutionEngine:
                     self._compile_terminator(compiled, cblock, inst, block_map)
                 else:
                     cblock.step_insts.append(inst)
-                    cblock.steps.append(self._compile_step(compiled, inst))
             cblock.cost = len(block.instructions)
         # Phi nodes become parallel copies on each incoming edge.
         for block, cblock in block_map.items():
@@ -971,6 +895,60 @@ class ExecutionEngine:
         else:
             raise InterpreterBug(f"unknown terminator {inst!r}")
 
+    #: The armed injection's bookkeeping (module level), bound by the
+    #: generated code's namespace and the reference engine's steps.
+    _maybe_inject = staticmethod(_maybe_inject)
+
+
+class ReferenceEngine(ExecutionEngine):
+    """An engine that runs every block on the closure steps.
+
+    The tests' independent oracle for the generated code: it differs
+    from :class:`ExecutionEngine` only in dispatch, and the steps share
+    nothing with the codegen templates but :mod:`repro.interp.ops`.
+    It is the one engine that compiles them (``cblock.steps`` stays
+    empty on every other).  Its runs generate no code.  Capture still
+    generates the fast variant and runs ``main``'s block functions on it
+    (callees on the closure loop), so a trial can resume from its
+    snapshots at ``main``'s heads, but a trial never tests a rejoin
+    point.  Nothing in the package constructs one.
+    """
+
+    def __init__(self, module: Module, max_dynamic: int = 20_000_000,
+                 stack_limit: int = 256):
+        super().__init__(module, max_dynamic, stack_limit)
+        for compiled in self._compiled.values():
+            for cblock in compiled.blocks.values():
+                cblock.steps = [self._compile_step(compiled, inst)
+                                for inst in cblock.step_insts]
+
+    def _prepare_dispatch(self) -> None:
+        """The closure loop needs no generated code."""
+
+    def _enter_block(self, compiled, frame, block, state: _State):
+        """The closure dispatch loop, from the top of ``block``."""
+        block_counts = state.block_counts
+        previous = None
+        while True:
+            _apply_phi_moves(state, frame, block, previous)
+            state.dynamic_count += block.cost
+            if state.dynamic_count > state.budget:
+                raise HangFault(state.dynamic_count)
+            block_counts[block.ordinal] += 1
+            for step in block.steps:
+                step(state, frame)
+            kind = block.term_kind
+            if kind == _T_JUMP:
+                previous = block
+                block = block.term_payload
+            elif kind == _T_CBR:
+                fetch, true_block, false_block = block.term_payload
+                previous = block
+                block = true_block if fetch(frame) else false_block
+            else:  # _T_RET
+                fetch = block.term_payload
+                return fetch(frame) if fetch is not None else None
+
     # -- step compilation ---------------------------------------------------
 
     def _compile_step(self, compiled, inst: Instruction):
@@ -999,11 +977,6 @@ class ExecutionEngine:
         if isinstance(inst, Detect):
             return self._step_detect(compiled, inst)
         raise InterpreterBug(f"cannot compile {inst!r}")
-
-    #: One shared definition (module level) serves the steps and the
-    #: generated code; kept as a static method so the step closures
-    #: below read naturally.
-    _maybe_inject = staticmethod(_maybe_inject)
 
     def _step_binop(self, compiled, inst: BinOp):
         fa = self._fetch(compiled, inst.lhs)
@@ -1244,44 +1217,3 @@ class ExecutionEngine:
             raise DetectionTrap(f"detect #{iid}: {a!r} != {b!r}")
 
         return step
-
-
-class ReferenceEngine(ExecutionEngine):
-    """An engine that runs every block on the closure steps.
-
-    The tests' independent oracle for the generated code: it differs
-    from :class:`ExecutionEngine` only in dispatch, and the steps share
-    nothing with the codegen templates but :mod:`repro.interp.ops`.
-    Its runs generate no code.  Capture still generates the fast
-    variant and runs ``main``'s block functions on it (callees on the
-    closure loop), so a trial can resume from its snapshots at
-    ``main``'s heads, but a trial never tests a rejoin point.  Nothing
-    in the package constructs one.
-    """
-
-    def _prepare_dispatch(self) -> None:
-        """The closure loop needs no generated code."""
-
-    def _enter_block(self, compiled, frame, block, previous, state: _State):
-        """The closure dispatch loop, from the top of ``block`` (entered
-        from ``previous``)."""
-        block_counts = state.block_counts
-        while True:
-            _apply_phi_moves(state, frame, block, previous)
-            state.dynamic_count += block.cost
-            if state.dynamic_count > state.budget:
-                raise HangFault(state.dynamic_count)
-            block_counts[block.ordinal] += 1
-            for step in block.steps:
-                step(state, frame)
-            kind = block.term_kind
-            if kind == _T_JUMP:
-                previous = block
-                block = block.term_payload
-            elif kind == _T_CBR:
-                fetch, true_block, false_block = block.term_payload
-                previous = block
-                block = true_block if fetch(frame) else false_block
-            else:  # _T_RET
-                fetch = block.term_payload
-                return fetch(frame) if fetch is not None else None

@@ -27,9 +27,11 @@ class RunResult:
     block_counts: dict = field(init=False)
     #: Peak memory footprint in bytes (globals + stack), for the crash model.
     footprint_bytes: int = 0
-    #: Dynamic instructions at the end of the run taken over from the
-    #: golden run instead of executed: a fault-injection trial that
-    #: rejoined it.  Bookkeeping, not behaviour, so equality ignores it.
+    #: Dynamic instructions taken over from the golden run instead of
+    #: executed: at the start, by a trial resumed from a snapshot, and
+    #: at the end, by a fault-injection trial that rejoined it.
+    #: Bookkeeping, not behaviour, so equality ignores them.
+    golden_prefix: int = field(default=0, compare=False)
     golden_suffix: int = field(default=0, compare=False)
     #: The run's dense per-block counters, and the engine's blocks in
     #: counter order.

@@ -90,9 +90,9 @@ class ModuleCache:
     fingerprint) and, after the first campaign on it, its injector: the
     compiled engine plus the golden summary.  The entries' instruction
     total stays at most :data:`MAX_CACHED_INSTRUCTIONS`; an entry that
-    alone exceeds it is built and used, but not kept.  Handing out an
-    injector drops the checkpoint capture of every other entry, so at
-    most one capture per process stays alive.  A lock guards the
+    alone exceeds it is built and used, but not kept.  At most one
+    checkpoint capture per process stays alive, whichever injector
+    holds it (:meth:`FaultInjector.checkpoints`).  A lock guards the
     entries, because the daemon's submit threads read modules while its
     dispatcher thread runs campaigns; materialization and injector
     builds run outside it.  Failures are never cached.
@@ -113,9 +113,6 @@ class ModuleCache:
         earlier campaign's."""
         entry = self._entry(spec)
         with self._lock:
-            for other in self._entries.values():
-                if other is not entry and other.injector is not None:
-                    other.injector.release_capture()
             injector = entry.injector
         if injector is not None:
             return injector

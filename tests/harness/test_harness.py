@@ -1,8 +1,11 @@
 """The experiment harness: every table/figure runner produces sound
 results on a scaled-down configuration."""
 
+import gc
+
 import pytest
 
+from repro.cache import configure_cache
 from repro.harness import (
     ExperimentConfig,
     Workspace,
@@ -14,6 +17,8 @@ from repro.harness import (
     run_table1,
     run_table2,
 )
+from repro.harness.context import QUICK
+from repro.interp import GoldenCapture
 
 TINY = ExperimentConfig(
     scale="test", fi_samples=150, model_samples=150,
@@ -26,6 +31,26 @@ TINY = ExperimentConfig(
 @pytest.fixture(scope="module")
 def workspace():
     return Workspace(TINY)
+
+
+class TestCaptures:
+    def test_cold_fig5_render_keeps_one_capture_alive(self, tmp_path):
+        """Each program's injector stays with the workspace, but building
+        a golden capture releases the one built before it, so a cold
+        render holds at most one capture, not one per program."""
+        workspace = Workspace(QUICK)
+        configure_cache(tmp_path)
+        try:
+            run_experiment("fig5", workspace)
+        finally:
+            configure_cache(None)
+        gc.collect()
+        engines = {id(workspace.context(name).engine)
+                   for name in QUICK.benchmarks}
+        live = [obj for obj in gc.get_objects()
+                if isinstance(obj, GoldenCapture)
+                and id(obj.engine) in engines]
+        assert len(live) <= 1
 
 
 class TestTable1:

@@ -1,13 +1,14 @@
 """Batch-tier lane semantics: divergence, drain, and accounting.
 
 The lockstep executor's contract is that per-lane results are exactly
-what the scalar tiers would produce for the same injections — lanes
-that diverge from group control flow are peeled onto the scalar drain
-path, never dropped or approximated.  These tests build small modules
-where the divergence mechanics are fully predictable (one branch flip,
-one division trap, one store disagreement) and check each lane against
-a scalar reference run, plus the ``GroupOutcome``/``CampaignResult``
-throughput and divergence accounting around them.
+what the scalar tiers would produce for the same injections — lanes that
+diverge from group control flow and cannot re-merge are peeled and
+re-run on the scalar engine, never dropped or approximated.  These tests
+build small modules where the divergence mechanics are fully predictable
+(one branch flip, one division trap, one store disagreement) and check
+each lane against a scalar reference run, plus the
+``GroupOutcome``/``CampaignResult`` throughput and divergence accounting
+around them.
 """
 
 from __future__ import annotations
@@ -177,26 +178,6 @@ def test_branch_divergence_reconverges_without_drain():
         _assert_lane_matches(result, expected)
 
 
-def test_branch_divergence_peels_one_lane(monkeypatch):
-    """With reconvergence disabled the old contract holds: the minority
-    lane is peeled onto the scalar drain."""
-    monkeypatch.setenv("REPRO_BATCH_RECONVERGE", "0")
-    module, probe = branch_module()
-    engine = ExecutionEngine(module)
-    injection = Injection(probe.iid, 1, 30)
-    trials = [None, injection, None, None]
-    group = engine.batch_runner().run_group(trials)
-    assert len(group.results) == 4
-    assert group.divergences == 1
-    assert group.drains == 1
-    assert group.reconverged == 0
-    golden = engine.golden()
-    reference = _scalar_reference(module, injection)
-    for lane, result in enumerate(group.results):
-        expected = reference if trials[lane] is injection else golden
-        _assert_lane_matches(result, expected)
-
-
 def test_nested_divergence_reconverges_both_levels():
     module, probe = nested_branch_module()
     engine = ExecutionEngine(module)
@@ -354,24 +335,6 @@ def test_campaign_counts_match_scalar_tiers_and_count_divergences():
     assert batch.batch_reconverged > 0
     assert batch.batch_drains == 0
     assert batch.drain_fraction == 0.0
-
-
-def test_campaign_peel_mode_counts_divergences(monkeypatch):
-    """REPRO_BATCH_RECONVERGE=0 restores drain-only divergence handling
-    with identical outcome counts."""
-    monkeypatch.setenv("REPRO_BATCH_RECONVERGE", "0")
-    module, _probe = branch_module()
-    reference = FaultInjector(
-        module, interp_tier=TIER_CODEGEN, checkpoint=False
-    ).campaign(80, seed=3)
-    batch = FaultInjector(
-        module, interp_tier=TIER_BATCH, checkpoint=False, batch_lanes=8,
-    ).campaign(80, seed=3)
-    assert batch.counts == reference.counts
-    assert batch.batch_divergences > 0
-    assert batch.batch_drains > 0
-    assert batch.batch_reconverged == 0
-    assert batch.drain_fraction > 0.0
 
 
 def test_numpy_absence_degrades_to_codegen(monkeypatch):

@@ -6,9 +6,9 @@ contract is that each lane's result is bit-identical to (a) a cold
 scalar run with the same injection and (b) the reference engine's
 checkpointed resume.  Stride 1 snapshots at every head of main's block
 functions, inside loop bodies; a stride beyond the trace length
-degenerates to cold starts and must change nothing.  A golden snapshot
-holds main alone, so a frame suspended at a call step comes only from
-a lane that leaves lockstep inside a callee.
+degenerates to cold starts and must change nothing.  A lane that leaves
+lockstep (anywhere, inside a callee too) re-runs as the capture's
+checkpointed trial, so it may rejoin the golden run.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from __future__ import annotations
 import pytest
 
 from repro.fi.campaign import FaultInjector
+from repro.fi.seeds import rng_for
 from repro.interp.batch import HAVE_NUMPY, BatchRunner
 from repro.interp.codegen import TIER_BATCH, TIER_CODEGEN
 from repro.interp.engine import ExecutionEngine, Injection, ReferenceEngine
 from repro.ir import I32, Module
 from repro.ir.dsl import FunctionBuilder
+from tests.conftest import cached_module
 from tests.interp.test_checkpoint import build_calling_module
 
 pytestmark = pytest.mark.skipif(
@@ -69,17 +71,19 @@ def test_group_resume_from_midblock_snapshots():
         Injection(probe.iid, occurrence, bit)
         for occurrence, bit in ((12, 3), (13, 30), (20, 0), (40, 14))
     ]
-    snapshot = capture.snapshot_for(trials[0])
-    assert snapshot is not None and snapshot.frames
-    occurrences = [
-        capture.prefix_occurrence(snapshot, injection.iid)
-        for injection in trials
-    ]
-    group = engine.batch_runner().run_group(
-        trials, snapshot=snapshot,
-        base_outputs=capture.result.outputs[: snapshot.outputs_len],
-        occurrences=occurrences,
-    )
+    earliest = capture.snapshot_for(trials[0])
+    assert earliest is not None and earliest.dynamic_count > 0
+    restores = []
+    runner = engine.batch_runner()
+    bresume = runner._bresume_frame
+
+    def recording(sim, snapshot):
+        restores.append(snapshot)
+        return bresume(sim, snapshot)
+
+    runner._bresume_frame = recording
+    group = runner.run_group(trials, capture)
+    assert restores == [earliest]
     for injection, result in zip(trials, group.results):
         cold = ExecutionEngine(module).run(injection=injection)
         assert result.outcome == cold.outcome
@@ -120,28 +124,73 @@ def test_checkpointed_equals_cold_batch_campaign():
     assert warm.skipped_instructions > cold.skipped_instructions
 
 
+def record_peels(monkeypatch) -> list:
+    """``(call depth, lanes)`` of every peel of lanes that leave
+    lockstep from here on."""
+    peels = []
+    peel_lanes = BatchRunner._peel_lanes
+
+    def recording(self, sim, lanes):
+        peels.append((sim.call_depth, list(lanes)))
+        return peel_lanes(self, sim, lanes)
+
+    monkeypatch.setattr(BatchRunner, "_peel_lanes", recording)
+    return peels
+
+
 @pytest.mark.parametrize("lanes", [8, 64])
 def test_lanes_drain_from_inside_a_callee(monkeypatch, lanes):
     """Golden snapshots hold main alone, but a lane can leave lockstep
-    inside a callee: it drains through a synthesized snapshot with the
-    caller suspended at its call step, which the scalar engine resumes
-    callee first and then finishes the caller's block on its steps."""
-    module = build_calling_module()
-    depths = []
-    lane_snapshot = BatchRunner._lane_snapshot
+    inside a callee; it re-runs as an ordinary checkpointed trial, so
+    its counts are its scalar run's."""
+    peels = record_peels(monkeypatch)
+    for module in (build_calling_module(), cached_module("hercules")):
+        codegen = FaultInjector(module, interp_tier=TIER_CODEGEN).campaign(
+            300, seed=5
+        )
+        batch = FaultInjector(
+            module, interp_tier=TIER_BATCH, checkpoint=True,
+            batch_lanes=lanes,
+        ).campaign(300, seed=5)
+        assert batch.counts == codegen.counts
+        assert batch.checkpointed and batch.batch_fallbacks == 0
+    assert max((depth for depth, _lanes in peels), default=0) > 1, \
+        "no lane left lockstep inside a callee"
 
-    def recording(self, sim, lane, succ_cblock, from_cblock):
-        snapshot = lane_snapshot(self, sim, lane, succ_cblock, from_cblock)
-        depths.append(len(snapshot.frames))
-        return snapshot
 
-    monkeypatch.setattr(BatchRunner, "_lane_snapshot", recording)
-    codegen = FaultInjector(module, interp_tier=TIER_CODEGEN).campaign(
-        300, seed=5
+def test_drained_lanes_rejoin_the_golden_run(monkeypatch):
+    """A lane that leaves lockstep re-runs as the capture's trial: every
+    lane's result equals ``capture.trial``'s, a re-run lane's field for
+    field with the golden prefix and suffix it took over, and some
+    re-runs rejoin the golden run, so the campaign reports converged
+    trials."""
+    module = cached_module("sad")
+    injector = FaultInjector(module, interp_tier=TIER_BATCH, batch_lanes=64)
+    capture = injector.checkpoints()
+    budget = injector.hang_budget
+    trials = sorted(
+        (injector.sample_injection(rng_for(3, run)) for run in range(128)),
+        key=lambda injection: getattr(capture.snapshot_for(injection),
+                                      "dynamic_count", 0),
     )
-    batch = FaultInjector(
-        module, interp_tier=TIER_BATCH, checkpoint=True, batch_lanes=lanes,
-    ).campaign(300, seed=5)
-    assert batch.counts == codegen.counts
-    assert batch.checkpointed and batch.batch_fallbacks == 0
-    assert max(depths, default=0) > 1, "no lane drained inside the callee"
+    peels = record_peels(monkeypatch)
+    runner = injector.engine.batch_runner()
+    rerun = rejoined = 0
+    for start in range(0, len(trials), 64):
+        group = trials[start:start + 64]
+        peels.clear()
+        results = runner.run_group(group, capture, budget=budget).results
+        peeled = {lane for _depth, lanes in peels for lane in lanes}
+        for lane, (injection, result) in enumerate(zip(group, results)):
+            trial = capture.trial(injection, budget)
+            assert result == trial
+            if lane in peeled:
+                assert (result.golden_prefix, result.golden_suffix) == (
+                    trial.golden_prefix, trial.golden_suffix)
+                rerun += 1
+                rejoined += result.golden_suffix > 0
+    assert rerun > 0, "no lane left lockstep"
+    assert rejoined > 0, "no re-run lane rejoined the golden run"
+    campaign = injector.campaign(300, seed=0)
+    assert campaign.batch_drains > 0
+    assert campaign.converged_trials > 0

@@ -78,16 +78,6 @@ def build_signed_zero_module() -> Module:
     return module.finalize()
 
 
-def checkpointed_trial(capture, injection, budget: int):
-    """A trial as a campaign runs it: resumed from the latest snapshot
-    before its fault, or from ``main`` when there is none, and stopped
-    where it rejoins the golden run."""
-    snapshot = capture.snapshot_for(injection)
-    if snapshot is None:
-        return capture.engine.run(injection, budget, rejoin=capture)
-    return capture.resume(snapshot, injection, budget)
-
-
 def random_injections(module, golden, count: int, seed: int):
     """``count`` random faults over the instructions ``golden`` ran."""
     counts = golden.instruction_counts()
@@ -133,18 +123,17 @@ class TestCapture:
         main = engine._compiled["main"]
         capture = engine.capture(stride)
         assert capture.snapshots
+        heads = list(main.blocks.values())
         for snapshot in capture.snapshots:
-            (frame,) = snapshot.frames
-            assert frame.compiled is main
-            assert frame.cblock in main.blocks.values()
-            assert frame.step_index == -1 and frame.previous is None
+            assert snapshot.cblock in heads
+            assert len(snapshot.slots) == main.n_slots
         # A stride-1 capture snapshots every head of main but the first
         # (at count 0); the stride-``stride`` schedule takes the first
         # head at or past each of its points.
-        heads = [s.dynamic_count
-                 for s in engine.capture(1, 10**6).snapshots]
+        points = [s.dynamic_count
+                  for s in engine.capture(1, 10**6).snapshots]
         expected, due = [], stride
-        for count in heads:
+        for count in points:
             if count >= due:
                 expected.append(count)
                 due = count + stride
@@ -153,7 +142,7 @@ class TestCapture:
         assert capture.rejoin_points == [
             s for s in capture.snapshots
             if total - s.dynamic_count
-            > len(s.frames[0].slots) + len(s.cells) + len(s.valid)
+            > len(s.slots) + len(s.cells) + len(s.valid)
         ]
 
 
@@ -296,7 +285,7 @@ class TestOccurrenceAccounting:
         def prefix(snapshot, iid):
             block, position = engine.instruction_home(iid)
             count = snapshot.block_counts[engine.block_ordinal(block)]
-            if position < 0 and snapshot.frames[0].cblock.block is block:
+            if position < 0 and snapshot.cblock.block is block:
                 count += 1
             return count
 
@@ -324,7 +313,7 @@ class TestOccurrenceAccounting:
 
     def test_phis_at_snapshot_points(self):
         """A snapshot sits after the phi moves of the edge into its
-        innermost block, so those phis count as executed.  Inject every
+        head block, so those phis count as executed.  Inject every
         such phi at the occurrences on either side of the snapshot and
         resume: had the count come up one short, the occurrence just
         before the snapshot would fork from it and flip the next
@@ -335,7 +324,7 @@ class TestOccurrenceAccounting:
             engine = ExecutionEngine(module)
             capture = engine.capture(stride=1)
             for snapshot in capture.snapshots:
-                for phi in snapshot.frames[-1].cblock.block.phis():
+                for phi in snapshot.cblock.block.phis():
                     done = capture.prefix_occurrence(snapshot, phi.iid)
                     for occurrence in (done, done + 1):
                         injection = Injection(phi.iid, occurrence, 0)
@@ -415,7 +404,7 @@ class TestRejoin:
         budget = 10 * golden.dynamic_count
         shifted = 0
         for injection in random_injections(module, golden, 300, 21):
-            trial = checkpointed_trial(capture, injection, budget)
+            trial = capture.trial(injection, budget)
             assert trial == engine.run(injection, budget)
             shifted += (trial.golden_suffix > 0
                         and trial.dynamic_count != golden.dynamic_count)
@@ -431,20 +420,19 @@ class TestRejoin:
         golden = engine.golden()
         capture = engine.capture(max(1, golden.dynamic_count // 192))
         for injection in random_injections(module, golden, 300, 21):
-            trial = checkpointed_trial(capture, injection,
-                                       10 * golden.dynamic_count)
+            trial = capture.trial(injection, 10 * golden.dynamic_count)
             if trial.golden_suffix and (trial.dynamic_count
                                         > golden.dynamic_count):
                 break
         else:
             pytest.fail("no trial rejoined behind the golden run")
         total = trial.dynamic_count
-        fits = checkpointed_trial(capture, injection, total)
+        fits = capture.trial(injection, total)
         assert fits == engine.run(injection, total)
         assert fits.golden_suffix > 0
         cold = engine.run(injection, total - 1)
         assert cold.outcome == HANG
-        short = checkpointed_trial(capture, injection, total - 1)
+        short = capture.trial(injection, total - 1)
         assert short == cold
         assert short.golden_suffix == 0
 
@@ -473,12 +461,11 @@ class TestRejoinKeys:
         capture = self.capture()
         for index, point in enumerate(capture.rejoin_points):
             head, until, *first, rest = capture.rejoin_test(index)
-            main = point.frames[0]
-            assert head == main.cblock.local_index
+            assert head == point.cblock.local_index
             assert until > point.dynamic_count
             assert 1 <= 1 + len(rest) <= KEY_LOCATIONS
             for in_cells, where, value in (tuple(first), *rest):
-                held = point.cells.get(where) if in_cells else main.slots[
+                held = point.cells.get(where) if in_cells else point.slots[
                     where]
                 assert held == value
 
@@ -490,7 +477,6 @@ class TestRejoinKeys:
         capture = self.capture()
         index = len(capture.rejoin_points) // 2
         point = capture.rejoin_points[index]
-        main = point.frames[0]
         head, _until, *first, rest = capture.rejoin_test(index)
         keyed = {where for in_cells, where, _ in (tuple(first), *rest)
                  if in_cells}
@@ -507,9 +493,9 @@ class TestRejoinKeys:
         state.block_counts = list(point.block_counts)
         state.rejoin = capture
         _schedule_rejoin(state, index)
-        frame = _Frame(main.compiled.n_slots)
-        frame.slots[:] = main.slots
-        frame.allocas.update(main.allocas)
+        frame = _Frame(len(point.slots))
+        frame.slots[:] = point.slots
+        frame.allocas.update(point.allocas)
         rejoined = capture.engine._rejoin(state, frame, head)
         return rejoined, state, capture
 
@@ -541,21 +527,20 @@ class TestStrictCompare:
         base = engine.capture(stride=1).rejoin_points[0]
         address = min(base.valid)
         golden = Snapshot(
-            base.dynamic_count, base.frames,
-            {**base.cells, address: golden_value}, base.valid,
+            base.dynamic_count, base.cblock, base.slots, base.allocas,
+            base.owned, {**base.cells, address: golden_value}, base.valid,
             base.stack_cursor, base.footprint_bytes, base.outputs_len,
             base.block_counts,
         )
-        main = golden.frames[0]
         state = _State(MemoryState.restored(
             {**base.cells, address: trial_value}, set(base.valid),
             base.stack_cursor, base.footprint_bytes,
         ), budget=10**6)
-        frame = _Frame(main.compiled.n_slots)
-        frame.slots[:] = main.slots
-        frame.allocas.update(main.allocas)
-        return _same_state(state, frame, main.cblock.local_index, golden,
-                           strict_encoding(main.slots,
+        frame = _Frame(len(golden.slots))
+        frame.slots[:] = golden.slots
+        frame.allocas.update(golden.allocas)
+        return _same_state(state, frame, golden.cblock.local_index, golden,
+                           strict_encoding(golden.slots,
                                            golden.cells.values()))
 
     def test_equal_values_match(self):

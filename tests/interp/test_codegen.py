@@ -133,6 +133,19 @@ def generations(monkeypatch):
 
 
 class TestGenerationOnFirstUse:
+    def test_only_the_reference_engine_compiles_closure_steps(self):
+        """Production runs one implementation of the opcodes, the
+        generated code: an engine's blocks carry no closure steps, and
+        the reference engine's carry one per instruction."""
+        module = cached_module("hercules")
+        production = ExecutionEngine(module)
+        reference = ReferenceEngine(module)
+        for engine, filled in ((production, False), (reference, True)):
+            for compiled in engine._compiled.values():
+                for cblock in compiled.blocks.values():
+                    expected = len(cblock.step_insts) if filled else 0
+                    assert len(cblock.steps) == expected
+
     def test_profiling_and_reference_runs_generate_nothing(self,
                                                           generations):
         module = cached_module("hercules")

@@ -140,8 +140,8 @@ class TestBlockLocals:
                        for key in block_locals(main.function)]
         assert local_slots and capture.snapshots
         for snapshot in capture.snapshots:
-            slots = snapshot.frames[0].slots
-            assert all(slots[index] is None for index in local_slots)
+            assert all(snapshot.slots[index] is None
+                       for index in local_slots)
 
     def test_rejoined_trials_return_the_cold_result(self):
         module = cached_module("sad")
