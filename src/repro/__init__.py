@@ -36,7 +36,6 @@ from .core import (
     Trident,
     TridentConfig,
     build_all_models,
-    build_model,
     fs_fc_config,
     fs_only_config,
     trident_config,
@@ -57,7 +56,7 @@ __all__ = [
     "ExperimentConfig", "FaultInjector", "FunctionBuilder", "Injection",
     "Module", "OptimizationReport", "ProfilingInterpreter", "ProgramProfile", "PvfModel", "ResilienceReport",
     "RunResult", "Trident", "TridentConfig", "Workspace", "__version__",
-    "all_benchmarks", "build_all_models", "build_model", "build_module",
+    "all_benchmarks", "build_all_models", "build_module",
     "evaluate_protection", "fs_fc_config", "fs_only_config",
     "generate_report", "knapsack_select", "load_profile", "optimize", "parse_module", "print_module", "run_all", "save_profile",
     "run_experiment", "trident_config",

@@ -33,9 +33,6 @@ class VulnerabilityModel:
                                    shared=shared_queries)
         self._compute_deps: set = set()
         self._cache: dict[int, float] = {}
-        #: Optional persistence hook (repro.cache.bind_model_results).
-        self.result_sink = None
-        self._flushed_results = 0
         self.eligible: list[int] = []
         self._weights: list[int] = []
         for inst in module.instructions():
@@ -85,22 +82,6 @@ class VulnerabilityModel:
             local, value, engine.deps_for(self._compute_deps, exclude=home)
         )
 
-    def warm_cache(self, results: dict[int, float]) -> int:
-        """Adopt fingerprint-keyed results (see Trident.warm_cache)."""
-        self._cache.update(results)
-        self._flushed_results = len(self._cache)
-        return len(results)
-
-    def cached_results(self) -> dict[int, float]:
-        return dict(self._cache)
-
-    def _flush_results(self) -> None:
-        if (self.result_sink is not None
-                and len(self._cache) > self._flushed_results):
-            self.result_sink(dict(self._cache))
-            self._flushed_results = len(self._cache)
-        self.queries.flush()
-
     def overall(self, samples: int = 3000, seed: int = 0) -> float:
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
@@ -111,7 +92,7 @@ class VulnerabilityModel:
         result = sum(
             self.instruction_vulnerability(iid) for iid in picks
         ) / samples
-        self._flush_results()
+        self.queries.flush()
         return result
 
     def overall_exact(self) -> float:
@@ -122,7 +103,7 @@ class VulnerabilityModel:
             w * self.instruction_vulnerability(iid)
             for iid, w in zip(self.eligible, self._weights)
         ) / total
-        self._flush_results()
+        self.queries.flush()
         return result
 
     # -- helper shared by both baselines -----------------------------------

@@ -1,7 +1,7 @@
 """Typed artifacts on top of the raw disk cache.
 
-Four artifact kinds, all keyed (directly or indirectly) on the module
-fingerprint so a stale entry is unreachable by construction:
+Five artifact kinds, all keyed (directly or indirectly) on module or
+function content so a stale entry is unreachable by construction:
 
 * ``profile``  — serialized :class:`ProgramProfile` plus the profiled
   program outputs (extends :mod:`repro.profiling.serialize`); key =
@@ -10,31 +10,36 @@ fingerprint so a stale entry is unreachable by construction:
   (outputs, per-instruction counts, dynamic count); key = fingerprint.
   Campaign workers load it instead of re-executing the fault-free run
   after re-materializing a :class:`ModuleSpec`.
-* ``model``    — per-instruction SDC/vulnerability results of one model
-  (TRIDENT, fs+fc, fs, PVF, ePVF); key = fingerprint + model name +
-  config digest + profile digest.
+* ``model_fn`` — one function's entries of a persisted model query
+  (``model.sdc``, ``model.pvf``, ``model.epvf``): the only stored model
+  results.  Key = query + the function's content and profile-slice
+  input key + the query's config projection + model salt (see
+  :func:`function_results_key`).
 * ``campaign`` — merged FI campaign counts; key = fingerprint + every
   knob that can change the executed run set (runs, seed, stopping
   rule, and the target instruction of a per-instruction campaign).
   Serialization of the result itself lives on
   :class:`repro.fi.campaign.CampaignResult` to keep this package free
   of an fi dependency.
+* ``shard``    — one completed shard's partial campaign counts, scoped
+  under its campaign key (see :func:`shard_key`).
+
+A kind directory this module does not name (left by an older store)
+is inert: nothing reads it, and ``repro cache prune``/``clear`` remove
+its entries.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from ..profiling.profile import ProgramProfile
 from ..profiling.serialize import profile_from_dict, profile_to_dict
 from .disk import ArtifactCache, get_cache
-from .fingerprint import combine_key, config_digest, module_fingerprint
+from .fingerprint import combine_key, module_fingerprint
 
 PROFILE_KIND = "profile"
 GOLDEN_KIND = "golden"
-MODEL_KIND = "model"
 MODEL_FN_KIND = "model_fn"
 CAMPAIGN_KIND = "campaign"
 SHARD_KIND = "shard"
@@ -88,31 +93,6 @@ def cached_profile(
     profile, outputs = ProfilingInterpreter(module).run()
     store_cached_profile(cache, key, profile, outputs)
     return profile, outputs
-
-
-def profile_digest(profile: ProgramProfile) -> str:
-    """Content digest of a profile (memoized on the object).
-
-    Model results depend on the profile as much as on the module, and a
-    profile may arrive from anywhere (a fresh run, the disk cache, a
-    file a user edited); hashing its canonical serialization keys model
-    artifacts on what the model actually consumed.  That excludes
-    ``profiling_seconds``: it is wall time, so two fresh profiles of one
-    module would never share a model-result key.  ProgramProfile is a
-    mutable (unhashable) dataclass, so the memo rides on the instance
-    itself rather than in a WeakKeyDictionary.
-    """
-    digest = getattr(profile, "_cache_digest", None)
-    if digest is None:
-        data = profile_to_dict(profile)
-        del data["profiling_seconds"]
-        canonical = json.dumps(data, sort_keys=True)
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
-        try:
-            profile._cache_digest = digest
-        except AttributeError:
-            pass  # slotted/frozen profile: just recompute next time
-    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -185,68 +165,6 @@ def store_golden_summary(cache: ArtifactCache, key: str,
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction model results
-
-
-def model_key(fingerprint: str, model_name: str, config_digest: str,
-              profile_dig: str) -> str:
-    return combine_key("model", fingerprint, model_name, config_digest,
-                       profile_dig)
-
-
-def load_model_results(cache: ArtifactCache,
-                       key: str) -> dict[int, float] | None:
-    payload = cache.load(MODEL_KIND, key)
-    if payload is None:
-        return None
-    try:
-        return {int(k): float(v) for k, v in payload["results"].items()}
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def store_model_results(cache: ArtifactCache, key: str,
-                        results: dict[int, float]) -> bool:
-    payload = {"results": {str(k): v for k, v in results.items()}}
-    return cache.store(MODEL_KIND, key, payload)
-
-
-def model_results_key(module, profile: ProgramProfile, model_name: str,
-                      config, extra=None) -> str:
-    """Key for one model's per-instruction results over one profile.
-
-    ``extra`` carries model inputs living outside the config dataclass
-    (e.g. ePVF's FI-measured crash probability).
-    """
-    return model_key(
-        module_fingerprint(module), model_name,
-        config_digest(config),
-        combine_key(profile_digest(profile), extra),
-    )
-
-
-def bind_model_results(cache: ArtifactCache, model, model_name: str,
-                       extra=None) -> int:
-    """Warm a model from the cache and arrange write-back.
-
-    Works for any model exposing ``module``/``profile``/``config``,
-    ``warm_cache`` and a ``result_sink`` attribute (Trident and the
-    PVF/ePVF baselines).  Returns how many per-instruction results were
-    restored; newly computed results are persisted whenever the model
-    finishes a bulk prediction.
-    """
-    key = model_results_key(model.module, model.profile, model_name,
-                            model.config, extra)
-    cached = load_model_results(cache, key)
-    if cached:
-        model.warm_cache(cached)
-    model.result_sink = lambda results: store_model_results(
-        cache, key, results
-    )
-    return len(cached or {})
-
-
-# ---------------------------------------------------------------------------
 # Per-function model-result envelopes (the query pipeline's disk layer)
 
 
@@ -257,8 +175,7 @@ def function_results_key(query: str, input_key: str,
 
     ``input_key`` is the function's combined (canonical-fingerprint,
     profile-slice-digest) content address, so warm CI runs reuse the
-    *unchanged functions* of an edited module across commits — the
-    whole-module ``model`` kind only ever matches identical modules.
+    *unchanged functions* of an edited module across commits.
 
     ``scope`` is the function *name* for interprocedural queries: two
     content-identical functions compute identical intra-function

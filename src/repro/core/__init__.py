@@ -14,7 +14,6 @@ from .simple_models import (
     ALL_MODEL_NAMES,
     MODEL_NAMES,
     build_all_models,
-    build_model,
     create_model,
 )
 from .trident import Trident
@@ -24,6 +23,6 @@ __all__ = [
     "ALL_MODEL_NAMES", "ControlFlowSubModel", "IDENTITY", "MODEL_NAMES",
     "MemorySubModel", "PropTuple", "SequenceResult", "StaticSubModel",
     "Trident", "TridentConfig", "TupleDeriver", "build_all_models",
-    "build_model", "create_model", "fs_fc_config", "fs_only_config",
+    "create_model", "fs_fc_config", "fs_only_config",
     "output_masking_factor", "trident_config",
 ]

@@ -24,72 +24,50 @@ MODEL_NAMES = ("trident", "fs+fc", "fs")
 ALL_MODEL_NAMES = MODEL_NAMES + ("pvf", "epvf")
 
 
-def build_model(name: str, module: Module,
-                profile: ProgramProfile) -> Trident:
-    """Build one of the three models by name ("trident", "fs+fc", "fs")."""
-    if name == "trident":
-        return Trident(module, profile, trident_config())
-    if name in ("fs+fc", "fs_fc"):
-        return Trident(module, profile, fs_fc_config())
-    if name in ("fs", "fs_only"):
-        return Trident(module, profile, fs_only_config())
-    raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-
-
 def create_model(name: str, module: Module, profile: ProgramProfile, *,
-                 config=None, warm: bool = True, extra=None,
+                 config=None,
                  measured_crash_probability: float | None = None,
-                 shared: bool | None = None):
+                 shared: bool = True):
     """The one factory every harness and report builds models through.
 
     * ``config`` overrides the name-derived config (ablation studies).
-    * ``warm=True`` binds the model to the artifact cache
-      (:func:`repro.cache.bind_model_results`) so whole-module results
-      persist and reload across runs.
-    * ``shared`` controls query-store sharing; it defaults to ``warm``
-      so that cold-timing measurements (``warm=False``) also get an
-      isolated query engine and honestly recompute everything.
-    * ``measured_crash_probability`` is forwarded to ePVF (and folded
-      into its store salt / cache key).
+    * ``shared`` (the default) lets the model's query engine share the
+      process-wide per-function stores and read and write the persisted
+      ones (``model.sdc``, ``model.pvf``, ``model.epvf``), the only
+      stored model results.  ``shared=False`` gives it private stores,
+      so cold-timing measurements (fig6) honestly recompute everything.
+    * ``measured_crash_probability`` is forwarded to ePVF, which salts
+      its store key with it.
     """
-    from ..cache import bind_model_results, get_cache
-
-    if shared is None:
-        shared = warm
     lowered = name.lower()
     if lowered == "trident":
-        model = Trident(module, profile, config or trident_config(),
-                        shared_queries=shared)
-    elif lowered in ("fs+fc", "fs_fc"):
-        model = Trident(module, profile, config or fs_fc_config(),
-                        shared_queries=shared)
-    elif lowered in ("fs", "fs_only"):
-        model = Trident(module, profile, config or fs_only_config(),
-                        shared_queries=shared)
-    elif lowered == "pvf":
+        return Trident(module, profile, config or trident_config(),
+                       shared_queries=shared)
+    if lowered in ("fs+fc", "fs_fc"):
+        return Trident(module, profile, config or fs_fc_config(),
+                       shared_queries=shared)
+    if lowered in ("fs", "fs_only"):
+        return Trident(module, profile, config or fs_only_config(),
+                       shared_queries=shared)
+    if lowered == "pvf":
         from ..baselines.pvf import PvfModel
 
-        model = PvfModel(module, profile, config, shared_queries=shared)
-    elif lowered == "epvf":
+        return PvfModel(module, profile, config, shared_queries=shared)
+    if lowered == "epvf":
         from ..baselines.epvf import EpvfModel
 
-        model = EpvfModel(
+        return EpvfModel(
             module, profile, config,
             measured_crash_probability=measured_crash_probability,
             shared_queries=shared,
         )
-    else:
-        raise ValueError(
-            f"unknown model {name!r}; expected one of {ALL_MODEL_NAMES}"
-        )
-    if warm:
-        if lowered == "epvf" and extra is None:
-            extra = measured_crash_probability
-        bind_model_results(get_cache(), model, lowered, extra)
-    return model
+    raise ValueError(
+        f"unknown model {name!r}; expected one of {ALL_MODEL_NAMES}"
+    )
 
 
 def build_all_models(module: Module,
                      profile: ProgramProfile) -> dict[str, Trident]:
     """All three models sharing one profile (as in the evaluation)."""
-    return {name: build_model(name, module, profile) for name in MODEL_NAMES}
+    return {name: create_model(name, module, profile)
+            for name in MODEL_NAMES}

@@ -74,11 +74,6 @@ class Trident:
             self.weigher, engine=self.queries,
         )
         self._sdc_cache: dict[int, float] = {}
-        #: Optional persistence hook (see repro.cache.bind_model_results):
-        #: called with the full per-instruction result map when a bulk
-        #: prediction finishes and new results were computed.
-        self.result_sink = None
-        self._flushed_results = 0
         #: Cumulative wall-clock seconds spent in inference.
         self.inference_seconds = 0.0
         # Injection-eligible instructions (same definition as the fault
@@ -106,33 +101,6 @@ class Trident:
             module, sample_cap=sample_cap, seed=seed
         ).run()
         return cls(module, profile, config)
-
-    # ------------------------------------------------------------------
-    # Result-cache plumbing (content-addressed warm starts)
-    # ------------------------------------------------------------------
-
-    def warm_cache(self, results: dict[int, float]) -> int:
-        """Adopt previously computed per-instruction SDC results.
-
-        Only callers that key the mapping on the module fingerprint,
-        the model config and the profile digest (repro.cache) may warm
-        a model — under those keys the cached values are bit-identical
-        to what :meth:`instruction_sdc` would compute.
-        """
-        self._sdc_cache.update(results)
-        self._flushed_results = len(self._sdc_cache)
-        return len(results)
-
-    def cached_results(self) -> dict[int, float]:
-        """Snapshot of every per-instruction result computed so far."""
-        return dict(self._sdc_cache)
-
-    def _flush_results(self) -> None:
-        if (self.result_sink is not None
-                and len(self._sdc_cache) > self._flushed_results):
-            self.result_sink(dict(self._sdc_cache))
-            self._flushed_results = len(self._sdc_cache)
-        self.queries.flush()
 
     # ------------------------------------------------------------------
     # Per-instruction prediction
@@ -240,7 +208,7 @@ class Trident:
         rng = random.Random(seed)
         picks = rng.choices(self.eligible, weights=self._weights, k=samples)
         result = sum(self.instruction_sdc(iid) for iid in picks) / samples
-        self._flush_results()
+        self.queries.flush()
         return result
 
     def overall_sdc_exact(self) -> float:
@@ -251,7 +219,7 @@ class Trident:
         acc = 0.0
         for iid, weight in zip(self.eligible, self._weights):
             acc += weight * self.instruction_sdc(iid)
-        self._flush_results()
+        self.queries.flush()
         return acc / total_weight
 
     def sdc_map(self, iids=None) -> dict[int, float]:
@@ -259,7 +227,7 @@ class Trident:
         if iids is None:
             iids = self.eligible
         result = {iid: self.instruction_sdc(iid) for iid in iids}
-        self._flush_results()
+        self.queries.flush()
         return result
 
     # ------------------------------------------------------------------

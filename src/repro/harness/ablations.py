@@ -83,8 +83,7 @@ def run_ablations(workspace: Workspace) -> AblationResult:
         fi_crash[ctx.name] = campaign.crash_probability
         for variant, variant_config in ABLATIONS.items():
             model = create_model("trident", ctx.module, ctx.profile,
-                                 config=variant_config,
-                                 extra=variant)
+                                 config=variant_config)
             predictions[variant][ctx.name] = model.overall_sdc(
                 samples=config.model_samples, seed=config.seed
             )

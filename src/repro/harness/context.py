@@ -119,16 +119,16 @@ class BenchmarkContext:
         return FaultInjector(self.module, self.engine,
                              golden=golden_summary(self.module, self.engine))
 
-    def model(self, name: str, warm: bool = True) -> Trident:
+    def model(self, name: str, shared: bool = True) -> Trident:
         """A freshly-built model over the cached profile.
 
-        With ``warm`` (the default) the model's per-instruction results
-        are restored from — and persisted back to — the artifact cache
-        and its query engine shares the process-wide per-function
-        stores; fig6's timing sweeps pass ``warm=False`` to measure true
-        cold inference cost on an isolated engine.
+        With ``shared`` (the default) its query engine reads and writes
+        the process-wide per-function stores and their persisted
+        per-instruction results; fig6's timing sweeps pass
+        ``shared=False`` to measure true cold inference cost on an
+        isolated engine.
         """
-        return create_model(name, self.module, self.profile, warm=warm)
+        return create_model(name, self.module, self.profile, shared=shared)
 
     def fi_campaign(self, runs: int | None = None, seed: int | None = None,
                     target: int | None = None) -> CampaignResult:

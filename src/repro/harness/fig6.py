@@ -112,7 +112,7 @@ def run_fig6(workspace: Workspace) -> Fig6Result:
         total = 0.0
         for ctx in contexts:
             # fresh and unwarmed: fig6 measures true cold inference cost
-            model = ctx.model("trident", warm=False)
+            model = ctx.model("trident", shared=False)
             started = time.perf_counter()
             model.overall_sdc(samples=n, seed=config.seed)
             inference = time.perf_counter() - started
@@ -129,7 +129,7 @@ def run_fig6(workspace: Workspace) -> Fig6Result:
         total = 0.0
         for ctx in contexts:
             iids = ctx.injector.eligible_iids()[:count]
-            model = ctx.model("trident", warm=False)
+            model = ctx.model("trident", shared=False)
             started = time.perf_counter()
             for iid in iids:
                 model.instruction_sdc(iid)

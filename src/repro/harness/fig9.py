@@ -59,7 +59,7 @@ def run_fig9(workspace: Workspace) -> Fig9Result:
         # Paper-faithful substitution: ePVF's crash model is replaced by
         # the FI-measured crash probability (Sec. VII-C).  The measured
         # probability is a model input from outside the config, so it
-        # joins the cache key as ``extra``.
+        # salts ePVF's query-store key.
         epvf_model = create_model(
             "epvf", ctx.module, ctx.profile,
             measured_crash_probability=campaign.crash_probability,

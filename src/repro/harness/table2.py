@@ -68,8 +68,10 @@ def run_table2(workspace: Workspace) -> Table2Result:
         ]
         p_values = {}
         for name in MODEL_NAMES:
-            model = ctx.model(name)
-            predicted = [model.instruction_sdc(iid) for iid in iids]
+            # sdc_map flushes the model's query stores, so a warm render
+            # reads every prediction back from the store.
+            sdc = ctx.model(name).sdc_map(iids)
+            predicted = [sdc[iid] for iid in iids]
             result = paired_t_test(predicted, measured)
             p_values[name] = result.p_value
             if result.rejects_null():

@@ -6,27 +6,27 @@ import pytest
 
 from repro.cache import (
     GoldenSummary,
-    bind_model_results,
     campaign_key,
     configure_cache,
+    get_cache,
     golden_key,
     load_cached_profile,
+    load_function_results,
     load_golden_summary,
-    load_model_results,
-    model_results_key,
     module_fingerprint,
-    profile_digest,
     profile_key,
     store_cached_profile,
+    store_function_results,
     store_golden_summary,
-    store_model_results,
 )
-from repro.core.simple_models import build_model, create_model
+from repro.cache.artifacts import MODEL_FN_KIND
+from repro.core.simple_models import ALL_MODEL_NAMES, create_model
 from repro.fi.campaign import OUTCOMES, SDC, CampaignResult, FaultInjector
 from repro.interp.engine import ExecutionEngine
 from repro.profiling import ProfilingInterpreter
 from repro.profiling.serialize import profile_to_dict
 from repro.query import reset_query_stores
+from repro.query.keys import LocalIndex, function_input_keys
 from tests.conftest import cached_module, cached_profile
 
 
@@ -45,24 +45,39 @@ class TestProfileArtifacts:
         restored = load_cached_profile(cache, key)
         assert restored is not None
         assert profile_to_dict(restored) == profile_to_dict(profile)
-        assert profile_digest(restored) == profile_digest(profile)
+        assert (function_input_keys(module, restored)
+                == function_input_keys(module, profile))
 
     def test_digest_ignores_wall_time(self):
+        """Two fresh profiles of one module key every function alike,
+        so model results stored under one serve the other."""
         module = cached_module("pathfinder")
         first, _ = ProfilingInterpreter(module).run()
         second, _ = ProfilingInterpreter(module).run()
         second.profiling_seconds = first.profiling_seconds + 1.0
-        assert profile_digest(first) == profile_digest(second)
+        assert (function_input_keys(module, first)
+                == function_input_keys(module, second))
 
     def test_digest_sees_one_changed_operand_sample(self):
-        module = cached_module("pathfinder")
+        # hercules has a callee, so "exactly one function" is a claim.
+        module = cached_module("hercules")
         reference, _ = ProfilingInterpreter(module).run()
+        # Edited before its first key computation: the profile slices
+        # are memoized on the profile object.
         edited, _ = ProfilingInterpreter(module).run()
-        iid, samples = next(iter(edited.operand_samples.items()))
+        home = LocalIndex.of(module).home
+        iid, samples = next(
+            (iid, samples) for iid, samples in edited.operand_samples.items()
+            if home[iid] != "main"
+        )
         first = samples[0]
         samples[0] = (first[0] + 1,) + tuple(first[1:])
         assert edited.operand_samples[iid] != reference.operand_samples[iid]
-        assert profile_digest(edited) != profile_digest(reference)
+        before = function_input_keys(module, reference)
+        after = function_input_keys(module, edited)
+        assert len(before) > 1
+        changed = {name for name in before if before[name] != after[name]}
+        assert changed == {home[iid]}
 
     def test_key_depends_on_profiler_knobs(self):
         fp = "f" * 64
@@ -97,36 +112,75 @@ class TestGoldenSummary:
         assert result.counts == reference.counts
 
 
+def _every_result(model) -> dict[int, float]:
+    """Every eligible instruction's result; both paths flush the
+    model's query stores."""
+    if hasattr(model, "sdc_map"):
+        return model.sdc_map()
+    model.overall_exact()
+    return {iid: model.instruction_vulnerability(iid)
+            for iid in model.eligible}
+
+
 class TestModelResults:
+    """The per-function ``model_fn`` envelopes are the one stored copy
+    of every model's per-instruction results."""
+
     def test_roundtrip_and_int_keys(self, cache):
-        results = {3: 0.25, 17: 0.0, 4: 1.0}
-        store_model_results(cache, "k" * 64, results)
-        assert load_model_results(cache, "k" * 64) == results
+        entries = {3: (0.25, None), 17: (0.0, {"helper": "k" * 64}),
+                   4: (1.0, None)}
+        assert store_function_results(cache, "k" * 64, entries)
+        assert load_function_results(cache, "k" * 64) == entries
 
-    def test_bind_warms_and_writes_back(self, cache, pathfinder):
+    @pytest.mark.usefixtures("fresh_default_cache")
+    def test_rebuild_reads_every_result_from_the_store(self, pathfinder):
+        """Each model, built again with the in-memory query stores
+        dropped, finds every result it computed in the store: the same
+        values, no miss of its persisted query and no byte written."""
         module, profile, _outputs = pathfinder
-        cold = build_model("trident", module, profile)
-        assert bind_model_results(cache, cold, "trident") == 0
-        cold_map = cold.sdc_map()  # triggers the write-back sink
+        stats = get_cache().stats
+        try:
+            for name in ALL_MODEL_NAMES:
+                crash = 0.125 if name == "epvf" else None
+                reset_query_stores()
+                cold = create_model(name, module, profile,
+                                    measured_crash_probability=crash)
+                query = getattr(cold, "QUERY", "model.sdc")
+                cold_results = _every_result(cold)
+                assert set(cold_results) == set(cold.eligible), name
+                assert cold.queries.stats.misses(query) > 0, name
 
-        warm = build_model("trident", module, profile)
-        restored = bind_model_results(cache, warm, "trident")
-        assert restored == len(cold_map) > 0
-        assert warm.sdc_map() == cold_map
+                reset_query_stores()
+                misses, written = stats.misses, stats.bytes_written
+                warm = create_model(name, module, profile,
+                                    measured_crash_probability=crash)
+                assert _every_result(warm) == cold_results, name
+                assert warm.queries.stats.misses(query) == 0, name
+                assert stats.misses == misses, name
+                assert stats.bytes_written == written, name
+        finally:
+            reset_query_stores()
 
-    def test_key_separates_models_and_extras(self, pathfinder):
+    def test_epvf_crash_probabilities_share_no_entry(self, tmp_path,
+                                                     pathfinder):
         module, profile, _outputs = pathfinder
-        model = build_model("trident", module, profile)
-        base = model_results_key(module, profile, "trident", model.config)
-        assert base == model_results_key(
-            module, profile, "trident", model.config
-        )
-        assert base != model_results_key(
-            module, profile, "fs", model.config
-        )
-        assert base != model_results_key(
-            module, profile, "trident", model.config, extra=0.125
-        )
+        reset_query_stores()
+        try:
+            cache = configure_cache(tmp_path / "store")
+            first = create_model("epvf", module, profile,
+                                 measured_crash_probability=0.125)
+            first.overall_exact()
+            stored = cache.disk_usage()[MODEL_FN_KIND][0]
+            second = create_model("epvf", module, profile,
+                                  measured_crash_probability=0.25)
+            second.overall_exact()
+            assert second.queries.stats.hits("model.epvf") == 0
+            assert second.queries.stats.misses("model.epvf") == len(
+                second.eligible)
+            assert cache.disk_usage()[MODEL_FN_KIND][0] == 2 * stored
+        finally:
+            configure_cache(None)
+            reset_query_stores()
 
 
 class TestStoreSwitch:

@@ -130,6 +130,18 @@ class TestArtifactReplay:
         assert stats.misses - misses == 0
         assert stats.bytes_written - written == 0
 
+    def test_lone_table2_stores_its_predictions(self):
+        """Table II alone, with no later artifact to flush the shared
+        query stores for it, still stores every prediction it read."""
+        reset_query_stores()
+        cold = run_table2(Workspace(TINY)).render()
+        reset_query_stores()
+        stats = get_cache().stats
+        misses, written = stats.misses, stats.bytes_written
+        assert run_table2(Workspace(TINY)).render() == cold
+        assert stats.misses - misses == 0
+        assert stats.bytes_written - written == 0
+
 
 @pytest.mark.usefixtures("fresh_default_cache")
 class TestCachedCampaign:

@@ -5,7 +5,7 @@ import pytest
 from repro.core import (
     Trident,
     build_all_models,
-    build_model,
+    create_model,
     fs_fc_config,
     fs_only_config,
     trident_config,
@@ -122,8 +122,8 @@ class TestModelVariants:
 
     def test_build_model_rejects_unknown(self, pathfinder_model):
         with pytest.raises(ValueError):
-            build_model("bogus", pathfinder_model.module,
-                        pathfinder_model.profile)
+            create_model("bogus", pathfinder_model.module,
+                         pathfinder_model.profile)
 
     def test_fs_fc_over_predicts_trident(self, benchmark_name):
         """Sec. V-B: fs+fc assumes store-hit = SDC, so its prediction
@@ -156,8 +156,8 @@ class TestModelVariants:
             if i.opcode == "load"
             and any(u.opcode == "icmp" for u in i.users)
         )
-        fs_model = build_model("fs", module, profile)
-        trident_model = build_model("trident", module, profile)
+        fs_model = create_model("fs", module, profile)
+        trident_model = create_model("trident", module, profile)
         assert fs_model.instruction_sdc(flag_load) == 0.0
         assert trident_model.instruction_sdc(flag_load) > 0.0
 

@@ -63,9 +63,8 @@ def _two_function_module(variant: int) -> Module:
 
 
 def _model(module, profile, *, shared: bool):
-    """A model with no disk binding (in-memory store behavior only)."""
-    return create_model("trident", module, profile, warm=False,
-                        shared=shared)
+    """A TRIDENT model on the shared query stores or on private ones."""
+    return create_model("trident", module, profile, shared=shared)
 
 
 class TestFunctionGranularity:
