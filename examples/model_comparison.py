@@ -38,8 +38,8 @@ def main(scale: str = "test", fi_samples: int = 500) -> None:
         predictions["epvf"] = EpvfModel(
             module, profile,
             measured_crash_probability=campaign.crash_probability,
-        ).overall(samples=fi_samples, seed=2)
-        predictions["pvf"] = PvfModel(module, profile).overall(
+        ).overall_sdc(samples=fi_samples, seed=2)
+        predictions["pvf"] = PvfModel(module, profile).overall_sdc(
             samples=fi_samples, seed=2
         )
         fi_series.append(campaign.sdc_probability)

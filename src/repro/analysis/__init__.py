@@ -1,5 +1,5 @@
-"""Static analyses over the mini-IR: CFG, dominance, loops, control
-dependence, and def-use propagation paths."""
+"""Static analyses over the mini-IR: CFG, dominance, loops and control
+dependence."""
 
 from .cfg import (
     exit_blocks,
@@ -8,20 +8,6 @@ from .cfg import (
     reverse_postorder,
 )
 from .controldep import ControlDep, ControlDependence
-from .ddg import (
-    TERMINAL_BRANCH,
-    TERMINAL_DEAD,
-    TERMINAL_DETECT,
-    TERMINAL_OUTPUT,
-    TERMINAL_RET,
-    TERMINAL_STORE,
-    TERMINAL_STORE_ADDR,
-    TERMINAL_TRUNCATED,
-    PathEnumerator,
-    PropagationPath,
-    paths_from_instruction,
-    sequence_of,
-)
 from .dominators import (
     VIRTUAL_EXIT,
     compute_dominators,
@@ -33,13 +19,9 @@ from .dominators import (
 from .loops import Loop, LoopInfo, find_back_edges, find_natural_loops
 
 __all__ = [
-    "ControlDep", "ControlDependence", "Loop", "LoopInfo", "PathEnumerator",
-    "PropagationPath", "TERMINAL_BRANCH", "TERMINAL_DEAD", "TERMINAL_DETECT",
-    "TERMINAL_OUTPUT", "TERMINAL_RET", "TERMINAL_STORE",
-    "TERMINAL_STORE_ADDR", "TERMINAL_TRUNCATED", "VIRTUAL_EXIT",
+    "ControlDep", "ControlDependence", "Loop", "LoopInfo", "VIRTUAL_EXIT",
     "compute_dominators", "compute_postdominators", "dominates",
     "exit_blocks", "find_back_edges", "find_natural_loops",
-    "immediate_dominators", "paths_from_instruction", "postdominators",
-    "predecessor_map", "reachable_blocks", "reverse_postorder",
-    "sequence_of",
+    "immediate_dominators", "postdominators", "predecessor_map",
+    "reachable_blocks", "reverse_postorder",
 ]

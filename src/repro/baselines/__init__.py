@@ -1,7 +1,6 @@
 """Prior-work baseline models: PVF and ePVF (Sec. VII-C / Fig. 9)."""
 
-from .base import VulnerabilityModel
 from .epvf import EpvfModel
 from .pvf import PvfModel
 
-__all__ = ["EpvfModel", "PvfModel", "VulnerabilityModel"]
+__all__ = ["EpvfModel", "PvfModel"]

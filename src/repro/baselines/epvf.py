@@ -21,12 +21,11 @@ Implementation notes, mirroring Sec. VII-C of the paper:
 
 from __future__ import annotations
 
-from ..core.propagation import ForwardPropagator
 from ..core.tuples import PropTuple, TupleDeriver
 from ..ir.instructions import Cast, Instruction
 from ..ir.module import Module
 from ..profiling.profile import ProgramProfile
-from .base import VulnerabilityModel
+from .pvf import PvfModel
 
 
 class _EpvfTuples(TupleDeriver):
@@ -35,7 +34,9 @@ class _EpvfTuples(TupleDeriver):
     ePVF tracks which *bits* a result depends on, so width-reducing
     casts mask; but it has no notion of value-level masking (a cmp whose
     outcome a bit flip cannot change, a multiply by zero), so everything
-    else propagates modulo the crash probability.
+    else propagates modulo the crash probability.  The base (empirical)
+    tuples ride the shared ``model.tuples`` store; the transformation is
+    applied on top of each read.
     """
 
     def tuple_for(self, inst: Instruction, operand_index: int) -> PropTuple:
@@ -47,9 +48,17 @@ class _EpvfTuples(TupleDeriver):
         return PropTuple(1.0, 0.0, 0.0)
 
 
-class EpvfModel(VulnerabilityModel):
-    """ePVF as an SDC predictor (Fig. 9 comparison)."""
+class EpvfModel(PvfModel):
+    """ePVF as an SDC predictor (Fig. 9 comparison).
 
+    PVF's terminal accounting over ePVF's tuples: the empirical tuples
+    already deduct footprint-derived crash mass along the way, and
+    reaching any architectural sink then counts as SDC (no benign/SDC
+    distinction).
+    """
+
+    TUPLES = _EpvfTuples
+    FS_QUERY = "model.fs.epvf"
     QUERY = "model.epvf"
 
     def __init__(self, module: Module, profile: ProgramProfile, config=None,
@@ -57,14 +66,6 @@ class EpvfModel(VulnerabilityModel):
                  shared_queries: bool = True):
         super().__init__(module, profile, config,
                          shared_queries=shared_queries)
-        # The base (empirical) tuples ride the shared model.tuples store
-        # via the engine; the ePVF transformation is applied on top of
-        # each read, and the propagation memoizes under its own flavor.
-        tuples = _EpvfTuples(profile, self.config, self.queries)
-        self._propagator = ForwardPropagator(
-            module, tuples, self.config, self.queries,
-            query="model.fs.epvf",
-        )
         self.measured_crash_probability = measured_crash_probability
 
     def _query_salt(self):
@@ -73,12 +74,8 @@ class EpvfModel(VulnerabilityModel):
         # must not share per-instruction results.
         return self.measured_crash_probability
 
-    def _compute(self, iid: int) -> float:
-        # The empirical tuples already deduct footprint-derived crash
-        # mass along the way; reaching any architectural sink then
-        # counts as SDC (no benign/SDC distinction).
-        vulnerable = self._union_of_terminals(self._propagator, iid,
-                                              kinds=None)
+    def _compute_sdc(self, iid: int) -> float:
+        vulnerable = super()._compute_sdc(iid)
         if self.measured_crash_probability is not None:
             # Paper-style substitution: remove the FI-measured crash
             # fraction instead of the model's own crash estimate.

@@ -14,12 +14,9 @@ fault ACE.
 
 from __future__ import annotations
 
-from ..core.propagation import ForwardPropagator
+from ..core.trident import Trident
 from ..core.tuples import IDENTITY, PropTuple, TupleDeriver
 from ..ir.instructions import Instruction
-from ..ir.module import Module
-from ..profiling.profile import ProgramProfile
-from .base import VulnerabilityModel
 
 
 class _IdentityTuples(TupleDeriver):
@@ -29,24 +26,25 @@ class _IdentityTuples(TupleDeriver):
         return IDENTITY
 
 
-class PvfModel(VulnerabilityModel):
-    """PVF as an SDC predictor (the strawman of Fig. 9)."""
+class PvfModel(Trident):
+    """PVF as an SDC predictor (the strawman of Fig. 9).
 
+    Eligibility and weighting are TRIDENT's, so all approaches predict
+    over the fault injector's fault space; fc and fm are never asked.
+    """
+
+    TUPLES = _IdentityTuples
+    FS_QUERY = "model.fs.pvf"
     QUERY = "model.pvf"
 
-    def __init__(self, module: Module, profile: ProgramProfile, config=None,
-                 *, shared_queries: bool = True):
-        super().__init__(module, profile, config,
-                         shared_queries=shared_queries)
-        identity = _IdentityTuples(profile, self.config)
-        # Identity-tuple propagation differs from TRIDENT's fs, so it
-        # memoizes under its own query flavor.
-        self._propagator = ForwardPropagator(
-            module, identity, self.config, self.queries,
-            query="model.fs.pvf",
-        )
-
-    def _compute(self, iid: int) -> float:
-        # Everything that reaches architectural state is vulnerable:
-        # all terminal kinds count, with no masking along the way.
-        return self._union_of_terminals(self._propagator, iid, kinds=None)
+    def _event_contribution(self, origin, event) -> float:
+        # Everything that reaches architectural state is vulnerable: every
+        # terminal kind counts, weighted by how often the terminal runs
+        # per execution of the faulty instruction.
+        probability = event.probability
+        origin_count = self.profile.count(origin.iid)
+        if origin_count > 0:
+            probability *= min(
+                1.0, self.profile.count(event.instruction.iid) / origin_count
+            )
+        return probability

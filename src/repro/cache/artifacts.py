@@ -229,7 +229,6 @@ def store_function_results(
 
 def campaign_key(fingerprint: str, runs: int, seed: int, *,
                  ci_halfwidth: float | None = None,
-                 ci_outcome: str = "sdc",
                  min_runs: int = 100,
                  round_size: int = 0,
                  target: int | None = None) -> str:
@@ -246,7 +245,9 @@ def campaign_key(fingerprint: str, runs: int, seed: int, *,
     """
     parts = ["campaign", fingerprint, runs, seed]
     if ci_halfwidth is not None:
-        parts += [ci_halfwidth, ci_outcome, min_runs, round_size]
+        # "sdc" names the outcome the stopping rule watches; keys in
+        # existing stores include it.
+        parts += [ci_halfwidth, "sdc", min_runs, round_size]
     if target is not None:
         parts += ["target", target]
     return combine_key(*parts)

@@ -8,7 +8,6 @@ from .config import (
 )
 from .fc import ControlFlowSubModel
 from .fm import MemorySubModel
-from .fs import SequenceResult, StaticSubModel
 from .masking import output_masking_factor
 from .simple_models import (
     ALL_MODEL_NAMES,
@@ -21,8 +20,7 @@ from .tuples import IDENTITY, PropTuple, TupleDeriver
 
 __all__ = [
     "ALL_MODEL_NAMES", "ControlFlowSubModel", "IDENTITY", "MODEL_NAMES",
-    "MemorySubModel", "PropTuple", "SequenceResult", "StaticSubModel",
-    "Trident", "TridentConfig", "TupleDeriver", "build_all_models",
-    "create_model", "fs_fc_config", "fs_only_config",
-    "output_masking_factor", "trident_config",
+    "MemorySubModel", "PropTuple", "Trident", "TridentConfig",
+    "TupleDeriver", "build_all_models", "create_model", "fs_fc_config",
+    "fs_only_config", "output_masking_factor", "trident_config",
 ]

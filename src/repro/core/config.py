@@ -21,14 +21,8 @@ class TridentConfig:
     enable_control_flow: bool = True
     #: Enable the memory sub-model (fm).
     enable_memory: bool = True
-    #: Max def-use paths enumerated per faulty instruction.
-    max_paths: int = 128
-    #: Max def-use path depth.
-    max_depth: int = 64
     #: Operand samples per instruction used to derive empirical tuples.
     tuple_samples: int = 8
-    #: Recursion depth over the memory dependency graph.
-    fm_max_hops: int = 24
     #: Minimum probability worth tracking (smaller contributions dropped).
     epsilon: float = 1e-9
     #: Evaluate min/max cmp+select clusters jointly (DESIGN.md §5).

@@ -135,13 +135,6 @@ class MemorySubModel:
         """Dependency names of a solved store's reach (for model.sdc)."""
         return self._dep_fns.get(store_iid, frozenset())
 
-    def clear_cache(self) -> None:
-        self._memo.clear()
-        self._load_terms.clear()
-        self._term_fns.clear()
-        self._store_edges.clear()
-        self._dep_fns.clear()
-
     @property
     def memoized_stores(self) -> int:
         return len(self._memo)

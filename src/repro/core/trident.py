@@ -1,24 +1,26 @@
 """TRIDENT: the three-level error propagation model (Sec. IV).
 
 This is the paper's Algorithm 1, generalized from a single sequence to
-the full fan-out of def-use paths (contributions are summed and capped
-at 1, per the algorithm's "maximum propagation prob. is 1"):
+the full fan-out of def-use paths (terminal contributions are
+union-combined, each capped at 1, per the algorithm's "maximum
+propagation prob. is 1"):
 
-1. fs traces the fault along each static data-dependent instruction
-   sequence to its terminal;
+1. fs propagates the fault forward over the def-use DAG to every
+   terminal it reaches (:mod:`repro.core.propagation`);
 2. if the terminal is a branch, fc yields the stores it corrupts and at
    what probabilities;
 3. fm carries corrupted stores through memory to the program output.
 
 The model predicts the SDC probability of each individual instruction
 and of the whole program, without any fault injection.  Disabling fm
-(or fc and fm) yields the two simpler comparison models of Sec. V-B.
+(or fc and fm) yields the two simpler comparison models of Sec. V-B;
+the PVF and ePVF baselines of Fig. 9 (:mod:`repro.baselines`) are
+subclasses with their own tuple rules and terminal accounting.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 from ..ir.instructions import Branch, Output, Store
 from ..ir.module import Module
@@ -28,7 +30,6 @@ from ..query.engine import CALLGRAPH_DEP, MISS, QueryEngine
 from .config import TridentConfig, trident_config
 from .fc import ControlFlowSubModel
 from .fm import MemorySubModel
-from .fs import StaticSubModel
 from .masking import output_masking_factor
 from .propagation import (
     EV_BRANCH,
@@ -50,7 +51,18 @@ class Trident:
     transformed module recomputes only the mutated functions' queries.
     ``shared_queries=False`` isolates the engine (honest cold-build
     timings, e.g. the fig6 inference-cost measurements).
+
+    Subclasses (the PVF/ePVF baselines) swap fs's tuple rules and query
+    flavor, the persisted store of the per-instruction result, how a
+    terminal event contributes, and the store-key salt.
     """
+
+    #: fs's tuple rules, and the query flavor its propagation memoizes
+    #: under (other tuple rules give other propagations).
+    TUPLES = TupleDeriver
+    FS_QUERY = "model.fs"
+    #: Persisted query store of the per-instruction result.
+    QUERY = "model.sdc"
 
     def __init__(self, module: Module, profile: ProgramProfile,
                  config: TridentConfig | None = None, *,
@@ -62,10 +74,9 @@ class Trident:
         self.config = config or trident_config()
         self.queries = QueryEngine(module, profile, self.config,
                                    shared=shared_queries)
-        self.tuples = TupleDeriver(profile, self.config, self.queries)
+        self.tuples = self.TUPLES(profile, self.config, self.queries)
         self.propagator = ForwardPropagator(module, self.tuples, self.config,
-                                            self.queries)
-        self.fs = StaticSubModel(self.tuples)
+                                            self.queries, query=self.FS_QUERY)
         self.fc = ControlFlowSubModel(module, profile, self.config,
                                       self.queries)
         self.weigher = ExecutionWeigher(module, profile, self.queries)
@@ -74,8 +85,6 @@ class Trident:
             self.weigher, engine=self.queries,
         )
         self._sdc_cache: dict[int, float] = {}
-        #: Cumulative wall-clock seconds spent in inference.
-        self.inference_seconds = 0.0
         # Injection-eligible instructions (same definition as the fault
         # injector: executed, produces a result, result is used).
         self.eligible: list[int] = []
@@ -109,22 +118,24 @@ class Trident:
     def instruction_sdc(self, iid: int) -> float:
         """P(SDC | fault activated in instruction ``iid``'s result)."""
         cached = self._sdc_cache.get(iid)
-        if cached is not None:
-            return cached
-        started = time.perf_counter()
-        probability = self._query_sdc(iid)
-        self.inference_seconds += time.perf_counter() - started
-        self._sdc_cache[iid] = probability
-        return probability
+        if cached is None:
+            cached = self._query_sdc(iid)
+            self._sdc_cache[iid] = cached
+        return cached
+
+    def _query_salt(self):
+        """Extra store-key component for a model input outside the config
+        dataclass (ePVF's measured crash probability); None here."""
+        return None
 
     def _query_sdc(self, iid: int) -> float:
-        """instruction_sdc via the persisted ``model.sdc`` query store."""
+        """instruction_sdc via the persisted ``QUERY`` store."""
         engine = self.queries
         site = engine.index.to_local.get(iid)
         if site is None:
             return self._compute_sdc(iid)
         home, local = site
-        view = engine.view("model.sdc", home)
+        view = engine.view(self.QUERY, home, self._query_salt())
         stored = view.get(local)
         if stored is not MISS:
             return stored
@@ -259,10 +270,3 @@ class Trident:
         rng = random.Random(seed)
         picks = rng.choices(self.eligible, weights=self._weights, k=samples)
         return sum(self.instruction_crash(iid) for iid in picks) / samples
-
-    # ------------------------------------------------------------------
-
-    @property
-    def total_seconds(self) -> float:
-        """Profiling (fixed) + inference (incremental) cost, Fig. 6."""
-        return self.profile.profiling_seconds + self.inference_seconds

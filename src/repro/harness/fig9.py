@@ -53,28 +53,26 @@ def run_fig9(workspace: Workspace) -> Fig9Result:
     rows = []
     for ctx in workspace.contexts():
         campaign = ctx.fi_campaign(config.fi_samples, seed=config.seed)
-        trident = ctx.model("trident").overall_sdc(
-            samples=config.model_samples, seed=config.seed
-        )
         # Paper-faithful substitution: ePVF's crash model is replaced by
         # the FI-measured crash probability (Sec. VII-C).  The measured
         # probability is a model input from outside the config, so it
         # salts ePVF's query-store key.
-        epvf_model = create_model(
-            "epvf", ctx.module, ctx.profile,
-            measured_crash_probability=campaign.crash_probability,
-        )
-        epvf = epvf_model.overall(
-            samples=config.model_samples, seed=config.seed
-        )
-        pvf_model = create_model("pvf", ctx.module, ctx.profile)
-        pvf = pvf_model.overall(
-            samples=config.model_samples, seed=config.seed
-        )
+        models = {
+            "trident": ctx.model("trident"),
+            "epvf": create_model(
+                "epvf", ctx.module, ctx.profile,
+                measured_crash_probability=campaign.crash_probability,
+            ),
+            "pvf": ctx.model("pvf"),
+        }
         rows.append(Fig9Row(
             benchmark=ctx.name,
             fi_sdc=campaign.sdc_probability,
-            predictions={"trident": trident, "epvf": epvf, "pvf": pvf},
+            predictions={
+                name: model.overall_sdc(samples=config.model_samples,
+                                        seed=config.seed)
+                for name, model in models.items()
+            },
         ))
     fi_values = [r.fi_sdc for r in rows]
     maes = {

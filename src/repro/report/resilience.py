@@ -125,26 +125,25 @@ def generate_report(module: Module, profile: ProgramProfile,
     validation section with its wall-clock/runs-executed summary.
     """
     model = create_model("trident", module, profile)
+    # Every eligible instruction's prediction, read and stored at once
+    # (before the sampled overall, so the store is written once).
+    sdc = model.sdc_map()
     overall = model.overall_sdc(samples=samples, seed=0)
     crash = model.overall_crash(samples=min(samples, 1000), seed=0)
 
     functions = []
     for function in module.functions.values():
         insts: list[Instruction] = list(function.instructions())
-        eligible = [
-            i for i in insts if i.iid in set(model.eligible)
-        ]
+        eligible = [i for i in insts if i.iid in sdc]
         total_weight = sum(profile.count(i.iid) for i in eligible)
         if total_weight:
             weighted = sum(
-                profile.count(i.iid) * model.instruction_sdc(i.iid)
-                for i in eligible
+                profile.count(i.iid) * sdc[i.iid] for i in eligible
             ) / total_weight
         else:
             weighted = 0.0
         ranked = sorted(
-            eligible, key=lambda i: model.instruction_sdc(i.iid),
-            reverse=True,
+            eligible, key=lambda i: sdc[i.iid], reverse=True,
         )[:top_per_function]
         functions.append(FunctionSummary(
             name=function.name,
@@ -152,9 +151,7 @@ def generate_report(module: Module, profile: ProgramProfile,
             eligible=len(eligible),
             weighted_sdc=weighted,
             hottest=[
-                (i.iid, model.instruction_sdc(i.iid),
-                 format_instruction(i))
-                for i in ranked
+                (i.iid, sdc[i.iid], format_instruction(i)) for i in ranked
             ],
         ))
 
@@ -167,7 +164,7 @@ def generate_report(module: Module, profile: ProgramProfile,
         KnapsackItem(
             key=iid,
             cost=duplication_cost(profile, iid),
-            profit=model.instruction_sdc(iid) * profile.count(iid),
+            profit=sdc[iid] * profile.count(iid),
         )
         for iid in candidates
     ]

@@ -40,8 +40,8 @@ from ..cache import (
     store_golden_summary,
 )
 from ..cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
-from ..fi.campaign import CampaignResult, FaultInjector
-from ..stats.confidence import wilson_confidence
+from ..fi.campaign import SDC, CampaignResult, FaultInjector
+from ..stats.confidence import Z_95, wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
 from .shard import MODULE_CACHE, build_injector, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardSpec
@@ -116,10 +116,8 @@ class CampaignExecutor:
             return False
         if result.total < max(1, settings.min_runs):
             return False
-        interval = wilson_confidence(
-            result.counts.get(settings.ci_outcome, 0), result.total,
-            settings.ci_z,
-        )
+        interval = wilson_confidence(result.counts.get(SDC, 0), result.total,
+                                     Z_95)
         return interval.margin <= settings.ci_halfwidth
 
     # -- shard checkpoints in the shared result store --------------------
@@ -398,7 +396,6 @@ def campaign_request_key(module, runs: int, seed: int,
     return campaign_key(
         module_fingerprint(module), runs, seed,
         ci_halfwidth=settings.ci_halfwidth,
-        ci_outcome=settings.ci_outcome,
         min_runs=settings.min_runs,
         round_size=settings.effective_round_size(),
         target=target,

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..fi.campaign import SDC
 from ..ir.module import Module
-from ..stats.confidence import Z_95
-
-#: Outcome the stopping rule watches by default.
-DEFAULT_CI_OUTCOME = SDC
 
 _REQUIRED = object()
 _JSON_NAMES = {int: "integer", float: "number", bool: "boolean",
@@ -109,11 +104,9 @@ class CampaignSettings:
     workers: int = 1
     #: Runs per shard; 0 = one contiguous shard per worker per round.
     chunk_size: int = 0
-    #: Stop once the Wilson CI half-width on ``ci_outcome`` drops below
-    #: this; None disables early stopping (all runs execute).
+    #: Stop once the 95% Wilson CI half-width on the SDC probability
+    #: drops below this; None disables early stopping (all runs execute).
     ci_halfwidth: float | None = None
-    ci_outcome: str = DEFAULT_CI_OUTCOME
-    ci_z: float = Z_95
     #: Runs per early-stopping round; 0 = auto.
     round_size: int = 0
     #: Never stop before this many runs (guards tiny-sample intervals).

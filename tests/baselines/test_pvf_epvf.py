@@ -21,12 +21,12 @@ class TestPvf:
     def test_sample_count_below_one_rejected(self, pathfinder_setup,
                                              samples):
         with pytest.raises(ValueError, match="samples"):
-            PvfModel(*pathfinder_setup).overall(samples=samples)
+            PvfModel(*pathfinder_setup).overall_sdc(samples=samples)
 
     def test_massively_over_predicts(self, pathfinder_setup):
         module, profile = pathfinder_setup
         pvf = PvfModel(module, profile)
-        assert pvf.overall_exact() > 0.85
+        assert pvf.overall_sdc_exact() > 0.85
 
     def test_no_masking_no_crash(self, pathfinder_setup):
         """PVF counts crash-bound faults as vulnerable: per-instruction
@@ -36,7 +36,7 @@ class TestPvf:
         trident = Trident(module, profile)
         for iid in pvf.eligible[:50]:
             assert (
-                pvf.instruction_vulnerability(iid)
+                pvf.instruction_sdc(iid)
                 >= trident.instruction_sdc(iid) - 1e-9
             )
 
@@ -52,13 +52,13 @@ class TestPvf:
         add_iid = next(
             i.iid for i in module.instructions() if i.opcode == "binop"
         )
-        assert pvf.instruction_vulnerability(add_iid) == 0.0
+        assert pvf.instruction_sdc(add_iid) == 0.0
 
     def test_values_in_range(self, pathfinder_setup):
         module, profile = pathfinder_setup
         pvf = PvfModel(module, profile)
         for iid in pvf.eligible:
-            assert 0.0 <= pvf.instruction_vulnerability(iid) <= 1.0
+            assert 0.0 <= pvf.instruction_sdc(iid) <= 1.0
 
 
 class TestEpvf:
@@ -67,8 +67,8 @@ class TestEpvf:
         module = cached_module(benchmark_name)
         profile, _ = cached_profile(benchmark_name)
         trident = Trident(module, profile).overall_sdc(samples=300, seed=4)
-        epvf = EpvfModel(module, profile).overall(samples=300, seed=4)
-        pvf = PvfModel(module, profile).overall(samples=300, seed=4)
+        epvf = EpvfModel(module, profile).overall_sdc(samples=300, seed=4)
+        pvf = PvfModel(module, profile).overall_sdc(samples=300, seed=4)
         assert trident <= epvf + 0.05
         assert epvf <= pvf + 0.05
 
@@ -80,26 +80,25 @@ class TestEpvf:
             module, profile, measured_crash_probability=0.35
         )
         assert (
-            substituted.overall_exact() <= plain.overall_exact() + 1e-9
+            substituted.overall_sdc_exact()
+            <= plain.overall_sdc_exact() + 1e-9
         )
 
     def test_crash_substitution_floor_zero(self, pathfinder_setup):
         module, profile = pathfinder_setup
         model = EpvfModel(module, profile, measured_crash_probability=1.0)
         for iid in model.eligible[:30]:
-            assert model.instruction_vulnerability(iid) == 0.0
+            assert model.instruction_sdc(iid) == 0.0
 
     def test_overall_sampled_matches_exact(self, pathfinder_setup):
         module, profile = pathfinder_setup
         model = EpvfModel(module, profile)
-        assert model.overall(samples=4000, seed=1) == pytest.approx(
-            model.overall_exact(), abs=0.05
+        assert model.overall_sdc(samples=4000, seed=1) == pytest.approx(
+            model.overall_sdc_exact(), abs=0.05
         )
 
     def test_caching(self, pathfinder_setup):
         module, profile = pathfinder_setup
         model = EpvfModel(module, profile)
         iid = model.eligible[0]
-        assert model.instruction_vulnerability(
-            iid
-        ) == model.instruction_vulnerability(iid)
+        assert model.instruction_sdc(iid) == model.instruction_sdc(iid)

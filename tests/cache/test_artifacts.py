@@ -112,16 +112,6 @@ class TestGoldenSummary:
         assert result.counts == reference.counts
 
 
-def _every_result(model) -> dict[int, float]:
-    """Every eligible instruction's result; both paths flush the
-    model's query stores."""
-    if hasattr(model, "sdc_map"):
-        return model.sdc_map()
-    model.overall_exact()
-    return {iid: model.instruction_vulnerability(iid)
-            for iid in model.eligible}
-
-
 class TestModelResults:
     """The per-function ``model_fn`` envelopes are the one stored copy
     of every model's per-instruction results."""
@@ -145,17 +135,16 @@ class TestModelResults:
                 reset_query_stores()
                 cold = create_model(name, module, profile,
                                     measured_crash_probability=crash)
-                query = getattr(cold, "QUERY", "model.sdc")
-                cold_results = _every_result(cold)
+                cold_results = cold.sdc_map()
                 assert set(cold_results) == set(cold.eligible), name
-                assert cold.queries.stats.misses(query) > 0, name
+                assert cold.queries.stats.misses(cold.QUERY) > 0, name
 
                 reset_query_stores()
                 misses, written = stats.misses, stats.bytes_written
                 warm = create_model(name, module, profile,
                                     measured_crash_probability=crash)
-                assert _every_result(warm) == cold_results, name
-                assert warm.queries.stats.misses(query) == 0, name
+                assert warm.sdc_map() == cold_results, name
+                assert warm.queries.stats.misses(warm.QUERY) == 0, name
                 assert stats.misses == misses, name
                 assert stats.bytes_written == written, name
         finally:
@@ -169,11 +158,11 @@ class TestModelResults:
             cache = configure_cache(tmp_path / "store")
             first = create_model("epvf", module, profile,
                                  measured_crash_probability=0.125)
-            first.overall_exact()
+            first.overall_sdc_exact()
             stored = cache.disk_usage()[MODEL_FN_KIND][0]
             second = create_model("epvf", module, profile,
                                   measured_crash_probability=0.25)
-            second.overall_exact()
+            second.overall_sdc_exact()
             assert second.queries.stats.hits("model.epvf") == 0
             assert second.queries.stats.misses("model.epvf") == len(
                 second.eligible)

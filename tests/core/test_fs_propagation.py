@@ -3,8 +3,7 @@ event-merged DAG semantics."""
 
 import pytest
 
-from repro.analysis import paths_from_instruction
-from repro.core import StaticSubModel, TupleDeriver, trident_config
+from repro.core import TupleDeriver, trident_config
 from repro.core.propagation import (
     EV_BRANCH,
     EV_OUTPUT,
@@ -65,31 +64,23 @@ class TestFig2bAggregation:
         assert 0.0 < branch_events[0].probability < 0.3
 
     def test_path_based_fs_agrees_with_dag(self, fig2b):
+        """Single-sequence case: Algorithm 1's product of the tuples
+        along load -> icmp -> br equals the DAG's branch event."""
         module, profile, tuples, propagator = fig2b
-        fs = StaticSubModel(tuples)
         load = _cond_load(module, profile)
-        paths = paths_from_instruction(module, load)
-        branch_paths = [p for p in paths if p.terminal == "branch"]
-        assert branch_paths
-        path_value = fs.propagate(branch_paths[0]).propagation
+        icmp = next(u for u in load.users if u.opcode == "icmp")
+        (branch,) = icmp.users
+        assert branch.opcode == "br"
+        product = 1.0
+        for inst, value in ((icmp, load), (branch, icmp)):
+            operand_index = next(i for i, operand in enumerate(inst.operands)
+                                 if operand is value)
+            product *= tuples.tuple_for(inst, operand_index).propagation
         dag_value = next(
             e.probability for e in propagator.propagate(load).events
             if e.kind == EV_BRANCH
         )
-        # Single-sequence case: the two formulations must agree.
-        assert path_value == pytest.approx(dag_value, rel=1e-9)
-
-    def test_sequence_result_sums_to_one(self, fig2b):
-        module, profile, tuples, _prop = fig2b
-        fs = StaticSubModel(tuples)
-        add = next(
-            inst for inst in module.instructions()
-            if isinstance(inst, BinOp) and inst.op == "add"
-        )
-        for path in paths_from_instruction(module, add):
-            result = fs.propagate(path)
-            total = result.propagation + result.masking + result.crash
-            assert total == pytest.approx(1.0)
+        assert product == pytest.approx(dag_value, rel=1e-9)
 
 
 class TestDagSemantics:

@@ -29,12 +29,19 @@ class TestInstructionSdc:
             assert 0.0 <= value <= 1.0
 
     def test_memoized(self, pathfinder_model):
-        iid = pathfinder_model.eligible[0]
-        first = pathfinder_model.instruction_sdc(iid)
-        before = pathfinder_model.inference_seconds
-        assert pathfinder_model.instruction_sdc(iid) == first
-        # Cached: no measurable inference time added.
-        assert pathfinder_model.inference_seconds == before
+        model = Trident(pathfinder_model.module, pathfinder_model.profile)
+        query_sdc = model._query_sdc
+        queried = []
+
+        def counting(iid):
+            queried.append(iid)
+            return query_sdc(iid)
+
+        model._query_sdc = counting
+        iid = model.eligible[0]
+        first = model.instruction_sdc(iid)
+        assert model.instruction_sdc(iid) == first
+        assert queried == [iid]  # the second call is answered from the memo
 
     def test_resultless_instruction_is_zero(self, pathfinder_model):
         store_iid = next(

@@ -34,11 +34,12 @@ def evaluation():
             key: model.overall_sdc(samples=250, seed=1)
             for key, model in models.items()
         }
-        predictions["pvf"] = PvfModel(module, profile).overall(250, seed=1)
+        predictions["pvf"] = PvfModel(module, profile).overall_sdc(
+            250, seed=1)
         predictions["epvf"] = EpvfModel(
             module, profile,
             measured_crash_probability=campaign.crash_probability,
-        ).overall(250, seed=1)
+        ).overall_sdc(250, seed=1)
         rows.append((name, campaign, predictions))
     return rows
 

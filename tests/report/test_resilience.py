@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.cache import configure_cache
+from repro.core import Trident
+from repro.query import reset_query_stores
 from repro.report import generate_report
 from tests.conftest import cached_module, cached_profile
 
@@ -51,3 +54,33 @@ class TestReport:
         result = generate_report(module, profile, samples=200)
         assert result.meets_target is None
         assert "target" not in result.render().lower()
+
+
+class TestWarmReport:
+    def test_warm_report_recomputes_no_prediction(self, tmp_path,
+                                                  monkeypatch):
+        """A re-report on a warm store reads every per-instruction
+        prediction from it, the unsampled ones included."""
+        module = cached_module("sad")
+        profile, _ = cached_profile("sad")
+        computed = []
+        compute_sdc = Trident._compute_sdc
+
+        def counting(model, iid):
+            computed.append(iid)
+            return compute_sdc(model, iid)
+
+        monkeypatch.setattr(Trident, "_compute_sdc", counting)
+        reset_query_stores()
+        try:
+            configure_cache(tmp_path / "store")
+            cold = generate_report(module, profile, samples=200).render()
+            assert computed
+            reset_query_stores()
+            computed.clear()
+            warm = generate_report(module, profile, samples=200).render()
+        finally:
+            configure_cache(None)
+            reset_query_stores()
+        assert computed == []
+        assert warm == cold
