@@ -72,12 +72,15 @@ Six phases, selectable with ``--only`` (default: all):
    threshold.  Requires numpy (skipped with a notice when absent — the
    tier then degrades to codegen).
 
-6. **tuples** — derive the model tuples of the registered benchmarks at
-   ``default`` scale, the scale of perfbench's ``predict``: each operand
-   of every binop, compare and cast, plus every select arm.
-   Tuples from hoisted evaluators, batched flips and closed forms must
-   equal the per-flip reference enumeration's in all three fields, and
-   must be derived at least 1.5x faster (best of 3 each).
+6. **tuples** — profile the registered benchmarks at ``default`` scale,
+   the scale of perfbench's ``predict``; each profile must have the
+   ``predict`` profile digest of ``perfbench/oracle.json`` (tier-1's
+   profile oracle covers only ``test`` and ``small``).  Then derive the
+   model tuples: each operand of every binop, compare and cast, plus
+   every select arm.  Tuples from hoisted evaluators, batched flips,
+   C-level maps and closed forms must equal the per-flip reference
+   enumeration's in all three fields, and must be derived at least 1.5x
+   faster (best of 3 each).
 
 Exits non-zero with a one-line reason on the first failed check.  The
 default artifact cache is a fresh temporary directory, removed when the
@@ -87,12 +90,15 @@ run ends; a ``--cache-dir`` is left in place.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import random
 import shutil
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from repro.bench import BENCHMARK_NAMES, build_module
 from repro.cache.disk import configure_cache, get_cache
@@ -114,7 +120,7 @@ from repro.interp import TIER_CODEGEN, ExecutionEngine
 from repro.interp.engine import ReferenceEngine
 from repro.ir.instructions import BinOp, Cast, FCmp, ICmp, Select
 from repro.opt.pipeline import optimize
-from repro.profiling import ProfilingInterpreter
+from repro.profiling import ProfilingInterpreter, profile_to_dict
 from repro.protection.duplication import (
     duplicable_iids,
     duplicate_instructions,
@@ -635,13 +641,35 @@ def _tuple_pairs(module):
             yield inst, index
 
 
+#: perfbench's oracle: its ``predict`` entries hold each program's
+#: profile digest at ``default`` scale.  Read only.
+PERFBENCH_ORACLE = (Path(__file__).resolve().parent.parent / "perfbench"
+                    / "oracle.json")
+
+
+def profile_digest(profile) -> str:
+    """The serialized profile without its wall-clock
+    ``profiling_seconds``, digested as perfbench digests it."""
+    data = profile_to_dict(profile)
+    data.pop("profiling_seconds")
+    canonical = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def tuple_reference(speedup: float = 1.5) -> None:
     config = trident_config()
+    oracle = json.loads(PERFBENCH_ORACLE.read_text())["predict"]
     programs = []
+    differ = []
     for name in BENCHMARK_NAMES:
         module = build_module(name, "default")
         profile, _ = ProfilingInterpreter(module).run()
+        if profile_digest(profile) != oracle[name]["profile_digest"]:
+            differ.append(name)
         programs.append((profile, list(_tuple_pairs(module))))
+    check(not differ,
+          f"{len(programs)} default-scale profiles equal perfbench's "
+          f"predict oracle (differ: {', '.join(differ) or 'none'})")
 
     def derive(deriver_class):
         tuples = []

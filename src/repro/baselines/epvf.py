@@ -60,6 +60,7 @@ class EpvfModel(PvfModel):
     TUPLES = _EpvfTuples
     FS_QUERY = "model.fs.epvf"
     QUERY = "model.epvf"
+    CRASH_QUERY = "model.crash.epvf"
 
     def __init__(self, module: Module, profile: ProgramProfile, config=None,
                  measured_crash_probability: float | None = None, *,

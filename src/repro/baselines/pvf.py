@@ -36,6 +36,7 @@ class PvfModel(Trident):
     TUPLES = _IdentityTuples
     FS_QUERY = "model.fs.pvf"
     QUERY = "model.pvf"
+    CRASH_QUERY = "model.crash.pvf"
 
     def _event_contribution(self, origin, event) -> float:
         # Everything that reaches architectural state is vulnerable: every

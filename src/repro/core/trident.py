@@ -53,7 +53,7 @@ class Trident:
     timings, e.g. the fig6 inference-cost measurements).
 
     Subclasses (the PVF/ePVF baselines) swap fs's tuple rules and query
-    flavor, the persisted store of the per-instruction result, how a
+    flavor, the persisted stores of the per-instruction results, how a
     terminal event contributes, and the store-key salt.
     """
 
@@ -61,8 +61,10 @@ class Trident:
     #: under (other tuple rules give other propagations).
     TUPLES = TupleDeriver
     FS_QUERY = "model.fs"
-    #: Persisted query store of the per-instruction result.
+    #: Persisted query stores of the per-instruction result and of the
+    #: per-instruction crash prediction, fs's flavor.
     QUERY = "model.sdc"
+    CRASH_QUERY = "model.crash"
 
     def __init__(self, module: Module, profile: ProgramProfile,
                  config: TridentConfig | None = None, *,
@@ -85,6 +87,7 @@ class Trident:
             self.weigher, engine=self.queries,
         )
         self._sdc_cache: dict[int, float] = {}
+        self._crash_cache: dict[int, float] = {}
         # Injection-eligible instructions (same definition as the fault
         # injector: executed, produces a result, result is used).
         self.eligible: list[int] = []
@@ -130,30 +133,43 @@ class Trident:
 
     def _query_sdc(self, iid: int) -> float:
         """instruction_sdc via the persisted ``QUERY`` store."""
+        return self._stored(self.QUERY, self._query_salt(), iid,
+                            self._compute_sdc)
+
+    def _stored(self, query: str, salt, iid: int, compute) -> float:
+        """``compute(iid)`` through the persisted per-function ``query``
+        store.  ``compute`` adds the functions its value was derived
+        from to ``self._scratch_deps``: an entry lives as long as they
+        are unchanged."""
+        self._scratch_deps: set = set()
         engine = self.queries
         site = engine.index.to_local.get(iid)
         if site is None:
-            return self._compute_sdc(iid)
+            return compute(iid)
         home, local = site
-        view = engine.view(self.QUERY, home, self._query_salt())
+        view = engine.view(query, home, salt)
         stored = view.get(local)
         if stored is not MISS:
             return stored
-        probability = self._compute_sdc(iid)
+        value = compute(iid)
         return view.put(
-            local, probability,
-            engine.deps_for(self._scratch_deps, exclude=home),
+            local, value, engine.deps_for(self._scratch_deps, exclude=home),
         )
 
-    def _compute_sdc(self, iid: int) -> float:
-        inst = self.module.instruction(iid)
-        self._scratch_deps: set = set()
-        if not inst.has_result:
-            return 0.0
+    def _propagation(self, inst):
+        """fs's propagation of a fault in ``inst``, whose functions (and
+        the callgraph, if the walk read it) join ``_scratch_deps``."""
         result = self.propagator.propagate(inst)
         self._scratch_deps |= result.functions
         if result.callgraph:
             self._scratch_deps.add(CALLGRAPH_DEP)
+        return result
+
+    def _compute_sdc(self, iid: int) -> float:
+        inst = self.module.instruction(iid)
+        if not inst.has_result:
+            return 0.0
+        result = self._propagation(inst)
         survive = 1.0  # union-combine the terminal events
         for event in result.events:
             contribution = self._event_contribution(inst, event)
@@ -212,15 +228,38 @@ class Trident:
         are sampled (weighted by execution count); the per-instruction
         predictions of the sampled static instructions are averaged.
         """
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        if not self.eligible:
+        picks = self._picks(samples, seed)
+        if not picks:
             return 0.0
-        rng = random.Random(seed)
-        picks = rng.choices(self.eligible, weights=self._weights, k=samples)
         result = sum(self.instruction_sdc(iid) for iid in picks) / samples
         self.queries.flush()
         return result
+
+    def _picks(self, samples: int, seed: int) -> list[int]:
+        """``samples`` eligible instructions drawn with replacement,
+        weighted by execution count, from ``random.Random(seed)``.
+
+        The draw is a function of the eligible set, the profile's counts
+        and ``(samples, seed)``, so it is memoized on the profile, as
+        :func:`~repro.query.keys.profile_slices` memoizes its digests:
+        the models of one profile share it.  A model with private query
+        stores (``shared_queries=False``, honest cold timings) draws its
+        own."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if not self.eligible:
+            return []
+        memo = {}
+        if self.queries.shared:
+            memo = getattr(self.profile, "_repro_picks_memo", None)
+            if memo is None:
+                memo = self.profile._repro_picks_memo = {}
+        eligible, picks = memo.get((samples, seed), (None, None))
+        if eligible != self.eligible:
+            picks = random.Random(seed).choices(
+                self.eligible, weights=self._weights, k=samples)
+            memo[samples, seed] = self.eligible, picks
+        return picks
 
     def overall_sdc_exact(self) -> float:
         """Exact execution-count-weighted average over all instructions."""
@@ -256,17 +295,25 @@ class Trident:
         memory-carried corruption are not chased through fm — so it is a
         lower bound; FI validation shows it ranks instructions well.
         """
+        cached = self._crash_cache.get(iid)
+        if cached is None:
+            cached = self._stored(self.CRASH_QUERY, None, iid,
+                                  self._compute_crash)
+            self._crash_cache[iid] = cached
+        return cached
+
+    def _compute_crash(self, iid: int) -> float:
         inst = self.module.instruction(iid)
         if not inst.has_result:
             return 0.0
-        return self.propagator.propagate(inst).crash_probability
+        return self._propagation(inst).crash_probability
 
     def overall_crash(self, samples: int = 3000, seed: int = 0) -> float:
-        """Overall crash probability via sampled dynamic instances."""
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        if not self.eligible:
+        """Overall crash probability via sampled dynamic instances (the
+        same picks as :meth:`overall_sdc`'s)."""
+        picks = self._picks(samples, seed)
+        if not picks:
             return 0.0
-        rng = random.Random(seed)
-        picks = rng.choices(self.eligible, weights=self._weights, k=samples)
-        return sum(self.instruction_crash(iid) for iid in picks) / samples
+        result = sum(self.instruction_crash(iid) for iid in picks) / samples
+        self.queries.flush()
+        return result

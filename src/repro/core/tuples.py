@@ -24,8 +24,12 @@ same counts for less work (DESIGN.md §5):
   unpacks a float's flips in one ``struct`` round trip;
 * add, sub, xor, and, or, mul, the value operand of a shift, zext, sext
   and trunc count a sample's propagated flips in closed form when every
-  operand of the sample is a canonical integer of its width; any other
-  sample enumerates.
+  operand of the sample is a canonical integer of its width;
+* fadd, fsub and fmul (f32 results rounded by
+  :func:`~repro.interp.codegen.round_f32`), and every icmp predicate on a
+  sample of canonical integers, evaluate all flips of an operand with
+  C-level maps over the same Python operations;
+* any other sample calls the evaluator once per flip.
 
 :class:`ReferenceTupleDeriver` keeps the per-flip enumeration as the
 oracle that the tests and CI compare every tuple against, bit for bit.
@@ -37,8 +41,11 @@ treats as transparent — default to (1, 0, 0), the paper's heuristic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
+from ..interp.codegen import round_f32
 from ..interp.errors import ArithmeticTrap
 from ..interp.ops import (
     eval_cast,
@@ -236,6 +243,65 @@ def _canonical(value, bits: int) -> bool:
     return type(value) is int and 0 <= value < (1 << bits)
 
 
+#: The Python operation of each float binop and icmp predicate that
+#: :func:`_mapped` evaluates flips with (signed predicates compare
+#: xor-biased operands, as the generated code does).
+_FLOAT_OPERATIONS = {"fadd": operator.add, "fsub": operator.sub,
+                     "fmul": operator.mul}
+_ICMP_OPERATIONS = {
+    "eq": operator.eq, "ne": operator.ne,
+    "ult": operator.lt, "ule": operator.le,
+    "ugt": operator.gt, "uge": operator.ge,
+    "slt": operator.lt, "sle": operator.le,
+    "sgt": operator.gt, "sge": operator.ge,
+}
+
+
+def _mapped(inst: Instruction, operand_index: int):
+    """An evaluator of all flips of one operand at C speed, or None.
+
+    It takes ``(operands, flips)`` and returns the results the per-flip
+    evaluator gives, or None for a sample it does not cover, which must
+    call the evaluator per flip: an icmp sample that is not made of
+    canonical integers.  None when the instruction has no such form:
+    anything but fadd, fsub, fmul and icmp.
+    """
+    if isinstance(inst, BinOp) and inst.type.is_float:
+        operation = _FLOAT_OPERATIONS.get(inst.op)
+        if operation is None:
+            return None
+        if inst.type.bits == 64:
+            return lambda operands, flips: list(
+                _apply(operation, operands, operand_index, flips))
+        return lambda operands, flips: list(map(
+            round_f32, _apply(operation, operands, operand_index, flips)))
+    if not isinstance(inst, ICmp):
+        return None
+    operation = _ICMP_OPERATIONS[inst.predicate]
+    bits = inst.lhs.type.bits
+    bias = 1 << (bits - 1) if inst.predicate in ("slt", "sle", "sgt",
+                                                  "sge") else 0
+
+    def results(operands, flips):
+        if not (_canonical(operands[0], bits)
+                and _canonical(operands[1], bits)):
+            return None
+        if bias:
+            operands = [operands[0] ^ bias, operands[1] ^ bias]
+            flips = map(bias.__xor__, flips)
+        return list(_apply(operation, operands, operand_index, flips))
+
+    return results
+
+
+def _apply(operation, operands: list, operand_index: int, flips):
+    """``operation`` over two operands with each flip in place of one,
+    as a lazy map."""
+    if operand_index == 0:
+        return map(operation, flips, repeat(operands[1]))
+    return map(operation, repeat(operands[0]), flips)
+
+
 def _closed_form(inst: Instruction, operand_index: int):
     """A counter of one sample's propagated flips in closed form, or None.
 
@@ -344,6 +410,7 @@ class TupleDeriver:
         operand_type = inst.operands[operand_index].type
         bits = operand_type.bits
         closed_form = _closed_form(inst, operand_index)
+        mapped = _mapped(inst, operand_index)
         evaluate = _evaluator(inst)
         arity = 1 if isinstance(inst, Cast) else 2
         can_trap = isinstance(inst, BinOp) and inst.op in _TRAPPING_OPS
@@ -363,8 +430,10 @@ class TupleDeriver:
             except ArithmeticTrap:
                 continue  # fault-free run cannot have trapped here
             flips = flip_bits_typed(operands[operand_index], operand_type)
-            results = _flip_results(evaluate_flip, operands, operand_index,
-                                    flips)
+            results = mapped(operands, flips) if mapped else None
+            if results is None:
+                results = _flip_results(evaluate_flip, operands,
+                                        operand_index, flips)
             traps = results.count(_TRAP) if can_trap else 0
             trials += len(results)
             crashed += traps

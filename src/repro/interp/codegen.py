@@ -3,29 +3,29 @@
 This is how :class:`repro.interp.engine.ExecutionEngine` executes.  The
 tests' closure steps pay a Python call per step plus one or two calls
 per operand fetch.  This module eliminates that dispatch by translating
-every compiled block — and straight-line *superblocks* along
-unconditional-jump chains — into a single Python function generated as
-source, ``compile()``'d and ``exec``'d once per engine, on its first
-run.  A value whose every user is a non-phi instruction of its own
-block (:func:`block_locals`) lives in a Python local ``v<slot>``; it is
-dead at every block boundary, so its frame slot stays ``None``.  Other
-operands are ``slots[i]`` subscripts or embedded literals.  Common
-operations are inlined: masked adds, compares (signed ones as
-``(a ^ S) OP (b ^ S)`` with ``S = 1 << (bits - 1)``), sign extension
-as ``(x ^ S) - S``, direct float arithmetic with one-call f32
-rounding (:func:`round_f32`), and loads and stores straight on the
-run's ``memory.cells`` and ``memory.valid``, which a block function
-binds once where it uses them (they stay the same objects for a whole
-run).  A load is one ``cells.get`` probe: every cell sits at a valid
-address and none holds ``None`` (see
-:class:`~repro.interp.memory.MemoryState`), so only a miss calls a
-helper, which tests validity.  A store tests validity and assigns.
-Rare or trap-raising operations call the exact helpers of
-:mod:`repro.interp.ops`.  Results stay bit-identical with the closure
-steps, which the tests run through
+every compiled block — and, in the fast and inject variants,
+straight-line *superblocks* along unconditional-jump chains — into a
+single Python function generated as source, ``compile()``'d and
+``exec``'d once per engine, on its first run.  A value whose every user
+is a non-phi instruction of its own block (:func:`block_locals`) lives
+in a Python local ``v<slot>``; it is dead at every block boundary, so
+its frame slot stays ``None``.  Other operands are ``slots[i]``
+subscripts or embedded literals.  Common operations are inlined: masked
+adds, compares (signed ones as ``(a ^ S) OP (b ^ S)`` with
+``S = 1 << (bits - 1)``), sign extension as ``(x ^ S) - S``, direct
+float arithmetic with one-call f32 rounding (:func:`round_f32`), and,
+in the fast and inject variants, loads and stores straight on the run's
+``memory.cells`` and ``memory.valid``, which a block function binds
+once where it uses them (they stay the same objects for a whole run).
+A load is one ``cells.get`` probe: every cell sits at a valid address
+and none holds ``None`` (see :class:`~repro.interp.memory.MemoryState`),
+so only a miss calls a helper, which tests validity.  A store tests
+validity and assigns.  Rare or trap-raising operations call the exact
+helpers of :mod:`repro.interp.ops`.  Results stay bit-identical with
+the closure steps, which the tests run through
 :class:`repro.interp.engine.ReferenceEngine`.
 
-Three specializations are generated from the same block templates:
+Three specializations are generated from the same step templates:
 
 * the **fast** variant carries *zero* injection checks — golden runs,
   the snapshot-capturing golden pass, and every trial executing
@@ -34,7 +34,13 @@ Three specializations are generated from the same block templates:
   phi edge copies) with the closure steps' ``state.inject_iid`` check;
 * the **profile** variant adds the profiler's bookkeeping into the
   run's state (:meth:`repro.interp.engine.ExecutionEngine.profile`).
-  Only profiling builds it.
+  Only profiling builds it, and a profile runs once, so it shares
+  neither the superblock chains (each block function holds one IR
+  block) nor the inline load and store: its bookkeeping helpers
+  :func:`_read` and :func:`_wrote` perform the access, with the same
+  values, defaults, reinterpretation and :class:`MemoryFault` texts.  A
+  sampling site numbers its instances by its block's counter, except
+  after a call into the module, which may re-enter the block.
 
 A function the generator cannot translate raises
 :class:`InterpreterBug`; there is no fallback.
@@ -151,7 +157,8 @@ _INT_BITWISE = {"and": "&", "or": "|", "xor": "^"}
 _FLOAT_DIRECT = {"fadd": "+", "fsub": "-", "fmul": "*"}
 
 
-#: Block-function specializations, all emitted from the same templates.
+#: Block-function specializations, all emitted from the same step
+#: templates.
 FAST, INJECT, PROFILE = "fast", "inject", "profile"
 
 #: Steps whose operand tuples the profile variant samples, and memory
@@ -159,9 +166,6 @@ FAST, INJECT, PROFILE = "fast", "inject", "profile"
 SAMPLED_OPERANDS = (BinOp, ICmp, FCmp, Cast, Select)
 MEMORY_ACCESSES = (Load, Store)
 
-#: Per-run state every profile block function binds to locals.
-_PROFILE_HEADER = ("    _seen = state.seen", "    _nk = state.next_kept",
-                   "    _evt = state.events")
 _ADDRESS_FLIPS = tuple(1 << bit for bit in range(64))
 
 
@@ -214,10 +218,9 @@ def _crash_prob(state, address: int) -> float:
     key = (address, memory.generation)
     prob = state.crash_probs.get(key)
     if prob is None:
-        valid = memory.valid
-        prob = state.crash_probs[key] = sum(
-            (address ^ flip) not in valid for flip in _ADDRESS_FLIPS
-        ) / 64
+        valid = sum(map(memory.valid.__contains__,
+                        map(address.__xor__, _ADDRESS_FLIPS)))
+        prob = state.crash_probs[key] = (64 - valid) / 64
     return prob
 
 
@@ -230,9 +233,14 @@ def _unset(state, address: int, default):
     raise MemoryFault(address, "load")
 
 
-def _read(state, address: int, iid: int) -> None:
-    """A load of a stored address adds one dynamic dependency to the
-    (last writer, load) edge and joins that store instance's readers."""
+def _read(state, address: int, iid: int, value_type):
+    """The profile variant's load of a ``value_type`` value.
+
+    A load of a stored address adds one dynamic dependency to the (last
+    writer, load) edge and joins that store instance's readers.  The
+    value is the fast template's: the cell, :func:`_unset`'s default or
+    ``MemoryFault`` on a miss, and ``reinterpret_loaded`` for a cell of
+    another type or width."""
     entry = state.writers.get(address)
     if entry is not None:
         key = (entry[0], iid)
@@ -241,12 +249,25 @@ def _read(state, address: int, iid: int) -> None:
             entry[1] = {iid}
         else:
             entry[1].add(iid)
+    value = state.memory.cells.get(address)
+    is_float = value_type.__class__ is FloatType
+    if value is None:
+        return _unset(state, address, 0.0 if is_float else 0)
+    if (value.__class__ is not float if is_float else
+            value.__class__ is float or value >= 1 << value_type.bits):
+        return reinterpret_loaded(value, value_type)
+    return value
 
 
 def _wrote(state, address: int, iid: int, value) -> None:
-    """A store closes the address's previous instance and becomes its
-    last writer; rewriting the value already there is silent."""
-    if value == state.memory.cells.get(address):
+    """The profile variant's store.
+
+    It closes the address's previous instance and becomes its last
+    writer; rewriting the value already there is silent.  Then the
+    fast template's store: the same ``MemoryFault`` at an invalid
+    address, else the assignment."""
+    memory = state.memory
+    if value == memory.cells.get(address):
         state.events[iid] += 1
     entry = state.writers.get(address)
     if entry is None:
@@ -254,6 +275,9 @@ def _wrote(state, address: int, iid: int, value) -> None:
     else:
         finish_store(state, entry)
         entry[:] = iid, None
+    if address not in memory.valid:
+        raise MemoryFault(address, "store")
+    memory.cells[address] = value
 
 
 def finish_store(state, entry) -> None:
@@ -314,9 +338,13 @@ class _FunctionCodegen:
         self.local = block_locals(compiled.function)
         self.variant = FAST
         self.lines: list[str] = []
-        #: The memory locals (``_c``, ``_va``) the block function being
-        #: emitted binds so far.
-        self.memory_locals: set[str] = set()
+        #: The locals (``_c``, ``_va``, ``_nk``, ...) the block function
+        #: being emitted binds so far.
+        self.bound_locals: set[str] = set()
+        #: What numbers the profile's sampling sites in the block being
+        #: emitted: its count's expression, ``_n`` once read, or None
+        #: after a call into the module (see :meth:`emit_profile`).
+        self.instance_number: str | None = None
         self._bound: dict[int, str] = {}
         self.namespace = {
             "_ib": eval_int_binop,
@@ -411,11 +439,10 @@ class _FunctionCodegen:
         return functions, covered
 
     def emit_block_fn(self, cblock, name: str) -> set:
-        """One block function: superblock body + phi moves + dispatch."""
+        """One block function: (super)block body + phi moves + dispatch.
+        The profile variant never chains: a profile runs once."""
         self.lines = [f"def {name}(state, frame):", "    slots = frame.slots"]
-        self.memory_locals = set()
-        if self.variant == PROFILE:
-            self.lines += _PROFILE_HEADER
+        self.bound_locals = set()
         w = self.lines.append
         covered: set[int] = set()
         current = cblock
@@ -433,7 +460,8 @@ class _FunctionCodegen:
                 raise InterpreterBug(f"unknown terminator {term!r}")
             if not term.is_conditional:
                 succ = self.compiled.blocks[term.true_block]
-                if id(succ) not in seen and len(seen) < CHAIN_LIMIT:
+                if (id(succ) not in seen and len(seen) < CHAIN_LIMIT
+                        and self.variant != PROFILE):
                     # Straight-line superblock: inline the successor's
                     # entire iteration (phi moves first, then its body).
                     self.emit_phi_moves(current, succ, covered, 1)
@@ -447,6 +475,7 @@ class _FunctionCodegen:
             false_succ = self.compiled.blocks[term.false_block]
             w(f"    if {self.expr(term.cond)}:")
             if self.variant == PROFILE:
+                self.bind_local("_evt", "state.events")
                 w(f"        _evt[{term.iid}] += 1")  # taken instances
             self.emit_phi_moves(current, true_succ, covered, 2)
             w(f"        return {true_succ.local_index}")
@@ -462,10 +491,17 @@ class _FunctionCodegen:
         w("    if state.dynamic_count > state.budget:")
         w("        raise _Hang(state.dynamic_count)")
         w(f"    state.block_counts[{cblock.ordinal}] += 1")
+        # The profile's sampling sites number their instances by this
+        # count until a call into the module, which may re-enter the
+        # block (see emit_profile).
+        self.instance_number = f"state.block_counts[{cblock.ordinal}]"
         for inst in cblock.step_insts:
             if self.variant == PROFILE:
                 self.emit_profile(inst)
             self.emit_step(inst, covered)
+            if (isinstance(inst, Call)
+                    and inst.callee in self.engine.module.functions):
+                self.instance_number = None
 
     def emit_phi_moves(self, pred, succ, covered: set, depth: int) -> None:
         """Parallel phi copy for the edge ``pred -> succ``: evaluate
@@ -500,10 +536,17 @@ class _FunctionCodegen:
 
     def emit_profile(self, inst) -> None:
         """The profiler's bookkeeping for one step, ahead of it: its
-        operands are already defined, and a store sees the old cell."""
+        operands are already defined, and a store sees the old cell.
+
+        A sampling site's instance number is its block's count, read
+        once into ``_n`` at the block's first site; after a call into
+        the module (``instance_number`` is None), which may re-enter
+        the block, the site counts its own instances in ``state.seen``.
+        """
         w = self.lines.append
         iid = inst.iid
         if isinstance(inst, Select):
+            self.bind_local("_evt", "state.events")
             w(f"    if {self.expr(inst.cond)}:")
             w(f"        _evt[{iid}] += 1")
             sample = (f"((1 if {self.expr(inst.cond)} else 0), "
@@ -517,15 +560,19 @@ class _FunctionCodegen:
             sample = f"_cp(state, {self.expr(inst.pointer)})"
         else:
             return
+        if self.instance_number is None:
+            self.bind_local("_seen", "state.seen")
+            w(f"    _seen[{iid}] += 1")
+            number = f"_seen[{iid}]"
+        else:
+            if self.instance_number != "_n":
+                w(f"    _n = {self.instance_number}")
+                self.instance_number = "_n"
+            number = "_n"
         # Evaluate the sample only for the instances next_kept scheduled.
-        w(f"    _seen[{iid}] += 1")
-        w(f"    if _seen[{iid}] == _nk[{iid}]:")
+        self.bind_local("_nk", "state.next_kept")
+        w(f"    if {number} == _nk[{iid}]:")
         w(f"        _keep(state, {iid}, {sample})")
-        if isinstance(inst, Load):
-            w(f"    _read(state, {self.expr(inst.pointer)}, {iid})")
-        elif isinstance(inst, Store):
-            w(f"    _wrote(state, {self.expr(inst.pointer)}, {iid}, "
-              f"{self.expr(inst.value)})")
 
     # -- steps --------------------------------------------------------
 
@@ -589,6 +636,9 @@ class _FunctionCodegen:
         if isinstance(inst, Alloca):
             return self.alloca_lines(inst, temp), temp
         if isinstance(inst, Load):
+            if self.variant == PROFILE:  # _read does the access
+                return [], (f"_read(state, {self.expr(inst.pointer)}, "
+                            f"{inst.iid}, {self.bind(inst.type)})")
             return self.load_lines(inst, temp), temp
         if isinstance(inst, Call):
             return [], self.call_expr(inst)
@@ -670,21 +720,25 @@ class _FunctionCodegen:
             "    frame.owned.extend(_owned)",
         ]
 
-    def bind_memory(self, local: str, attribute: str) -> None:
-        """Bind ``state.memory.<attribute>`` to ``local`` at the top of
-        the block function being emitted, on its first use there: the
-        memory's cells and validity set stay the same objects for a
-        whole run."""
-        if local not in self.memory_locals:
-            self.memory_locals.add(local)
-            self.lines.insert(2, f"    {local} = state.memory.{attribute}")
+    def bind_local(self, local: str, source: str) -> None:
+        """Bind ``source`` to ``local`` at the top of the block function
+        being emitted, on its first use there: the run's memory cells
+        and validity set, and the profile's per-site lists, stay the
+        same objects for a whole run."""
+        if local not in self.bound_locals:
+            self.bound_locals.add(local)
+            self.lines.insert(2, f"    {local} = {source}")
 
     def store_lines(self, inst: Store) -> list[str]:
         """A store: the validity test (the same ``MemoryFault`` as
-        ``MemoryState.store``), then the assignment."""
-        self.bind_memory("_c", "cells")
-        self.bind_memory("_va", "valid")
+        ``MemoryState.store``), then the assignment.  The profile
+        variant's :func:`_wrote` does both after its bookkeeping."""
         address = self.expr(inst.pointer)
+        if self.variant == PROFILE:
+            return [f"_wrote(state, {address}, {inst.iid}, "
+                    f"{self.expr(inst.value)})"]
+        self.bind_local("_c", "state.memory.cells")
+        self.bind_local("_va", "state.memory.valid")
         return [f"if {address} not in _va:",
                 f'    raise _MF({address}, "store")',
                 f"_c[{address}] = {self.expr(inst.value)}"]
@@ -695,7 +749,7 @@ class _FunctionCodegen:
         miss needs the validity set: :func:`_unset` gives a valid
         address that was never written its default, and raises the
         same ``MemoryFault`` as ``MemoryState.load`` for any other."""
-        self.bind_memory("_c", "cells")
+        self.bind_local("_c", "state.memory.cells")
         value_type = inst.type
         default = "0.0" if value_type.is_float else "0"
         address = self.expr(inst.pointer)

@@ -150,6 +150,18 @@ register_query(QuerySpec(
     description="ePVF per-instruction vulnerability",
 ))
 
+# A crash prediction is a function of fs's propagation alone, so each fs
+# flavor has its own store and reads fs's config fields.
+for _flavor in ("", ".pvf", ".epvf"):
+    register_query(QuerySpec(
+        "model.crash" + _flavor, "model",
+        deps=("model.fs" + _flavor,),
+        config_fields=QUERIES["model.fs" + _flavor].config_fields,
+        interprocedural=True,
+        persist=True,
+        description="per-instruction crash probability (register data flow)",
+    ))
+
 
 def config_projection(spec: QuerySpec, config) -> str:
     """Digest of exactly the config fields this query reads."""

@@ -1,8 +1,12 @@
 """The TRIDENT orchestrator: Algorithm 1 over real programs."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core import (
+    MODEL_NAMES,
     Trident,
     build_all_models,
     create_model,
@@ -176,3 +180,71 @@ class TestModelVariants:
         model = Trident(module, profile)
         injector = FaultInjector(module)
         assert model.eligible == injector.eligible_iids()
+
+
+class TestSharedPicks:
+    """A program's models draw their sampled instances once per
+    ``(samples, seed)``: the draw is memoized on the profile."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        drawn = []
+        choices = random.Random.choices
+
+        def counting(rng, *args, **kwargs):
+            if kwargs.get("weights") is not None:  # not a temp file name
+                drawn.append(kwargs["k"])
+            return choices(rng, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "choices", counting)
+        return drawn
+
+    @staticmethod
+    def fresh_profile(name):
+        """A new profile object with the cached profile's contents."""
+        return dataclasses.replace(cached_profile(name)[0])
+
+    def test_models_of_one_profile_draw_once(self, draws):
+        module = cached_module("pathfinder")
+        profile = self.fresh_profile("pathfinder")
+        models = [create_model(name, module, profile)
+                  for name in MODEL_NAMES]
+        for model in models:
+            model.overall_sdc(samples=300, seed=4)
+        models[0].overall_crash(samples=300, seed=4)
+        assert draws == [300]
+        for model in models:
+            model.overall_sdc(samples=200, seed=4)
+            model.overall_sdc(samples=300, seed=5)
+        assert draws == [300, 200, 300]
+
+    def test_fresh_profile_draws_again(self, draws):
+        module = cached_module("pathfinder")
+        for _ in range(2):
+            create_model("trident", module, self.fresh_profile(
+                "pathfinder")).overall_sdc(samples=300, seed=4)
+        assert draws == [300, 300]
+
+    def test_private_queries_draw_their_own(self, draws):
+        module = cached_module("pathfinder")
+        profile = self.fresh_profile("pathfinder")
+        shared = create_model("trident", module, profile)
+        private = create_model("trident", module, profile, shared=False)
+        for model in (shared, private, private, shared):
+            model.overall_sdc(samples=300, seed=4)
+        assert draws == [300, 300, 300]
+
+    def test_values_equal_a_draw_per_model(self, benchmark_name):
+        """Sharing the picks changes no value: each model's overall SDC
+        is the average over its own weighted draw."""
+        module = cached_module(benchmark_name)
+        profile = self.fresh_profile(benchmark_name)
+        for name in MODEL_NAMES:
+            model = create_model(name, module, profile)
+            picks = random.Random(2018).choices(
+                model.eligible,
+                weights=[profile.count(iid) for iid in model.eligible],
+                k=400,
+            )
+            expected = sum(model.instruction_sdc(iid) for iid in picks) / 400
+            assert model.overall_sdc(samples=400, seed=2018) == expected

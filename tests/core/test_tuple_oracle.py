@@ -1,10 +1,14 @@
 """Fast tuple derivation against the per-flip reference enumeration.
 
 :class:`TupleDeriver` counts flips with hoisted evaluators, batched
-flips and integer closed forms; :class:`ReferenceTupleDeriver` flips
-and re-evaluates one bit at a time.  Every tuple must be identical, all
-three fields compared with ``==``.
+flips, C-level maps and integer closed forms;
+:class:`ReferenceTupleDeriver` flips and re-evaluates one bit at a
+time.  Every tuple must be identical, all three fields compared with
+``==``.
 """
+
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +19,20 @@ from repro.core.tuples import (
     ReferenceTupleDeriver,
     TupleDeriver,
     _closed_form,
+    _mapped,
     minmax_cmp_of_select,
 )
-from repro.ir import const_int
-from repro.ir.bitutils import mask
-from repro.ir.instructions import BinOp, Cast, FCmp, ICmp, Select
-from repro.ir.types import IntType
+from repro.ir import const_float, const_int
+from repro.ir.bitutils import flip_bits_typed, mask
+from repro.ir.instructions import (
+    ICMP_PREDICATES,
+    BinOp,
+    Cast,
+    FCmp,
+    ICmp,
+    Select,
+)
+from repro.ir.types import FloatType, IntType
 from repro.profiling import ProgramProfile
 from tests.conftest import cached_module, cached_profile
 
@@ -220,6 +232,83 @@ def test_non_canonical_sample_gives_the_reference_tuple(inst, operand_index,
                                                         sample):
     assert _closed_form(inst, operand_index)(sample) is None
     assert_matches_reference(inst, operand_index, [sample])
+
+
+# -- flips evaluated by C-level maps against enumeration, one per family ------
+
+def _f32(pattern: int) -> float:
+    return struct.unpack("<f", struct.pack("<I", pattern))[0]
+
+
+F32_MAX = _f32(0x7F7FFFFF)
+#: NaN, infinities, signed zeros, subnormals of both widths, and values
+#: whose sums and products overflow f32.
+FLOAT_SPECIALS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, _f32(1), -_f32(1), _f32(0x007FFFFF),
+    F32_MAX, -F32_MAX, F32_MAX / 2, 1e38, -3e38, 1.0, -2.5, 0.1,
+]
+
+
+def float_values(width: int):
+    if width == 32:
+        drawn = st.floats(width=32, allow_nan=True, allow_infinity=True)
+    else:
+        drawn = st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True)
+    return st.one_of(st.sampled_from(FLOAT_SPECIALS), drawn)
+
+
+@st.composite
+def float_binop_cases(draw):
+    width = draw(st.sampled_from((32, 64)))
+    values = float_values(width)
+    return (draw(st.sampled_from(("fadd", "fsub", "fmul"))),
+            FloatType(width), draw(values), draw(values))
+
+
+@settings(max_examples=300)
+@given(float_binop_cases(), st.sampled_from((0, 1)))
+def test_float_binop_flips_mapped_at_c_speed(case, operand_index):
+    op, value_type, a, b = case
+    inst = BinOp(op, const_float(a, value_type), const_float(b, value_type))
+    flips = flip_bits_typed((a, b)[operand_index], value_type)
+    assert _mapped(inst, operand_index)([a, b], flips) is not None
+    assert_matches_reference(inst, operand_index, [(a, b)])
+
+
+PREDICATES = sorted(ICMP_PREDICATES)
+
+
+@st.composite
+def icmp_cases(draw):
+    width = draw(st.sampled_from((1, 8, 32, 64)))
+    return (draw(st.sampled_from(PREDICATES)), IntType(width),
+            draw(canonical(width)), draw(canonical(width)))
+
+
+@settings(max_examples=300)
+@given(icmp_cases(), st.sampled_from((0, 1)))
+def test_icmp_flips_mapped_at_c_speed(case, operand_index):
+    predicate, value_type, a, b = case
+    inst = ICmp(predicate, const_int(a, value_type), const_int(b, value_type))
+    flips = flip_bits_typed((a, b)[operand_index], value_type)
+    assert _mapped(inst, operand_index)([a, b], flips) is not None
+    assert_matches_reference(inst, operand_index, [(a, b)])
+
+
+@pytest.mark.parametrize("predicate", PREDICATES)
+@pytest.mark.parametrize("sample", [
+    (2.5, 1), (1, 2.0),          # a float in an integer slot
+    (0x100, 3), (3, 0x1FF),      # a value of 2**bits or more
+    (-1, 3), (True, 0),          # a negative int, a bool
+])
+def test_non_canonical_icmp_sample_flips_one_at_a_time(predicate, sample):
+    inst = ICmp(predicate, const_int(0, I8), const_int(0, I8))
+    for operand_index in (0, 1):
+        flips = flip_bits_typed(sample[operand_index], I8)
+        assert _mapped(inst, operand_index)(list(sample), flips) is None
+        assert_matches_reference(inst, operand_index, [sample])
 
 
 def test_mixed_samples_count_each_one_its_own_way():

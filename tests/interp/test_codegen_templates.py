@@ -4,8 +4,9 @@ The templates keep block-local values in Python locals, access memory
 inline (a load probes the run's cells once and tests the validity set
 only on a miss), do signed arithmetic with a xor bias, round f32
 results in one call, and leave the inject variant once the fault has
-fired.  Each test below pins one of those rules against the definition
-it replaces.
+fired.  The profile variant holds one IR block per block function, and
+its bookkeeping helpers perform its loads and stores.  Each test below
+pins one of those rules against the definition it replaces.
 """
 
 from __future__ import annotations
@@ -17,10 +18,25 @@ import struct
 
 import pytest
 
+from repro.bench import BENCHMARK_NAMES, build_module
 from repro.interp import ExecutionEngine, Injection
-from repro.interp.codegen import block_locals, round_f32
-from repro.interp.engine import ReferenceEngine
+from repro.interp.codegen import (
+    FAST,
+    PROFILE,
+    _FunctionCodegen,
+    block_locals,
+    generate_function,
+    generate_profile_function,
+    round_f32,
+)
+from repro.interp.engine import (
+    ReferenceEngine,
+    _Frame,
+    _ProfileState,
+    _State,
+)
 from repro.interp.errors import MemoryFault
+from repro.interp.memory import MemoryState
 from repro.interp.result import CRASH
 from repro.ir import (
     F64,
@@ -307,3 +323,138 @@ class TestFreedCalleeFrame:
         assert result.crash_reason.startswith(
             f"{access} at invalid address")
         assert result.outputs == []
+
+
+def emitted_sources(engine, variant):
+    """(compiled block, source lines) of every block function of one
+    variant, as the generator emits them."""
+    for compiled in engine._compiled.values():
+        codegen = _FunctionCodegen(engine, compiled)
+        codegen.variant = variant
+        for cblock in compiled.blocks.values():
+            codegen.emit_block_fn(cblock, f"_{variant}{cblock.local_index}")
+            yield cblock, codegen.lines
+
+
+def blocks_entered(lines) -> int:
+    return sum(line.lstrip().startswith("state.block_counts[")
+               for line in lines)
+
+
+class TestProfileVariant:
+    """A profile runs once, so its block functions chain no superblocks
+    and inline no load or store."""
+
+    def test_each_block_function_holds_one_ir_block(self):
+        chained = 0
+        for name in BENCHMARK_NAMES:
+            engine = ExecutionEngine(cached_module(name))
+            for cblock, lines in emitted_sources(engine, PROFILE):
+                assert blocks_entered(lines) == 1, (name, cblock.local_index)
+                assert (f"    state.block_counts[{cblock.ordinal}] += 1"
+                        in lines), (name, cblock.local_index)
+            chained += sum(blocks_entered(lines) > 1
+                           for _cblock, lines in emitted_sources(engine, FAST))
+        assert chained > 0  # the fast variant still chains
+
+    def test_profile_source_budget(self):
+        """The profile variant of the 11 programs at ``default`` scale
+        emits at most 7,000 source lines (12,439 while it chained
+        superblocks and inlined loads and stores)."""
+        total = 0
+        for name in BENCHMARK_NAMES:
+            engine = ExecutionEngine(build_module(name, "default"))
+            total += sum(len(lines) for _cblock, lines
+                         in emitted_sources(engine, PROFILE))
+        assert total <= 7_000
+
+
+def build_access_module() -> Module:
+    """``load_<t>(p)`` returns ``p[0]`` and ``store_<t>(p, v)`` writes
+    it, for an integer and a float element type."""
+    module = Module("access")
+    for elem in (I32, F64):
+        load = FunctionBuilder(module, f"load_{elem}",
+                               arg_types=[pointer_to(elem)], arg_names=["p"],
+                               return_type=elem)
+        load.ret(ArrayView(load, load.arg(0).value, elem)[0])
+        load.done()
+        store = FunctionBuilder(module, f"store_{elem}",
+                                arg_types=[pointer_to(elem), elem],
+                                arg_names=["p", "v"])
+        ArrayView(store, store.arg(0).value, elem)[0] = store.arg(1)
+        store.done()
+    main = FunctionBuilder(module, "main")
+    main.out(0)
+    main.done()
+    return module.finalize()
+
+
+ADDRESS = 0x7FFF_0000_0040
+
+
+def run_access(engine, function, variant, cell, valid, *args):
+    """One call of a single-block access function, straight on its
+    generated block function, over a memory that holds ``cell`` at
+    :data:`ADDRESS` (none when ``cell`` is None), valid or not.
+    Returns the value (with its type), the cells and validity set after
+    it, or the fault's text."""
+    compiled = engine._compiled[function]
+    memory = MemoryState(engine.layout)
+    if valid:
+        memory.valid.add(ADDRESS)
+    if cell is not None:
+        memory.cells[ADDRESS] = cell
+    if variant == FAST:
+        block = generate_function(engine, compiled)[0][0]
+        state = _State(memory, 100, engine._n_blocks)
+    else:
+        block = generate_profile_function(engine, compiled)[0]
+        state = _ProfileState(memory, 100, engine._n_blocks,
+                              engine.module.num_instructions, 0, None)
+    frame = _Frame(compiled.n_slots)
+    frame.slots[: len(args) + 1] = (ADDRESS, *args)
+    try:
+        assert block(state, frame) == -1
+    except MemoryFault as fault:
+        return "fault", str(fault)
+    value = state.ret_value
+    return repr(value), type(value), dict(memory.cells), set(memory.valid)
+
+
+class TestProfileAccess:
+    """The profile variant's load and store (``_read``, ``_wrote``)
+    equal the fast template's inline ones."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return ExecutionEngine(build_access_module())
+
+    @pytest.mark.parametrize("elem, cell, valid", [
+        # A written cell.
+        (I32, 7, True), (F64, -2.5, True), (F64, -0.0, True),
+        # A valid cell never written: the type's zero.
+        (I32, None, True), (F64, None, True),
+        # An invalid address: the same MemoryFault.
+        (I32, None, False), (F64, None, False),
+        # A cell of another type or width: reinterpret_loaded.
+        (I32, 2.5, True), (I32, 1 << 40, True), (I32, 1 << 32, True),
+        (F64, 0x4004_0000_0000_0000, True), (F64, 1, True),
+    ])
+    def test_load(self, engine, elem, cell, valid):
+        results = [run_access(engine, f"load_{elem}", variant, cell, valid)
+                   for variant in (FAST, PROFILE)]
+        assert results[0] == results[1]
+        assert results[0][0] != "fault" or not valid
+
+    @pytest.mark.parametrize("elem, value, cell, valid", [
+        (I32, 7, None, True), (I32, 7, 7, True), (I32, 9, 3, True),
+        (F64, 0.5, None, True), (F64, -0.0, 0.0, True),
+        (I32, 7, None, False), (F64, 0.5, None, False),
+    ])
+    def test_store(self, engine, elem, value, cell, valid):
+        results = [run_access(engine, f"store_{elem}", variant, cell, valid,
+                              value)
+                   for variant in (FAST, PROFILE)]
+        assert results[0] == results[1]
+        assert (results[0][0] == "fault") == (not valid)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import configure_cache
 from repro.core import Trident
+from repro.core.propagation import ForwardPropagator
 from repro.query import reset_query_stores
 from repro.report import generate_report
 from tests.conftest import cached_module, cached_profile
@@ -83,4 +84,31 @@ class TestWarmReport:
             configure_cache(None)
             reset_query_stores()
         assert computed == []
+        assert warm == cold
+
+    def test_warm_report_propagates_no_fault(self, tmp_path, monkeypatch):
+        """The crash predictions are stored too: a warm re-report runs
+        no fs propagation, for the sampled overall crash either."""
+        module = cached_module("sad")
+        profile, _ = cached_profile("sad")
+        propagated = []
+        propagate = ForwardPropagator._propagate
+
+        def counting(propagator, origin):
+            propagated.append(origin)
+            return propagate(propagator, origin)
+
+        monkeypatch.setattr(ForwardPropagator, "_propagate", counting)
+        reset_query_stores()
+        try:
+            configure_cache(tmp_path / "store")
+            cold = generate_report(module, profile, samples=200).render()
+            assert propagated
+            reset_query_stores()
+            propagated.clear()
+            warm = generate_report(module, profile, samples=200).render()
+        finally:
+            configure_cache(None)
+            reset_query_stores()
+        assert propagated == []
         assert warm == cold
