@@ -25,10 +25,8 @@ from .artifacts import (
 from .disk import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
-    STORE_COUNTERS,
     ArtifactCache,
     CacheStats,
-    FileLock,
     configure_cache,
     get_cache,
     resolve_cache_dir,
@@ -43,9 +41,9 @@ from .fingerprint import (
 
 __all__ = [
     "ArtifactCache", "CACHE_DIR_ENV", "CacheStats", "DEFAULT_CACHE_DIR",
-    "FileLock", "GoldenSummary", "STORE_COUNTERS", "cached_profile",
-    "campaign_key", "combine_key", "config_digest", "configure_cache",
-    "function_fingerprint", "function_fingerprints", "function_results_key",
+    "GoldenSummary", "cached_profile", "campaign_key", "combine_key",
+    "config_digest", "configure_cache", "function_fingerprint",
+    "function_fingerprints", "function_results_key",
     "get_cache", "golden_key", "load_cached_profile", "load_function_results",
     "load_golden_summary", "module_fingerprint", "profile_key",
     "resolve_cache_dir", "shard_key", "store_cached_profile",

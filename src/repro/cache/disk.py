@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump when the envelope or any artifact payload changes shape *or
@@ -54,98 +53,6 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-#: Persistent store-level counters (``<root>/counters.json``): service
-#: and campaign drivers bump these across *processes*, so `repro cache
-#: stats` and the nightly BENCH_*.json can track lock contention and
-#: partial-shard checkpoint traffic no matter which process did the work.
-COUNTERS_FILE = "counters.json"
-
-STORE_COUNTERS = (
-    "lock_acquires",
-    "lock_contention",
-    "lock_breaks",
-    "partial_shards_written",
-    "partial_shards_resumed",
-    "coalesced_requests",
-    "requests_rejected",
-)
-
-
-class FileLock:
-    """Advisory cross-process lock via an ``O_EXCL`` lock file.
-
-    Used for multi-writer read-modify-write cycles (the persistent
-    counters file); plain artifact writes stay lock-free behind atomic
-    renames.  Waiting is bounded: after ``timeout`` seconds the lock is
-    considered abandoned if older than ``stale_after`` (the holder died
-    mid-critical-section) and is broken, otherwise acquisition fails —
-    callers must treat the protected update as best-effort.
-    """
-
-    def __init__(self, path: Path, *, timeout: float = 5.0,
-                 poll: float = 0.005, stale_after: float = 30.0):
-        self.path = Path(path)
-        self.timeout = timeout
-        self.poll = poll
-        self.stale_after = stale_after
-        self.acquired = False
-        #: True when at least one acquisition attempt found the lock held.
-        self.contended = False
-        #: True when a stale lock file had to be broken.
-        self.broke_stale = False
-
-    def acquire(self) -> bool:
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(self.path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self.contended = True
-                if time.monotonic() >= deadline:
-                    if self._break_stale():
-                        continue
-                    return False
-                time.sleep(self.poll)
-                continue
-            except OSError:
-                return False  # read-only filesystem: degrade gracefully
-            with os.fdopen(fd, "w") as handle:
-                handle.write(str(os.getpid()))
-            self.acquired = True
-            return True
-
-    def _break_stale(self) -> bool:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return True  # holder released between checks: retry
-        if age < self.stale_after:
-            return False
-        try:
-            self.path.unlink()
-        except OSError:
-            return False
-        self.broke_stale = True
-        return True
-
-    def release(self) -> None:
-        if self.acquired:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-            self.acquired = False
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.release()
-
-
 @dataclass
 class CacheStats:
     """Counters one cache instance accumulates across a run."""
@@ -157,17 +64,6 @@ class CacheStats:
     bytes_written: int = 0
     #: Corrupted/mismatched files dropped (each also counts as a miss).
     evictions: int = 0
-    #: Per-kind hit/miss breakdown, e.g. {"profile": [3, 1]}.
-    by_kind: dict[str, list[int]] = field(default_factory=dict)
-
-    def record(self, kind: str, hit: bool) -> None:
-        entry = self.by_kind.setdefault(kind, [0, 0])
-        if hit:
-            self.hits += 1
-            entry[0] += 1
-        else:
-            self.misses += 1
-            entry[1] += 1
 
     def summary(self) -> str:
         """One line for run summaries: hits, misses, traffic."""
@@ -211,7 +107,7 @@ class ArtifactCache:
         try:
             raw = path.read_bytes()
         except OSError:
-            self.stats.record(kind, hit=False)
+            self.stats.misses += 1
             return None
         try:
             envelope = json.loads(raw)
@@ -224,9 +120,9 @@ class ArtifactCache:
         except (ValueError, KeyError, TypeError):
             self._drop(path)
             self.stats.evictions += 1
-            self.stats.record(kind, hit=False)
+            self.stats.misses += 1
             return None
-        self.stats.record(kind, hit=True)
+        self.stats.hits += 1
         self.stats.bytes_read += len(raw)
         return payload
 
@@ -277,69 +173,6 @@ class ArtifactCache:
             path.unlink()
         except OSError:
             pass
-
-    # ------------------------------------------------------------------
-    # Persistent store-level counters (lock contention, partial shards)
-    # ------------------------------------------------------------------
-
-    def _counters_path(self) -> Path:
-        return self.root / COUNTERS_FILE
-
-    def _lock_for(self, name: str) -> FileLock:
-        return FileLock(self.root / ".locks" / f"{name}.lock")
-
-    def bump_counters(self, **deltas: int) -> dict[str, int]:
-        """Add ``deltas`` to the persistent counters file, under a lock.
-
-        Contention observed while taking the lock is folded into the
-        same write (``lock_contention``), so the counter is exact even
-        though the observation races the update it records.  A cache
-        that is disabled — or a lock that cannot be acquired — makes
-        this a no-op: counters are diagnostics, never correctness.
-        """
-        if not self.enabled:
-            return {}
-        lock = self._lock_for("counters")
-        if not lock.acquire():
-            return {}
-        try:
-            counters = self._read_counters_unlocked()
-            counters["lock_acquires"] = counters.get("lock_acquires", 0) + 1
-            if lock.contended:
-                counters["lock_contention"] = (
-                    counters.get("lock_contention", 0) + 1
-                )
-            if lock.broke_stale:
-                counters["lock_breaks"] = counters.get("lock_breaks", 0) + 1
-            for name, delta in deltas.items():
-                counters[name] = counters.get(name, 0) + int(delta)
-            path = self._counters_path()
-            data = json.dumps(counters, sort_keys=True).encode()
-            try:
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=path.parent, prefix=".counters-", suffix=".tmp"
-                )
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, path)
-            except OSError:
-                return counters
-            return counters
-        finally:
-            lock.release()
-
-    def _read_counters_unlocked(self) -> dict[str, int]:
-        try:
-            raw = json.loads(self._counters_path().read_bytes())
-            return {str(k): int(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError):
-            return {}
-
-    def read_counters(self) -> dict[str, int]:
-        """The persistent counters, with every known name present."""
-        counters = {name: 0 for name in STORE_COUNTERS}
-        counters.update(self._read_counters_unlocked())
-        return counters
 
     # ------------------------------------------------------------------
     # Maintenance (the `repro cache` subcommand)

@@ -374,11 +374,6 @@ def _cmd_cache(args, out) -> int:
                       file=out)
             print(f"  {'total':<12} {total_count:>6} entries  "
                   f"{total_bytes:>12,} bytes", file=out)
-        counters = cache.read_counters()
-        if any(counters.values()):
-            print("store counters:", file=out)
-            for name in sorted(counters):
-                print(f"  {name:<24} {counters[name]:>8}", file=out)
     elif args.cache_command == "prune":
         removed, freed = cache.prune(args.max_bytes)
         print(f"pruned {removed} entries ({freed:,} bytes freed)", file=out)
@@ -621,13 +616,6 @@ def _cmd_status(args, out) -> int:
     if store:
         state = "enabled" if store.get("enabled") else "disabled"
         print(f"store: {store.get('root')} ({state})", file=out)
-        store_counters = store.get("counters", {})
-        if any(store_counters.values()):
-            summary = " ".join(
-                f"{name}={store_counters[name]}"
-                for name in sorted(store_counters) if store_counters[name]
-            )
-            print(f"store counters: {summary}", file=out)
     return 0
 
 

@@ -63,9 +63,3 @@ class RunResult:
             for inst in block.instructions:
                 counts[inst.iid] = counts.get(inst.iid, 0) + count
         return counts
-
-    def output_text(self) -> str:
-        return "\n".join(self.outputs)
-
-    def same_output(self, other: "RunResult") -> bool:
-        return self.outputs == other.outputs

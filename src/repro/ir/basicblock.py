@@ -30,18 +30,6 @@ class BasicBlock:
         self.instructions.insert(index + 1, new_instruction)
         return new_instruction
 
-    def insert_front(self, new_instruction: Instruction):
-        """Insert at the top of the block (after any existing phis)."""
-        from .instructions import Phi
-
-        index = 0
-        while (index < len(self.instructions)
-               and isinstance(self.instructions[index], Phi)):
-            index += 1
-        new_instruction.parent = self
-        self.instructions.insert(index, new_instruction)
-        return new_instruction
-
     def remove(self, instruction: Instruction) -> None:
         """Remove an instruction, detaching its operand uses."""
         self.instructions.remove(instruction)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .basicblock import BasicBlock
-from .instructions import Instruction
 from .types import VOID, Type
 from .values import Argument
 
@@ -62,8 +61,3 @@ class Function:
             f"<Function {self.name} ({len(self.blocks)} blocks, "
             f"{self.num_instructions} insts)>"
         )
-
-
-def instruction_index(function: Function) -> dict[Instruction, int]:
-    """Position of each instruction in block order (for dominance checks)."""
-    return {inst: i for i, inst in enumerate(function.instructions())}

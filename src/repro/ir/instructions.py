@@ -108,10 +108,6 @@ class Instruction(Value):
     def is_cast(self) -> bool:
         return isinstance(self, Cast)
 
-    @property
-    def is_memory_access(self) -> bool:
-        return isinstance(self, (Load, Store))
-
     def short(self) -> str:
         if self.has_result:
             return f"%{self.name or self.iid}"
@@ -448,12 +444,6 @@ class Phi(Instruction):
             if pred is block:
                 return value
         raise KeyError(f"phi has no incoming edge from {block.name}")
-
-    def add_incoming(self, value, block) -> None:
-        if value.type != self.type:
-            raise TypeError("phi incoming type mismatch")
-        self._add_operand(value)
-        self.incoming_blocks.append(block)
 
 
 class Detect(Instruction):

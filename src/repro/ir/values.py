@@ -19,10 +19,6 @@ class Value:
         #: Instructions that use this value as an operand (def-use chain).
         self.users: list = []
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
     def short(self) -> str:
         """Short textual form used inside operand lists."""
         return f"%{self.name}" if self.name else "%?"

@@ -40,12 +40,6 @@ class OptimizationReport:
     #: keeps its fingerprint, so its queries survive the transform.
     touched_functions: set[str] = field(default_factory=set)
 
-    @property
-    def shrink_fraction(self) -> float:
-        if self.before_instructions == 0:
-            return 0.0
-        return 1.0 - self.after_instructions / self.before_instructions
-
 
 #: Each pass with the report counter it feeds.
 _PASSES = (

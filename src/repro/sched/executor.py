@@ -11,10 +11,13 @@ byte-identical by construction.
 
 Failure semantics, in order of escalation:
 
-* a shard task fails (worker crash, unpicklable surprise) — that shard
-  alone re-runs serially in the driver; remaining shards stay pooled;
-* the pool cannot be created or dies — the campaign degrades to serial
-  in-process execution (``degraded``), never losing counts;
+* a shard task raises (an exception in the worker, an unpicklable
+  result) — that shard re-runs serially in the driver; the round's
+  finished shards stay merged;
+* the pool cannot be created or fails a task — the campaign degrades
+  to serial in-process execution (``degraded``), never losing counts;
+* a worker killed mid-shard is not detected: ``multiprocessing.Pool``
+  never completes its task, so the round waits for it;
 * the user interrupts (KeyboardInterrupt) — children are terminated,
   already-finished shards are harvested and flushed to the store, and
   :class:`CampaignInterrupted` carries a partial result that reports
@@ -149,7 +152,6 @@ class CampaignExecutor:
         if shard is None or shard.completed_ranges != planned:
             self._store.remove(SHARD_KIND, key)
             return None
-        self._store.bump_counters(partial_shards_resumed=1)
         return shard
 
     def _store_shard(self, rng: ShardRange, shard: CampaignResult) -> None:
@@ -158,7 +160,6 @@ class CampaignExecutor:
             return
         if self._store.store(SHARD_KIND, key, shard.to_dict()):
             self._checkpointed_shards.append((rng.start, rng.count))
-            self._store.bump_counters(partial_shards_written=1)
 
     def discard_shard_checkpoints(self) -> None:
         """Drop checkpoints made obsolete by the merged campaign result."""
@@ -208,12 +209,13 @@ class CampaignExecutor:
                     if pool is None:
                         use_pool, degraded = False, True
                 if todo and use_pool and pool is not None:
-                    leftover, broken = self._pool_round(pool, todo, seed,
-                                                        target, result)
-                    if broken:
+                    todo = self._pool_round(pool, todo, seed, target,
+                                            result)
+                    if todo:
+                        # A failed task would likely fail again (a bad
+                        # spec), so the pool is not trusted again.
                         pool = self._discard_pool(pool)
                         use_pool, degraded = False, True
-                    todo = leftover
                 for rng in todo:
                     self._serial_shard(rng, seed, target, result)
                 executed += round_runs
@@ -277,9 +279,8 @@ class CampaignExecutor:
     def _pool_round(self, pool, ranges, seed, target, result):
         """Dispatch shards to the pool, merging results as they land.
 
-        Returns ``(leftover, broken)``: shards that must be retried
-        serially, and whether the pool should be abandoned.  On
-        KeyboardInterrupt, already-finished shards are harvested and
+        Returns the shards whose task failed, to be retried serially.
+        On KeyboardInterrupt, already-finished shards are harvested and
         merged before the interrupt propagates — their counts and store
         checkpoints are never lost.
         """
@@ -293,28 +294,18 @@ class CampaignExecutor:
         ]
         merged: set[int] = set()
         leftover = []
-        broken = False
         try:
             for rng, task in pending:
                 try:
-                    shard = task.get(self.settings.round_timeout)
+                    shard = task.get()
                 except KeyboardInterrupt:
                     raise
-                except multiprocessing.TimeoutError:
-                    leftover.append(rng)
-                    broken = True  # a wedged worker poisons the pool
                 except Exception:
                     leftover.append(rng)
                 else:
                     self._store_shard(rng, shard)
                     result.absorb(shard)
                     merged.add(rng.index)
-            if leftover:
-                # A failed task usually means a worker-side failure that
-                # would repeat (bad spec, dead child).  Successful shards
-                # of this round stay merged — only the failures retry
-                # serially — but the pool is not trusted again.
-                broken = True
         except KeyboardInterrupt:
             pool.terminate()  # stop children before harvesting
             for rng, task in pending:
@@ -327,7 +318,7 @@ class CampaignExecutor:
                 self._store_shard(rng, shard)
                 result.absorb(shard)
             raise
-        return leftover, broken
+        return leftover
 
     @staticmethod
     def _discard_pool(pool):

@@ -161,9 +161,6 @@ class Scheduler:
         self.counters = {
             "submitted": 0, "cache_hits": 0, "coalesced": 0,
             "rejected": 0, "completed": 0, "failed": 0,
-            # Aggregated batch-tier reconvergence telemetry from every
-            # completed job (surfaced over /v1/stats).
-            "batch_reconverged": 0, "batch_drains": 0,
         }
 
     # -- lifecycle -------------------------------------------------------
@@ -218,7 +215,6 @@ class Scheduler:
             if active is not None:
                 active.coalesced += 1
                 self.counters["coalesced"] += 1
-                cache.bump_counters(coalesced_requests=1)
                 return active
             job = self._new_job(key, fingerprint, request)
             payload = cache.load(CAMPAIGN_KIND, key)
@@ -237,7 +233,6 @@ class Scheduler:
                 self._queue.push(job, request.priority)
             except QueueFull:
                 self.counters["rejected"] += 1
-                cache.bump_counters(requests_rejected=1)
                 raise
             self._jobs[job.id] = job
             self._active[key] = job
@@ -272,8 +267,6 @@ class Scheduler:
         else:
             job.resolve(JOB_DONE, result=result)
             self.counters["completed"] += 1
-            self.counters["batch_reconverged"] += result.batch_reconverged
-            self.counters["batch_drains"] += result.batch_drains
         finally:
             with self._lock:
                 if self._active.get(job.key) is job:
@@ -288,15 +281,6 @@ class Scheduler:
     def jobs(self) -> list[Job]:
         with self._lock:
             return list(self._jobs.values())
-
-    def queued_ahead(self, job: Job) -> int:
-        """Jobs still pending that were admitted before this one."""
-        with self._lock:
-            return sum(
-                1 for other in self._active.values()
-                if other is not job and other.status == JOB_QUEUED
-                and other.created <= job.created
-            )
 
     def stats(self) -> dict:
         with self._lock:

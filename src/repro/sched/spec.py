@@ -111,9 +111,6 @@ class CampaignSettings:
     round_size: int = 0
     #: Never stop before this many runs (guards tiny-sample intervals).
     min_runs: int = 100
-    #: Per-shard pool timeout in seconds; on expiry the shard is retried
-    #: serially.  None = wait indefinitely.
-    round_timeout: float | None = None
     #: Checkpoint-and-fork: restore golden-prefix snapshots so each
     #: trial executes only its suffix.  Counts are invariant to this
     #: knob (it is deliberately *not* part of the campaign cache key);

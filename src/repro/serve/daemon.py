@@ -255,11 +255,7 @@ class ServiceDaemon:
         cache = get_cache()
         payload = self.scheduler.stats()
         payload["uptime_seconds"] = time.time() - self._started
-        payload["store"] = {
-            "enabled": cache.enabled,
-            "root": str(cache.root),
-            "counters": cache.read_counters(),
-        }
+        payload["store"] = {"enabled": cache.enabled, "root": str(cache.root)}
         return payload
 
     async def _analyze(self, body: dict) -> tuple[int, dict]:

@@ -13,7 +13,7 @@ POST   ``/v1/campaigns``     submit a campaign; 200 done (store hit or
                              ``wait``), 202 queued, 429 queue full
 GET    ``/v1/jobs``          every job this daemon has seen
 GET    ``/v1/jobs/<id>``     one job, with its result when done
-GET    ``/v1/stats``         scheduler counters + store counters
+GET    ``/v1/stats``         scheduler counters, jobs, store root
 POST   ``/v1/analyze``       model prediction (no fault injection)
 ====== ==================== ==========================================
 """

@@ -198,20 +198,34 @@ class TestCachedCampaign:
         assert not result.from_cache
         assert result.counts == FaultInjector(module).campaign(60, 3).counts
 
-    def test_lone_shard_writes_no_checkpoint(self):
+    @staticmethod
+    def shard_writes(monkeypatch) -> list[str]:
+        """The keys of every shard checkpoint the store is asked to
+        write from now on."""
         cache = get_cache()
-        written = cache.read_counters()["partial_shards_written"]
-        run_store_campaign(60, seed=3, spec=self.SPEC)
-        assert SHARD_KIND not in cache.disk_usage()
-        assert cache.read_counters()["partial_shards_written"] == written
+        written = []
+        store = cache.store
 
-    def test_chunked_campaign_checkpoints_and_compacts(self):
-        cache = get_cache()
-        written = cache.read_counters()["partial_shards_written"]
+        def spy(kind, key, payload):
+            if kind == SHARD_KIND:
+                written.append(key)
+            return store(kind, key, payload)
+
+        monkeypatch.setattr(cache, "store", spy)
+        return written
+
+    def test_lone_shard_writes_no_checkpoint(self, monkeypatch):
+        written = self.shard_writes(monkeypatch)
+        run_store_campaign(60, seed=3, spec=self.SPEC)
+        assert SHARD_KIND not in get_cache().disk_usage()
+        assert written == []
+
+    def test_chunked_campaign_checkpoints_and_compacts(self, monkeypatch):
+        written = self.shard_writes(monkeypatch)
         run_store_campaign(60, seed=3, spec=self.SPEC,
                            settings=CampaignSettings(chunk_size=20))
-        assert cache.read_counters()["partial_shards_written"] == written + 3
-        assert SHARD_KIND not in cache.disk_usage()
+        assert len(written) == 3
+        assert SHARD_KIND not in get_cache().disk_usage()
 
     def test_lazy_injector_factory_not_built_on_hit(self):
         run_store_campaign(60, seed=3, spec=self.SPEC)

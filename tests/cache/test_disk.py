@@ -122,7 +122,6 @@ class TestStats:
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1 and stats.writes == 1
         assert stats.bytes_read > 0 and stats.bytes_written > 0
-        assert stats.by_kind["profile"] == [1, 1]
         summary = stats.summary()
         assert "1 hit" in summary and "1 miss" in summary
 

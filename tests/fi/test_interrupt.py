@@ -101,14 +101,11 @@ class TestCheckpointResume:
                 RUNS, seed=SEED, spec=spec, injector=flaky,
                 settings=settings,
             )
-        before = get_cache().read_counters()["partial_shards_resumed"]
         resumed = run_store_campaign(
             RUNS, seed=SEED, spec=spec, settings=settings,
         )
         # The two interrupted shards replayed from the store...
         assert resumed.shards_resumed == 2
-        assert get_cache().read_counters()["partial_shards_resumed"] == \
-            before + 2
         # ...and the finished campaign is bit-identical to a clean run.
         clean = FaultInjector(cached_module(BENCH)).campaign(
             RUNS, seed=SEED

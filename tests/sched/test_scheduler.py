@@ -13,8 +13,19 @@ import threading
 
 import pytest
 
-from repro.cache import campaign_key, get_cache, module_fingerprint
-from repro.cache.artifacts import CAMPAIGN_KIND
+from repro.cache import (
+    campaign_key,
+    configure_cache,
+    get_cache,
+    module_fingerprint,
+)
+from repro.cache.artifacts import (
+    CAMPAIGN_KIND,
+    GOLDEN_KIND,
+    MODEL_FN_KIND,
+    PROFILE_KIND,
+    SHARD_KIND,
+)
 from repro.fi import CampaignResult, FaultInjector
 from repro.ir.printer import print_module
 from repro.sched import (
@@ -120,6 +131,35 @@ class TestBackpressure:
         # Identical request: attaches to the in-flight job even though
         # the queue has no free slot.
         assert scheduler.submit(request(seed=43)) is job
+
+
+class TestStoreHoldsArtifactsOnly:
+    def test_checkpoints_coalescing_and_rejection_leave_only_kinds(
+            self, tmp_path):
+        """Shard checkpoints and their compaction, a coalesced submit
+        and a queue-full rejection write artifacts and nothing else:
+        the store root holds kind directories only."""
+        root = tmp_path / "store"
+        configure_cache(root)
+        try:
+            run_store_campaign(
+                60, seed=61, spec=ModuleSpec.from_benchmark(BENCH, "test"),
+                settings=CampaignSettings(chunk_size=20),
+            )
+            scheduler = Scheduler(max_pending=1)
+            job = scheduler.submit(request(seed=62))
+            assert scheduler.submit(request(seed=62)) is job
+            with pytest.raises(QueueFull):
+                scheduler.submit(request(seed=63))
+            scheduler.stop(timeout=5.0)
+        finally:
+            configure_cache(None)
+        kinds = {CAMPAIGN_KIND, GOLDEN_KIND, MODEL_FN_KIND, PROFILE_KIND,
+                 SHARD_KIND}
+        entries = sorted(root.iterdir())
+        assert CAMPAIGN_KIND in {path.name for path in entries}
+        assert all(path.is_dir() and path.name in kinds
+                   for path in entries), entries
 
 
 class TestCacheHit:

@@ -273,8 +273,7 @@ class TestCampaigns:
         stats = client.stats()
         assert stats["counters"]["submitted"] >= 1
         assert stats["counters"]["cache_hits"] >= 1
-        assert "counters" in stats["store"]
-        assert "partial_shards_written" in stats["store"]["counters"]
+        assert set(stats["store"]) == {"enabled", "root"}
 
 
 class TestAnalyze:
